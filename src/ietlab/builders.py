@@ -8,7 +8,6 @@ member.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .algebraic import real_roots, root_in
 from .iet import IET, Permutation
@@ -112,7 +111,7 @@ def ek_model(k: int) -> LatticeModel:
         lefts.append(acc)
         acc = acc + l
     starts = [lefts[i] + taus[i] for i in range(7)]
-    order = sorted(range(7), key=cmp_to_key(lambda a, b: (starts[a] - starts[b]).sign()))
+    order = sorted(range(7), key=starts.__getitem__)
     perm = [0] * 7
     for slot, i in enumerate(order, start=1):
         perm[i] = slot

@@ -41,10 +41,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse_image(self, p: int) -> int:
-        """The atom sent to position p."""
-        return self.images.index(p) + 1
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -81,17 +77,20 @@ def translations_from(perm: Permutation, lengths):
 class IET:
     """Exchange of N field-element intervals on [0, total)."""
 
-    __slots__ = ("perm", "lengths", "translations", "total", "field")
+    __slots__ = ("perm", "lengths", "translations", "rights", "total", "field")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
         self.lengths = tuple(lengths)
         self.field = self.lengths[0].field
         self.translations = translations_from(perm, self.lengths)
-        tot = self.field.zero
+        rights = []
+        acc = self.field.zero
         for l in self.lengths:
-            tot = tot + l
-        self.total = tot
+            acc = acc + l
+            rights.append(acc)
+        self.rights = tuple(rights)  # right endpoints of the atoms
+        self.total = acc
 
     @property
     def N(self) -> int:
@@ -99,12 +98,7 @@ class IET:
 
     def atoms(self):
         """[left_i, right_i) endpoints of the domain partition."""
-        out = []
-        left = self.field.zero
-        for l in self.lengths:
-            out.append((left, left + l))
-            left = left + l
-        return out
+        return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
 
     def _coerce(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -114,15 +108,11 @@ class IET:
     def atom_of(self, x) -> int:
         """1-based index of the atom containing x; raises if out of range."""
         x = self._coerce(x)
-        if x.sign() < 0 or (x - self.total).sign() >= 0:
-            raise ValueError("point outside the domain")
-        left = self.field.zero
-        for i, l in enumerate(self.lengths, start=1):
-            right = left + l
-            if (x - right).sign() < 0:
-                return i
-            left = right
-        raise AssertionError("tiling violated")
+        if x.sign() >= 0:
+            for i, right in enumerate(self.rights, start=1):
+                if (x - right).sign() < 0:
+                    return i
+        raise ValueError("point outside the domain")
 
     def apply(self, x) -> FieldElement:
         x = self._coerce(x)
@@ -154,11 +144,14 @@ class IET:
         return IET(inv_perm, inv_lengths)
 
     def to_data(self) -> dict:
+        """JSON-ready data: generator, module basis and lengths, all in
+        power coordinates."""
         th = self.field.generator
         return {
             "permutation": list(self.perm.images),
             "minpoly": list(th.poly.coeffs),
             "interval": [str(th.lo), str(th.hi)],
+            "basis": [[str(c) for c in b.power_coords] for b in self.field.basis],
             "lengths": [[str(c) for c in l.power_coords] for l in self.lengths],
         }
 
@@ -170,9 +163,8 @@ class IET:
         lo, hi = (Fraction(s) for s in data["interval"])
         gen = root_in(IntPoly(data["minpoly"]), lo, hi)
         K = NumberField(gen)
-        lengths = [
-            K.from_power_coords([Fraction(c) for c in row]) for row in data["lengths"]
-        ]
+        K = K.with_basis([K.from_power_coords(row) for row in data["basis"]])
+        lengths = [K.from_power_coords(row) for row in data["lengths"]]
         return cls(Permutation(data["permutation"]), lengths)
 
     def __eq__(self, other):
@@ -210,7 +202,7 @@ def iet_from_translations(lengths, translations) -> IET:
         left = left + l
     total = left
     image_lefts = [lefts[i] + translations[i] for i in range(len(lengths))]
-    order = sorted(range(len(lengths)), key=lambda i: _SortKey(image_lefts[i]))
+    order = sorted(range(len(lengths)), key=image_lefts.__getitem__)
     # exact tiling of the image
     cursor = field.zero
     for i in order:
@@ -226,16 +218,6 @@ def iet_from_translations(lengths, translations) -> IET:
     if E.translations != translations:
         raise ValueError("translation data inconsistent with recovered permutation")
     return E
-
-
-class _SortKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
 
 
 def staircase_discrepancy(E: IET, x, k: int):
@@ -258,10 +240,6 @@ class InducedMap:
         self.window = window
         self.induced = induced
         self.return_words = return_words
-
-    @property
-    def return_times(self):
-        return tuple(len(w) for w in self.return_words)
 
 
 def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int = 10**6) -> InducedMap:
@@ -290,7 +268,7 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
     if a.sign() < 0 or (b - E.total).sign() > 0 or (b - a).sign() <= 0:
         raise ValueError("window must be a nonempty subinterval of the domain")
 
-    atom_bounds = [r for (_, r) in E.atoms()]  # right endpoints; 0 is implicit
+    atom_bounds = E.rights  # 0 is implicit
     done = []  # (lo, hi, shift, word) in window coordinates
     stack = [(a, b, field.zero, ())]
     while stack:
@@ -315,7 +293,7 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
             continue
         _advance(E, atom_bounds, stack, lo, hi, shift, word)
 
-    done.sort(key=lambda p: _SortKey(p[0]))
+    done.sort(key=lambda p: p[0])
     cursor = a
     for lo, hi, _, _ in done:
         if lo != cursor:

@@ -135,7 +135,7 @@ class LatticeModel:
 
     def layer_of(self, x: FieldElement):
         """Unique split x = xi + (module point), xi rational in [0,1)^n."""
-        coords = [Fraction(c) for c in self.field._to_power(x).coords]
+        coords = self.field.coords_of(x)
         floors = [Fraction(math.floor(c)) for c in coords]
         xi = tuple(c - f for c, f in zip(coords, floors))
         part = self.field.element(floors)
@@ -413,10 +413,7 @@ def liouville_check(model: LatticeModel, zeta: FieldElement):
     Returns (|zeta| as float, ||z||, bound, pass).
     """
     n = model.n
-    power_basis = [
-        tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)
-    ]
-    if model.field._basis_power != power_basis:
+    if not model.field.is_power_basis:
         raise ValueError("bound applies to power-basis modules only")
     if model.module.d != 1:
         raise ValueError("bound applies to rings Z[lambda] only")

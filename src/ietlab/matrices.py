@@ -47,10 +47,6 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -68,25 +64,28 @@ def mat_pow(A, k: int):
     return out
 
 
-def _det_bareiss(A) -> int:
-    M = [row[:] for row in A]
-    n = len(M)
+def _bareiss(M, n: int) -> int:
+    """Fraction-free elimination of the first n columns of the integer
+    rows M, in place; every division is exact.  Returns the sign of the
+    row swaps made, or 0 when those columns are singular.  Afterwards
+    M[n-1][n-1] is +-det of the leading n x n block."""
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(n):
         if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
+            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if piv is None:
                 return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pk = M[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
+            row = M[i]
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pk[k] - f * pk[j]) // prev
+            row[k] = 0
+        prev = pk[k]
+    return sign
 
 
 def det(A):
@@ -95,7 +94,8 @@ def det(A):
     if n == 0:
         return 1
     if all(isinstance(x, int) for row in A for x in row):
-        return _det_bareiss(A)
+        M = [row[:] for row in A]
+        return _bareiss(M, n) * M[-1][-1]
     M = [[Fraction(x) for x in row] for row in A]
     sign = 1
     for k in range(n):
@@ -167,10 +167,31 @@ def solve(A, b):
     return x
 
 
-def charpoly_frac(A):
-    """Characteristic polynomial det(x*I - A), ascending Fraction coefficients.
+def solve_fraction_free(A, b):
+    """Integer solution of A x = b up to one denominator: (X, d) with
+    A X = d b and d = +-det(A), for integer A and b.
 
-    Newton's identities on power-sum traces; exact, monic of degree n.
+    Bareiss elimination keeps every entry an integer, and the back
+    substitution divides exactly because X = +-adj(A) b.  Raises on
+    singular A.
+    """
+    n = len(A)
+    M = [list(row) + [b[i]] for i, row in enumerate(A)]
+    if not _bareiss(M, n):
+        raise ValueError("singular matrix")
+    d = M[-1][n - 1]
+    X = [0] * n
+    for k in range(n - 1, -1, -1):
+        s = d * M[k][n] - sum(M[k][j] * X[j] for j in range(k + 1, n))
+        X[k] = s // M[k][k]
+    return X, d
+
+
+def charpoly(A) -> IntPoly:
+    """Characteristic polynomial det(x*I - A) of an integer matrix.
+
+    Newton's identities on power-sum traces, over Fractions; raises
+    ValueError if a coefficient is not an integer.
     """
     n = len(A)
     traces = []
@@ -184,16 +205,9 @@ def charpoly_frac(A):
         for i in range(1, k + 1):
             s += (-1) ** (i - 1) * e[k - i] * traces[i - 1]
         e.append(s / k)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = (-1) ** k * e[k]
-    return coeffs
-
-
-def charpoly(A) -> IntPoly:
-    """Characteristic polynomial of an integer matrix, as an IntPoly."""
-    coeffs = charpoly_frac(A)
-    assert all(c.denominator == 1 for c in coeffs)
+    coeffs = [(-1) ** k * e[k] for k in range(n, -1, -1)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("characteristic polynomial is not integral: matrix is not integer")
     return IntPoly(int(c) for c in coeffs)
 
 

@@ -117,12 +117,12 @@ class ModuleData:
         ]
 
     def in_module(self, zeta: FieldElement) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.field._to_power(zeta).coords)
+        return all(Fraction(c).denominator == 1 for c in self.field.coords_of(zeta))
 
     def m_coords(self, zeta: FieldElement):
         """Integer coordinates m with zeta = (1/d) sum m_k nu'_k."""
         z = _integer_vector(
-            self.field._to_power(zeta).coords, "module element"
+            self.field.coords_of(zeta), "module element"
         )
         return tuple(sum(self.Winv[r][i] * z[i] for i in range(len(z))) for r in range(len(z)))
 
@@ -140,7 +140,7 @@ class ModuleData:
 
     def in_order(self, zeta: FieldElement) -> bool:
         """Membership of zeta in the multiplier ring O."""
-        z = [Fraction(c) for c in self.field._to_power(zeta).coords]
+        z = [Fraction(c) for c in self.field.coords_of(zeta)]
         O = transpose([list(c) for c in self.order_basis])
         sol = solve([row[:] for row in O], z)
         return all(Fraction(c).denominator == 1 for c in sol)

@@ -1,218 +1,252 @@
 """Number fields K = Q(theta) with a designated module basis.
 
-A NumberField wraps a real algebraic generator theta and a basis
-nu_1..nu_n of K over Q; elements carry exact rational coordinates with
-respect to that basis.  The default basis is the power basis
-(1, theta, ..., theta^{n-1}); models that work in a scaled lattice such
-as Z[lambda]/2 swap in their own basis with `with_basis`, and the two
-views convert through the basis matrix.
+Representation.  A FieldElement stores its power-basis coordinates as a
+tuple of integer numerators over one positive integer denominator, in
+lowest terms:
 
-Arithmetic happens in power coordinates (polynomial multiplication
-reduced by the generator's minimal polynomial, inversion by the extended
-Euclidean algorithm), so +,-,*,/ are exact and the sign of any element is
-decidable: a nonzero coordinate vector means a nonzero number, and
-interval evaluation with on-demand refinement of the generator's
-isolating interval eventually separates it from zero.
+    x = (a_0 + a_1 theta + ... + a_{n-1} theta^{n-1}) / den.
+
+This is the layout of FLINT/Antic's nf_elem.  Sums combine the integers
+directly.  A product is an integer polynomial product reduced by the
+integer minimal polynomial p through a table of theta^k mod p for
+n <= k <= 2n-2, scaled by lc(p)^(n-1), so a non-monic p only enlarges the
+denominator.  An inverse solves the integer multiplication matrix by
+fraction-free elimination.  The value does not depend on a basis, so
++, -, *, / never touch a matrix.
+
+Module bases.  A NumberField also carries a module basis nu_1..nu_n of K
+over Q.  The default is the power basis (1, theta, ..., theta^{n-1});
+models that work in a scaled lattice such as Z[lambda]/2 swap in their
+own basis with `with_basis`.  Coordinates with respect to that basis
+(`coords`, `element`, `basis`) go through the basis matrix, which only
+the module and lattice code asks for.  Views of one field share the
+generator, and equal elements are equal across views.
+
+Sign certificate.  Every generator carries a dyadic table: midpoints m_k
+and one radius r with |2^P theta^k - m_k| <= r for k < n, taken from
+floor and ceil of interval powers of the generator's isolating interval
+once it is narrower than 2^-P.  For x as above, s = sum a_k m_k obeys
+|2^P den x - s| <= r sum |a_k|, so |s| > r sum |a_k| certifies the sign
+of x with one integer dot product.  When the bound straddles zero and a
+numerator is nonzero, P doubles: the generator is refined and the table
+rebuilt, for every later call too.  A nonzero numerator means x != 0, so
+the loop ends.  A rational generator (n = 1) has the exact table m_0 = 1,
+r = 0.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
-from .matrices import charpoly, charpoly_frac, inverse, is_primitive, mat_vec, transpose
-from .polynomials import IntPoly, _frac_divmod, factor
+from .matrices import charpoly, inverse, is_primitive, mat_vec, solve_fraction_free
+from .polynomials import IntPoly, count_roots, factor
+
+_START_BITS = 64
+_FLOAT_BITS = 96  # __float__ also wants a relative error below 2^-64
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
-    """Enclosure of sum(c_k * t^k) over t in [lo, hi]; Horner on intervals."""
-    vlo = vhi = Fraction(0)
-    for c in reversed(coeffs):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+class _Enclosure:
+    """The dyadic sign table of one generator, shared by its basis views."""
+
+    __slots__ = ("generator", "n", "bits", "mids", "rad")
+
+    def __init__(self, generator: RealAlgebraic, n: int):
+        self.generator = generator
+        self.n = n
+        self.bits = 0
+        self.rad = 0
+        self.mids = (1,) if n == 1 else None  # built on the first sign call
+
+    def refine(self):
+        """Double the precision (or start at _START_BITS) and rebuild."""
+        bits = 2 * self.bits if self.bits else _START_BITS
+        g = self.generator
+        g.refine_to(Fraction(1, 1 << bits))
+        scale = 1 << bits
+        lo = hi = Fraction(1)
+        mids = []
+        rad = 0
+        for _ in range(self.n):
+            low, high = math.floor(lo * scale), math.ceil(hi * scale)
+            m = (low + high) // 2
+            mids.append(m)
+            rad = max(rad, high - m)
+            cands = (lo * g.lo, lo * g.hi, hi * g.lo, hi * g.hi)
+            lo, hi = min(cands), max(cands)
+        self.bits, self.mids, self.rad = bits, tuple(mids), rad
+
+    def approx(self, num):
+        """(s, e) with |2^bits * sum num_k theta^k - s| <= e."""
+        if self.mids is None:
+            self.refine()
+        return sum(map(mul, num, self.mids)), self.rad * sum(map(abs, num))
+
+
+def _reduction_table(p: IntPoly):
+    """Rows lc^(n-1) * (theta^k mod p) for k = n..2n-2, and lc^(n-1)."""
+    n, lc = p.degree, p.lc
+    top = [Fraction(-c, lc) for c in p.coeffs[:-1]]  # theta^n
+    rows = []
+    r = top
+    for _ in range(n - 1):
+        rows.append(r)
+        lead = r[-1]
+        r = [lead * t for t in top]
+        for i in range(1, n):
+            r[i] += rows[-1][i - 1]
+    scale = lc ** (n - 1)
+    return [tuple(int(c * scale) for c in row) for row in rows], scale
 
 
 class NumberField:
     """Q(theta) together with a module basis nu_1..nu_n."""
 
-    def __init__(self, generator: RealAlgebraic, _basis_power=None):
+    def __init__(self, generator: RealAlgebraic, _basis=None, _enclosure=None):
         self.generator = generator
         self.minpoly = generator.poly
-        self.n = self.minpoly.degree
-        if self.n < 1:
+        self.n = n = self.minpoly.degree
+        if n < 1:
             raise ValueError("generator needs a nonconstant minimal polynomial")
-        if _basis_power is None:
-            _basis_power = [
-                tuple(Fraction(int(i == k)) for i in range(self.n)) for k in range(self.n)
-            ]
-        self._basis_power = [tuple(Fraction(c) for c in col) for col in _basis_power]
-        # columns of V are the power coordinates of the basis
-        V = [[self._basis_power[k][i] for k in range(self.n)] for i in range(self.n)]
-        self._V = V
-        self._Vinv = inverse(V)  # raises if the basis is dependent
+        self._red, self._red_den = _reduction_table(self.minpoly)
+        self._enc = _enclosure or _Enclosure(generator, n)
+        # basis matrix V (columns: power coordinates of nu_k) and its
+        # inverse, or None for the power basis
+        self._V, self._Vinv = _basis or (None, None)
+        self.zero = FieldElement(self, (0,) * n, 1)
+        self.one = FieldElement(self, (1,) + (0,) * (n - 1), 1)
+
+    @property
+    def is_power_basis(self) -> bool:
+        return self._V is None
 
     def with_basis(self, elements) -> "NumberField":
         """Same field, new module basis given as n field elements."""
-        cols = [self._to_power(e).power_coords for e in elements]
+        cols = [self._coerce(e).power_coords for e in elements]
         if len(cols) != self.n:
             raise ValueError("basis size must equal the field degree")
-        return NumberField(self.generator, cols)
+        V = [[cols[k][i] for k in range(self.n)] for i in range(self.n)]
+        Vinv = inverse(V)  # raises if the basis is dependent
+        if all(V[i][k] == (i == k) for i in range(self.n) for k in range(self.n)):
+            return NumberField(self.generator, None, self._enc)
+        return NumberField(self.generator, (V, Vinv), self._enc)
+
+    def shares_generator(self, other: "NumberField") -> bool:
+        return self.generator is other.generator or (
+            self.minpoly == other.minpoly and self.generator == other.generator
+        )
+
+    def _coerce(self, x) -> "FieldElement":
+        if isinstance(x, FieldElement):
+            if x.field is self or self.shares_generator(x.field):
+                return x
+            raise TypeError("elements belong to fields with different generators")
+        return self.from_rational(x)
 
     # -- element constructors -------------------------------------------
-
-    def element(self, coords) -> "FieldElement":
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != self.n:
-            raise ValueError("coordinate vector has the wrong length")
-        return FieldElement(self, coords)
 
     def from_power_coords(self, pc) -> "FieldElement":
         pc = [Fraction(c) for c in pc]
         if len(pc) != self.n:
             raise ValueError("power coordinate vector has the wrong length")
-        return self.element(mat_vec(self._Vinv, pc))
+        den = math.lcm(*(c.denominator for c in pc))
+        # reduced fractions over their lcm are already in lowest terms
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in pc), den)
+
+    def element(self, coords) -> "FieldElement":
+        """The element with the given module-basis coordinates."""
+        coords = [Fraction(c) for c in coords]
+        if len(coords) != self.n:
+            raise ValueError("coordinate vector has the wrong length")
+        return self.from_power_coords(coords if self._V is None else mat_vec(self._V, coords))
+
+    def coords_of(self, x):
+        """Module-basis coordinates of x (an element sharing the generator,
+        or a rational)."""
+        pc = self._coerce(x).power_coords
+        return pc if self._V is None else tuple(mat_vec(self._Vinv, pc))
 
     def from_rational(self, q) -> "FieldElement":
-        pc = [Fraction(q)] + [Fraction(0)] * (self.n - 1)
-        return self.from_power_coords(pc)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.from_rational(0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.n - 1), q.denominator)
 
     def generator_element(self) -> "FieldElement":
         if self.n == 1:
             return self.from_rational(self.generator.as_fraction())
-        pc = [Fraction(0)] * self.n
-        pc[1] = Fraction(1)
-        return self.from_power_coords(pc)
+        return FieldElement(self, (0, 1) + (0,) * (self.n - 2), 1)
 
     @property
     def basis(self):
         """The module basis nu_1..nu_n as field elements."""
-        return [
-            self.element([Fraction(int(i == k)) for i in range(self.n)])
-            for k in range(self.n)
-        ]
+        n = self.n
+        if self._V is None:
+            return [FieldElement(self, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
+        return [self.from_power_coords([self._V[i][k] for i in range(n)]) for k in range(n)]
 
-    def _to_power(self, x) -> "FieldElement":
-        if isinstance(x, FieldElement):
-            if x.field is self:
-                return x
-            if x.field.generator == self.generator:
-                return self.from_power_coords(x.power_coords)
-            raise TypeError("elements belong to fields with different generators")
-        return self.from_rational(x)
+    # -- integer arithmetic ---------------------------------------------
 
-    # -- power-coordinate arithmetic ------------------------------------
-
-    def _reduce(self, cs):
-        """Reduce a Fraction coefficient list modulo the minimal polynomial."""
-        cs = list(cs)
-        p = self.minpoly.coeffs
-        lc = Fraction(p[-1])
-        for k in range(len(cs) - 1, self.n - 1, -1):
-            c = cs[k]
-            if c:
-                f = c / lc
-                for i in range(self.n):
-                    cs[k - self.n + i] -= f * p[i]
-            cs.pop()
-        while len(cs) < self.n:
-            cs.append(Fraction(0))
-        return cs
-
-    def _mul_power(self, a, b):
-        out = [Fraction(0)] * (2 * self.n - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return self._reduce(out)
-
-    def _inv_power(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("division by zero field element")
-        # extended Euclid over Q[x]: s*a + t*minpoly = gcd = const
-        r0 = [Fraction(c) for c in self.minpoly.coeffs]
-        r1 = list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _frac_divmod(r0, r1)
-            if not any(r):
-                break
-            # s2 = s0 - q*s1
-            s2 = list(s0)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        idx = i + j
-                        while len(s2) <= idx:
-                            s2.append(Fraction(0))
-                        s2[idx] -= qc * sc
-            r0, r1 = r1, r
-            s0, s1 = s1, s2
-        if len(r1) != 1:
-            raise ZeroDivisionError("element shares a factor with the minimal polynomial")
-        g = r1[0]
-        inv = [c / g for c in s1]
-        return self._reduce(inv)
-
-    def _sign_power(self, pc) -> int:
-        if all(c == 0 for c in pc):
-            return 0
-        th = self.generator
-        if th.lo == th.hi:
-            v = Fraction(0)
-            for c in reversed(pc):
-                v = v * th.lo + c
-            return 1 if v > 0 else (-1 if v < 0 else 0)
-        while True:
-            lo, hi = _interval_eval(pc, th.lo, th.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            th.refine()
+    def _mul(self, a, b):
+        """(c, f) with a(theta) * b(theta) = c(theta) / f, c integers."""
+        n = self.n
+        c = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    c[i + j] += x * y
+        f = self._red_den
+        out = c[:n] if f == 1 else [v * f for v in c[:n]]
+        for ck, row in zip(c[n:], self._red):
+            if ck:
+                for i, t in enumerate(row):
+                    out[i] += ck * t
+        return out, f
 
     def __repr__(self):
         return f"NumberField(minpoly={self.minpoly!r}, n={self.n})"
 
 
+def _reduced(field: NumberField, num, den: int) -> "FieldElement":
+    """num/den in lowest terms; den must be positive."""
+    g = math.gcd(*num, den)
+    if g != 1:
+        return FieldElement(field, tuple(v // g for v in num), den // g)
+    return FieldElement(field, tuple(num), den)
+
+
+def _combine(field, a, da, b, db, op):
+    if da == db:
+        num = tuple(map(op, a, b))
+        return FieldElement(field, num, 1) if da == 1 else _reduced(field, num, da)
+    return _reduced(field, [op(x * db, y * da) for x, y in zip(a, b)], da * db)
+
+
 class FieldElement:
-    """Element of a NumberField; coords are w.r.t. the field's basis."""
+    """(num_0 + num_1 theta + ... ) / den, viewed in a NumberField."""
 
-    __slots__ = ("field", "coords", "_pc")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coords):
+    def __init__(self, field: NumberField, num, den: int = 1):
         self.field = field
-        self.coords = tuple(coords)
-        self._pc = None
+        self.num = num
+        self.den = den
 
     @property
     def power_coords(self):
-        if self._pc is None:
-            self._pc = tuple(mat_vec(self.field._V, list(self.coords)))
-        return self._pc
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
+    def coords(self):
+        """Coordinates with respect to the field's module basis."""
+        return self.field.coords_of(self)
 
     # -- coercion --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is self.field:
-                return other
-            if other.field.generator == self.field.generator:
-                return self.field.from_power_coords(other.power_coords)
-            raise TypeError("elements belong to fields with different generators")
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+        if other.__class__ is FieldElement and other.field is self.field:
+            return other
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.field._coerce(other)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -221,44 +255,63 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, (a + b for a, b in zip(self.coords, o.coords)))
+        return _combine(self.field, self.num, self.den, o.num, o.den, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, (-a for a in self.coords))
+        return FieldElement(self.field, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, (a - b for a, b in zip(self.coords, o.coords)))
+        return _combine(self.field, self.num, self.den, o.num, o.den, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _combine(self.field, o.num, o.den, self.num, self.den, sub)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, (a * other for a in self.coords))
+        if isinstance(other, int):
+            return _reduced(self.field, [v * other for v in self.num], self.den)
+        if isinstance(other, Fraction):
+            num = [v * other.numerator for v in self.num]
+            return _reduced(self.field, num, self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        pc = self.field._mul_power(list(self.power_coords), list(o.power_coords))
-        return self.field.from_power_coords(pc)
+        c, f = self.field._mul(self.num, o.num)
+        den = self.den * o.den * f
+        return FieldElement(self.field, tuple(c), 1) if den == 1 else _reduced(self.field, c, den)
 
     __rmul__ = __mul__
 
+    def _times_matrix(self):
+        """(Mi, s): multiplication by self on the power basis is the
+        integer matrix Mi divided by s."""
+        K = self.field
+        n = K.n
+        cols = [K._mul([int(i == k) for i in range(n)], self.num) for k in range(n)]
+        return [[c[i] for c, _ in cols] for i in range(n)], cols[0][1] * self.den
+
     def inverse(self) -> "FieldElement":
-        return self.field.from_power_coords(self.field._inv_power(list(self.power_coords)))
+        if not any(self.num):
+            raise ZeroDivisionError("division by zero field element")
+        # the inverse is the solution y of (Mi / s) y = e_0
+        Mi, s = self._times_matrix()
+        X, d = solve_fraction_free(Mi, [1] + [0] * (len(Mi) - 1))
+        if d < 0:
+            s, d = -s, -d
+        return _reduced(self.field, [s * x for x in X], d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return FieldElement(self.field, (a / other for a in self.coords))
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -288,18 +341,35 @@ class FieldElement:
     # -- order and identity -------------------------------------------------
 
     def sign(self) -> int:
-        return self.field._sign_power(list(self.power_coords))
+        enc = self.field._enc
+        while True:
+            s, e = enc.approx(self.num)
+            if s > e:
+                return 1
+            if s < -e:
+                return -1
+            if not e:
+                return 0  # every numerator is zero
+            enc.refine()
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coords == o.coords
+        if isinstance(other, FieldElement):
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and (other.field is self.field or self.field.shares_generator(other.field))
+            )
+        if isinstance(other, (int, Fraction)):
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and not any(self.num[1:])
+            )
+        return NotImplemented
 
     def __hash__(self):
-        # equality can hold across basis views sharing a generator value,
-        # so hash on the minimal polynomial and power coordinates only
-        return hash((self.field.minpoly.coeffs, self.power_coords))
+        # equal across basis views sharing a generator value
+        return hash((self.field.minpoly.coeffs, self.num, self.den))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -327,36 +397,28 @@ class FieldElement:
         return -self if self.sign() < 0 else self
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.power_coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is irrational")
-        return self.power_coords[0]
+        return Fraction(self.num[0], self.den)
 
     def min_poly(self) -> IntPoly:
         """Minimal polynomial over Q (primitive, positive leading coefficient)."""
-        n = self.field.n
-        if n == 1 or self.is_rational:
-            q = self.power_coords[0]
+        if self.is_rational:
+            q = self.as_fraction()
             return IntPoly((-q.numerator, q.denominator))
-        # multiplication-by-self matrix in the power basis
-        cols = []
-        for k in range(n):
-            ek = [Fraction(int(i == k)) for i in range(n)]
-            cols.append(self.field._mul_power(list(self.power_coords), ek))
-        M = [[cols[j][i] for j in range(n)] for i in range(n)]
-        cp = charpoly_frac(M)
-        den = 1
-        for c in cp:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        ip = IntPoly(int(c * den) for c in cp)
+        # the characteristic polynomial of Mi / s is chi_Mi(s x) / s^n
+        Mi, s = self._times_matrix()
+        chi = charpoly(Mi)
+        ip = IntPoly(c * s**k for k, c in enumerate(chi.coeffs)).primitive_part()
         _, pieces = factor(ip)
         for q, _mult in pieces:
             acc = self.field.zero
@@ -367,22 +429,15 @@ class FieldElement:
         raise AssertionError("no factor of the characteristic polynomial vanished")
 
     def __float__(self) -> float:
-        pc = list(self.power_coords)
-        if all(c == 0 for c in pc):
-            return 0.0
-        th = self.field.generator
-        th.refine_to(Fraction(1, 1 << 96))
-        lo, hi = _interval_eval(pc, th.lo, th.hi)
-        return float((lo + hi) / 2)
+        enc = self.field._enc
+        while True:
+            s, e = enc.approx(self.num)
+            if not e or (enc.bits >= _FLOAT_BITS and abs(s) > e << 64):
+                return s / (self.den << enc.bits)
+            enc.refine()
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)!r} ~ {float(self):.12g})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def compare(a, b) -> int:
@@ -418,12 +473,8 @@ def perron_pair(M):
         raise ValueError("matrix is not primitive")
     n = len(M)
     beta = spectral_radius(M)
-    if beta.is_rational:
-        K = NumberField(beta)
-        b = K.from_rational(beta.as_fraction())
-    else:
-        K = NumberField(beta)
-        b = K.generator_element()
+    K = NumberField(beta)
+    b = K.generator_element()
     rows = [
         [K.from_rational(M[i][j]) - (b if i == j else K.zero) for j in range(n)]
         for i in range(n)
@@ -484,15 +535,14 @@ def to_real_algebraic(x: FieldElement) -> RealAlgebraic:
     if q.degree == 1:
         a, b = q.coeffs
         return RealAlgebraic.from_rational(Fraction(-a, b))
-    from .polynomials import count_roots
-
-    th = x.field.generator
-    pc = list(x.power_coords)
+    enc = x.field._enc
     while True:
-        lo, hi = _interval_eval(pc, th.lo, th.hi)
-        if lo < hi and q(lo) != 0 and q(hi) != 0 and count_roots(q, lo, hi) == 1:
+        s, e = enc.approx(x.num)
+        scale = x.den << enc.bits
+        lo, hi = Fraction(s - e, scale), Fraction(s + e, scale)
+        if q(lo) != 0 and q(hi) != 0 and count_roots(q, lo, hi) == 1:
             return RealAlgebraic(q, lo, hi)
-        th.refine()
+        enc.refine()
 
 
 def eigen_moduli_squared(p: IntPoly):
@@ -535,7 +585,7 @@ def eigen_moduli_squared(p: IntPoly):
                 "complex pair modulus for irreducible quartic factors is not supported"
             )
     # exact descending sort, merging equal moduli
-    entries.sort(key=_modulus_sort_key)
+    entries.sort(key=lambda entry: entry[0])
     entries.reverse()
     merged = []
     for usq, mult in entries:
@@ -544,18 +594,6 @@ def eigen_moduli_squared(p: IntPoly):
         else:
             merged.append((usq, mult))
     return merged
-
-
-class _modulus_sort_key:
-    """Wrapper making RealAlgebraic usable as an exact sort key."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, entry):
-        self.v = entry[0]
-
-    def __lt__(self, other):
-        return self.v < other.v
 
 
 def spectral_radius_squared(M) -> RealAlgebraic:

@@ -121,9 +121,6 @@ class IntPoly:
         r = self.reciprocal()
         return r == self or r == -self
 
-    def shift_scale_count(self):  # pragma: no cover - debugging helper
-        return self.coeffs
-
     def __repr__(self):
         if not self.coeffs:
             return "IntPoly(0)"

@@ -163,9 +163,6 @@ class PrefixGraph:
     def size(self) -> int:
         return len(self.states)
 
-    def successors(self, mu: Prefix):
-        return [nu for nu in self.states if self.chi(mu) == self.plus(nu)]
-
     def count_paths(self, t: int):
         """Number of admissible prefix sequences of length t+1 (t edges)."""
         n = len(self.states)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from ietlab.builders import (
     family_poly,
     quartic_model,
 )
+from ietlab.iet import IET
+from ietlab.lattice import LatticeModel
 from ietlab.matrices import charpoly, mat_mul, transpose
 from ietlab.numberfield import to_real_algebraic
 from ietlab.polynomials import IntPoly, factor, is_irreducible
@@ -92,3 +95,25 @@ def test_family_polys():
     assert family_poly(2).coeffs == (-1, 10, -6, 1)
     with pytest.raises(ValueError):
         family_poly(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [quartic_model, e2star_model] + [lambda k=k: ek_model(k) for k in (1, 2, 3)],
+    ids=["quartic", "e2star", "ek1", "ek2", "ek3"],
+)
+def test_serialized_iet_rebuilds_its_lattice_model(make):
+    model = make()
+    E2 = IET.from_data(json.loads(json.dumps(model.E.to_data())))
+    assert E2 == model.E
+    assert E2.field.basis == model.field.basis
+    rho = None if model.rho is None else E2.field.from_power_coords(model.rho.power_coords)
+    again = LatticeModel(E2, rho=rho, anchor=model.anchor)
+    assert again.projection == model.projection
+    assert (again.module.d, again.module.j, again.module.b) == (
+        model.module.d,
+        model.module.j,
+        model.module.b,
+    )
+    assert again.R == model.R
+    assert list(again.drift) == list(model.drift)

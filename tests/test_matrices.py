@@ -18,6 +18,7 @@ from ietlab.matrices import (
     mat_vec,
     rank_int,
     solve,
+    solve_fraction_free,
     transpose,
     unimodular_completion,
 )
@@ -111,6 +112,28 @@ def test_charpoly_diagonal_and_cayley_hamilton():
             Ak = mat_pow(A, k)
             acc = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, Ak)]
         assert acc == [[0] * n for _ in range(n)]
+
+
+def test_charpoly_rejects_non_integral():
+    # x^2 - x/2: not an integer polynomial, and the guard survives python -O
+    with pytest.raises(ValueError):
+        charpoly([[Fraction(1, 2), 0], [0, 0]])
+
+
+def test_solve_fraction_free_matches_solve():
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        A = rand_mat(rng, n, n)
+        b = [rng.randint(-5, 5) for _ in range(n)]
+        if det(A) == 0:
+            with pytest.raises(ValueError):
+                solve_fraction_free(A, b)
+            continue
+        X, d = solve_fraction_free(A, b)
+        assert abs(d) == abs(det(A))
+        assert all(isinstance(x, int) for x in X)
+        assert [Fraction(x, d) for x in X] == solve(A, b)
 
 
 def test_extgcd():

@@ -255,3 +255,26 @@ def test_spectral_radius_squared_companion():
     u = spectral_radius_squared([[1, 1], [1, 0]])
     assert u.poly == IntPoly((1, -3, 1))
     assert float(u) == pytest.approx(((1 + math.sqrt(5)) / 2) ** 2)
+
+
+def test_cross_generator_equality_is_false():
+    K = golden_field()
+    Kq = quartic_field()
+    assert K.one != Kq.one
+    assert not (K.one == Kq.one)
+    assert K.generator_element() != Kq.generator_element()
+    with pytest.raises(TypeError):
+        K.one + Kq.one
+    with pytest.raises(TypeError):
+        K.one < Kq.one
+
+
+def test_non_monic_generator_arithmetic():
+    # theta = largest root of 3x^3 - 5x + 1: theta^3 = (5 theta - 1) / 3
+    th = real_roots(IntPoly((1, -5, 0, 3)))[-1]
+    K = NumberField(th)
+    t = K.generator_element()
+    assert t**3 == (5 * t - 1) / 3
+    assert t * t.inverse() == K.one
+    assert (t**2).min_poly() == IntPoly((-1, 25, -30, 9))
+    assert float(t) == pytest.approx(float(th))

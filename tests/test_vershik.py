@@ -194,9 +194,9 @@ def test_d_T_quartic():
 
 def test_d_T_golden():
     _, _, model = golden_model()
-    assert d_T(model, 1) == 1
-    # |det(I-R^T)| = |chi(1-ish)|: direct small values
-    assert d_T(model, 2) == 5 or d_T(model, 2) > 0
+    # R is the golden companion matrix, so |det(I - R^T)| = L_{2T} - 2
+    # (Lucas numbers L_2, L_4, ... = 3, 7, 18, 47, 123)
+    assert [d_T(model, T) for T in range(1, 6)] == [1, 5, 16, 45, 121]
 
 
 def test_exponent_quartic():
