@@ -57,25 +57,25 @@ class RealAlgebraic:
         a, b = self.poly.coeffs
         return Fraction(-a, b)
 
-    def interval(self):
-        return self.lo, self.hi
-
     # -- refinement ----------------------------------------------------
 
     def refine(self):
         """One bisection step on the isolating interval."""
-        if self.lo == self.hi:
-            return
-        mid = (self.lo + self.hi) / 2
-        # irreducible of degree >= 2 cannot vanish at a rational
-        if (self.poly(self.lo) > 0) == (self.poly(mid) > 0):
-            self.lo = mid
-        else:
-            self.hi = mid
+        self.refine_to((self.hi - self.lo) / 2)
 
     def refine_to(self, width: Fraction):
+        """Bisect until the interval is at most `width` wide."""
+        if self.hi - self.lo <= width:
+            return
+        # irreducible of degree >= 2 cannot vanish at a rational, so the
+        # sign at lo stays the same as lo moves toward the root
+        lo_positive = self.poly(self.lo) > 0
         while self.hi - self.lo > width:
-            self.refine()
+            mid = (self.lo + self.hi) / 2
+            if (self.poly(mid) > 0) == lo_positive:
+                self.lo = mid
+            else:
+                self.hi = mid
 
     def refine_away_from_zero(self):
         """Shrink until the interval has a definite sign (the root is nonzero

@@ -10,8 +10,8 @@ member.
 from fractions import Fraction
 
 from .algebraic import real_roots, root_in
-from .iet import IET, Permutation
-from .lattice import LatticeModel, build_lattice_model
+from .iet import IET, Permutation, iet_from_translations
+from .lattice import LatticeModel
 from .numberfield import NumberField, perron_pair
 from .polynomials import IntPoly
 
@@ -47,7 +47,7 @@ def quartic_model() -> LatticeModel:
         -1 + 7 * r - 6 * r * r + r ** 3,
     ]
     E = IET(Permutation((4, 2, 1, 3)), lengths)
-    return build_lattice_model(E, rho=r, name="quartic")
+    return LatticeModel(E, rho=r, name="quartic")
 
 
 def e2star_model() -> LatticeModel:
@@ -61,7 +61,7 @@ def e2star_model() -> LatticeModel:
     K = v[0].field
     rho = K.one / K.generator_element()
     E = IET(Permutation(SEVEN_PERM), v)
-    return build_lattice_model(E, rho=rho, name="e2star", anchor="right")
+    return LatticeModel(E, rho=rho, name="e2star", anchor="right")
 
 
 def family_poly(k: int) -> IntPoly:
@@ -77,8 +77,8 @@ def ek_model(k: int) -> LatticeModel:
     The map itself is not self-similar (its induced map on the leading
     interval is), so the model carries no scaling factor; it is the right
     object for drift checks and lattice iteration.  The permutation is
-    recovered from the closed-form lengths and translations, and the
-    translations are re-derived and compared as a consistency check.
+    recovered from the closed-form lengths and translations, which must
+    tile the domain and agree with the translations it implies.
     """
     f = family_poly(k)
     base = NumberField(real_roots(f)[0])
@@ -105,17 +105,5 @@ def ek_model(k: int) -> LatticeModel:
         (1 - lam) * half,
         (lam - 3) * half,
     ]
-    lefts = []
-    acc = K.zero
-    for l in lengths:
-        lefts.append(acc)
-        acc = acc + l
-    starts = [lefts[i] + taus[i] for i in range(7)]
-    order = sorted(range(7), key=starts.__getitem__)
-    perm = [0] * 7
-    for slot, i in enumerate(order, start=1):
-        perm[i] = slot
-    E = IET(Permutation(perm), lengths)
-    if list(E.translations) != taus:
-        raise AssertionError("translations disagree with the closed forms")
-    return build_lattice_model(E, name=f"ek{k}")
+    E = iet_from_translations(lengths, taus)
+    return LatticeModel(E, name=f"ek{k}")

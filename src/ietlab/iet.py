@@ -12,6 +12,16 @@ from fractions import Fraction
 from .numberfield import FieldElement, NumberField
 
 
+def is_irreducible_perm(images) -> bool:
+    """No proper prefix {1..k} of the atoms maps onto itself."""
+    seen = 0
+    for k in range(1, len(images)):
+        seen = max(seen, images[k - 1])
+        if seen == k:
+            return False
+    return True
+
+
 class Permutation:
     """A permutation of {1..N} given by its images, required irreducible.
 
@@ -27,11 +37,8 @@ class Permutation:
         N = len(images)
         if sorted(images) != list(range(1, N + 1)):
             raise ValueError(f"not a permutation of 1..{N}: {images}")
-        seen = 0
-        for k in range(1, N):
-            seen = max(seen, images[k - 1])
-            if seen == k:
-                raise ValueError(f"reducible permutation: {images}")
+        if not is_irreducible_perm(images):
+            raise ValueError(f"reducible permutation: {images}")
         self.images = images
 
     @property
@@ -137,11 +144,7 @@ class IET:
         order = sorted(range(1, N + 1), key=self.perm)  # atoms by image position
         inv_lengths = [self.lengths[i - 1] for i in order]
         # position of image-atom j in the inverse image = original slot of j
-        inv_images = []
-        for j in order:
-            inv_images.append(j)
-        inv_perm = Permutation(inv_images)
-        return IET(inv_perm, inv_lengths)
+        return IET(Permutation(order), inv_lengths)
 
     def to_data(self) -> dict:
         """JSON-ready data: generator, module basis and lengths, all in
@@ -268,7 +271,6 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
     if a.sign() < 0 or (b - E.total).sign() > 0 or (b - a).sign() <= 0:
         raise ValueError("window must be a nonempty subinterval of the domain")
 
-    atom_bounds = E.rights  # 0 is implicit
     done = []  # (lo, hi, shift, word) in window coordinates
     stack = [(a, b, field.zero, ())]
     while stack:
@@ -280,18 +282,17 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
         if word and (cur_lo - a).sign() >= 0 and (cur_hi - b).sign() <= 0:
             done.append((lo, hi, shift, word))
             continue
-        # split at window boundaries when part of the piece has returned
-        if word:
-            for c in (a, b):
-                if (c - cur_lo).sign() > 0 and (cur_hi - c).sign() > 0:
-                    cut = c - shift
-                    stack.append((lo, cut, shift, word))
-                    stack.append((cut, hi, shift, word))
-                    break
-            else:
-                _advance(E, atom_bounds, stack, lo, hi, shift, word)
-            continue
-        _advance(E, atom_bounds, stack, lo, hi, shift, word)
+        # split at the window ends once the piece has moved, then at the
+        # atom boundaries; an unsplit piece takes one step of E
+        for c in ((a, b) if word else ()) + E.rights[:-1]:
+            if (c - cur_lo).sign() > 0 and (cur_hi - c).sign() > 0:
+                cut = c - shift
+                stack.append((lo, cut, shift, word))
+                stack.append((cut, hi, shift, word))
+                break
+        else:
+            i = E.atom_of(cur_lo)
+            stack.append((lo, hi, shift + E.translations[i - 1], word + (i,)))
 
     done.sort(key=lambda p: p[0])
     cursor = a
@@ -306,20 +307,6 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
     induced = iet_from_translations(lengths, shifts)
     words = tuple(word for _, _, _, word in done)
     return InducedMap(E, (a, b), induced, words)
-
-
-def _advance(E, atom_bounds, stack, lo, hi, shift, word):
-    """Apply one step of E to the piece, splitting at atom boundaries."""
-    cur_lo = lo + shift
-    cur_hi = hi + shift
-    for r in atom_bounds[:-1]:
-        if (r - cur_lo).sign() > 0 and (cur_hi - r).sign() > 0:
-            cut = r - shift
-            stack.append((lo, cut, shift, word))
-            stack.append((cut, hi, shift, word))
-            return
-    i = E.atom_of(cur_lo)
-    stack.append((lo, hi, shift + E.translations[i - 1], word + (i,)))
 
 
 def check_self_similar(E: IET, rho, anchor: str = "left", cap: int = 10**6):
@@ -343,8 +330,7 @@ def check_self_similar(E: IET, rho, anchor: str = "left", cap: int = 10**6):
         if li != rho * l:
             return False, None
     offset = im.window[0]
-    for i in range(1, E.N + 1):
-        left = sum((E.lengths[j] for j in range(i - 1)), start=field.zero)
+    for i, (left, _) in enumerate(E.atoms(), start=1):
         x = left + E.lengths[i - 1] / 2
         y = rho * x + offset
         word = im.return_words[i - 1]

@@ -22,6 +22,7 @@ from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
 from .numberfield import FieldElement, mult_matrix
 from .polynomials import IntPoly
+from .substitution import PrefixGraph
 
 
 class LatticePoint:
@@ -84,6 +85,7 @@ class LatticeModel:
         self.anchor = anchor
         self.window_start = None
         self.R = None
+        self.prefix_graph = None  # the substitution's prefix automaton
         self._Rnu = None
         if rho is not None:
             if not self.module.in_order(rho):
@@ -103,13 +105,8 @@ class LatticeModel:
                     raise ValueError("map is not self-similar with the given factor")
                 self.sigma = sig
             self._verify_commutation()
-        self.drift = DriftVector(
-            [
-                sum((E.lengths[i] * self.projection[r][i] for i in range(E.N)),
-                    start=self.field.zero)
-                for r in range(self.n)
-            ]
-        )
+            self.prefix_graph = PrefixGraph(self.sigma)
+        self.drift = DriftVector(mat_vec(self.projection, E.lengths))
         self._float_cache = None
 
     def _verify_commutation(self):
@@ -128,8 +125,8 @@ class LatticeModel:
         x = K.element(list(p.layer))
         return x + self.module.from_m_coords(p.z)
 
-    def point_of(self, x, layer=None) -> LatticePoint:
-        """Lattice coordinates of a field point (layer found if not given)."""
+    def point_of(self, x) -> LatticePoint:
+        """Lattice coordinates of a field point."""
         xi, z = self.layer_of(x)
         return LatticePoint(xi, z)
 
@@ -172,15 +169,10 @@ class LatticeModel:
         if self._float_cache is None:
             nu = [float(e) for e in self.field.basis]
             nup = [float(e) for e in self.module.nu_prime]
-            bounds = []
-            left = self.field.zero
-            for l in self.E.lengths:
-                left = left + l
-                bounds.append(left)
             self._float_cache = {
                 "nu": nu,
                 "nu_prime": nup,
-                "bounds_f": [float(b) for b in bounds],
+                "bounds_f": [float(b) for b in self.E.rights],
                 "taus_f": [float(t) for t in self.E.translations],
                 "total_f": float(self.total),
             }
@@ -202,22 +194,6 @@ class LatticeModel:
         # conservative radius: relative error per term plus summation slack
         return x, (mag + 1.0) * 1e-14
 
-    def atom_at(self, p: LatticePoint) -> int:
-        """Atom index of the point's real position; float first, exact on
-        ambiguity or out-of-slab suspicion."""
-        xf, err = self._value_float(p)
-        fc = self._floats()
-        if xf < err or xf > fc["total_f"] - err:
-            return self._atom_exact(p)
-        lo = 0.0
-        for i, bf in enumerate(fc["bounds_f"], start=1):
-            if xf < bf - err:
-                if xf > lo + err:
-                    return i
-                return self._atom_exact(p)
-            lo = bf
-        return self._atom_exact(p)
-
     def _atom_exact(self, p: LatticePoint) -> int:
         x = self.value_of(p)
         return self.E.atom_of(x)  # raises if out of the slab
@@ -225,9 +201,7 @@ class LatticeModel:
     # -- dynamics --------------------------------------------------------
 
     def psi_apply(self, p: LatticePoint) -> LatticePoint:
-        i = self.atom_at(p)
-        v = [self.projection[r][i - 1] for r in range(self.n)]
-        return LatticePoint(p.layer, [a + b for a, b in zip(p.z, v)])
+        return self.psi_orbit(p, 1)[0]
 
     def psi_orbit(self, p: LatticePoint, k: int, checkpoints=()):
         """Walk k steps; returns (final point, symbol counts, checkpoint map).
@@ -276,10 +250,6 @@ class LatticeModel:
         return LatticePoint(layer, z), counts, marks
 
 
-def build_lattice_model(E: IET, rho=None, sigma=None, name: str = "", anchor: str = "left") -> LatticeModel:
-    return LatticeModel(E, rho=rho, sigma=sigma, name=name, anchor=anchor)
-
-
 def drift_vector(model: LatticeModel):
     """The drift S with its exact zero flag and the rank-side consistency
     note: with n >= N-1 a vanishing drift is impossible."""
@@ -301,13 +271,7 @@ def spectrum_check(model: LatticeModel):
         raise ValueError("model has no scaling factor")
     K = model.field
     beta = K.one / model.rho
-    p = charpoly(model.R)
-    acc = K.zero
-    power = K.one
-    for c in p.coeffs:
-        acc = acc + c * power
-        power = power * beta
-    beta_eig = acc == K.zero
+    beta_eig = not charpoly(model.R)(beta)
     drift0 = model.drift.is_zero
     if drift0:
         consistent = not beta_eig
@@ -315,13 +279,7 @@ def spectrum_check(model: LatticeModel):
         consistent = beta_eig
         if consistent:
             S = model.drift.components
-            for r in range(model.n):
-                lhs = K.zero
-                for c in range(model.n):
-                    lhs = lhs + model.R[r][c] * S[c]
-                if lhs != beta * S[r]:
-                    consistent = False
-                    break
+            consistent = mat_vec(model.R, S) == [beta * s for s in S]
     return beta_eig, drift0, consistent
 
 

@@ -1,26 +1,26 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers, the rationals and number fields.
 
 Matrices are lists of row lists.  Sizes here are tiny (dimension at most
-8 or so), so the algorithms favour exactness and clarity: Bareiss for
-integer determinants, Gauss-Jordan over Fractions for inverses, Newton's
-identities for characteristic polynomials, and a column-style Hermite
-normal form that also returns the unimodular transform, which is what
-the lattice routines build on.
+8 or so), so the algorithms favour exactness and clarity.  One
+Gauss-Jordan elimination (`eliminate`) works over any exact field, so
+Fractions and number field elements alike; inverses, solutions and
+kernel vectors are read off its reduced rows.  Integer matrices use
+fraction-free Bareiss elimination instead, which gives determinants
+(rational rows are scaled to integers first) and integer solutions up to
+one denominator.  Characteristic polynomials come from Newton's
+identities, and a column-style Hermite normal form that also returns the
+unimodular transform is what the lattice routines build on.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .polynomials import IntPoly
 
 
 def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int):
-    return [[0] * n for _ in range(m)]
 
 
 def transpose(A):
@@ -89,47 +89,55 @@ def _bareiss(M, n: int) -> int:
 
 
 def det(A):
-    """Exact determinant; integer matrices stay in integer arithmetic."""
+    """Exact determinant: an int when every row is integral, else a Fraction.
+
+    Each row is scaled to integers by the lcm of its denominators, so
+    Bareiss elimination runs on integers and the scale divides out."""
     n = len(A)
     if n == 0:
         return 1
-    if all(isinstance(x, int) for row in A for x in row):
-        M = [row[:] for row in A]
-        return _bareiss(M, n) * M[-1][-1]
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][k]), None)
+    M = []
+    scale = 1
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    d = _bareiss(M, n) * M[-1][-1]
+    return d if scale == 1 else Fraction(d, scale)
+
+
+def eliminate(M, ncols: int):
+    """Gauss-Jordan elimination of the first ncols columns of M, in place,
+    over any exact field (Fraction or FieldElement entries).
+
+    Each pivot row is scaled to a leading 1 and its pivot column is
+    cleared in every other row.  Returns the pivot columns; row k of M
+    afterwards holds the k-th pivot, and the rows below the last pivot
+    vanish in the first ncols columns.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = M[i][k] / M[k][k]
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= M[k][k]
-    return out
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        pr = M[r] = [x * inv for x in M[r]]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i != r and f:
+                M[i] = [a - f * b for a, b in zip(row, pr)]
+        pivots.append(c)
+    return pivots
 
 
 def inverse(A):
     """Inverse as a Fraction matrix; raises on singular input."""
     n = len(A)
     M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[k], M[piv] = M[piv], M[k]
-        pv = M[k][k]
-        M[k] = [x / pv for x in M[k]]
-        for i in range(n):
-            if i != k and M[i][k]:
-                f = M[i][k]
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    if len(eliminate(M, n)) < n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in M]
 
 
@@ -151,20 +159,28 @@ def solve(A, b):
     """Solve A x = b exactly; returns Fraction list, raises on singular A."""
     n = len(A)
     M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[k], M[piv] = M[piv], M[k]
-        for i in range(k + 1, n):
-            if M[i][k]:
-                f = M[i][k] / M[k][k]
-                M[i] = [a - f * c for a, c in zip(M[i], M[k])]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / M[k][k]
-    return x
+    if len(eliminate(M, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n] for row in M]
+
+
+def kernel_vector(A):
+    """The kernel vector of a square matrix over an exact field (Fraction
+    or FieldElement entries) whose kernel is one-dimensional, scaled to 1
+    in its free coordinate; raises ValueError for any other kernel
+    dimension."""
+    n = len(A)
+    M = [row[:] for row in A]
+    pivots = eliminate(M, n)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError(f"kernel dimension {len(free)}, expected 1")
+    c0 = free[0]
+    v = [None] * n
+    v[c0] = M[0][c0] ** 0  # the field's one
+    for r, c in enumerate(pivots):
+        v[c] = -M[r][c0]
+    return v
 
 
 def solve_fraction_free(A, b):

@@ -22,7 +22,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrices import hnf_column, inverse_int, kernel_int, solve, transpose, unimodular_completion
+from .matrices import (
+    hnf_column,
+    inverse,
+    inverse_int,
+    kernel_int,
+    mat_vec,
+    transpose,
+    unimodular_completion,
+)
 from .numberfield import FieldElement, NumberField
 
 
@@ -83,15 +91,10 @@ class ModuleData:
         order_cols, one_coords = multiplier_ring_basis(K)
         self.order_basis = order_cols
         self.one_coords = one_coords
-        O = transpose([list(c) for c in order_cols])  # columns = basis
-
-        # d: least d with d*nu_k in O for every k
-        d = 1
-        for k in range(n):
-            e = [Fraction(int(i == k)) for i in range(n)]
-            sol = solve([row[:] for row in O], e)
-            for c in sol:
-                d = lcm(d, Fraction(c).denominator)
+        # nu-coordinates of an element, mapped to its O-coordinates
+        self.order_inverse = inverse(transpose(order_cols))
+        # d: least d with d*nu_k in O for every k, i.e. d*O^-1 integral
+        d = lcm(*(c.denominator for row in self.order_inverse for c in row))
         self.d = d
 
         # J = d*M has nu-coordinate lattice d*Z^n; integers q in J need
@@ -140,10 +143,8 @@ class ModuleData:
 
     def in_order(self, zeta: FieldElement) -> bool:
         """Membership of zeta in the multiplier ring O."""
-        z = [Fraction(c) for c in self.field.coords_of(zeta)]
-        O = transpose([list(c) for c in self.order_basis])
-        sol = solve([row[:] for row in O], z)
-        return all(Fraction(c).denominator == 1 for c in sol)
+        z = self.field.coords_of(zeta)
+        return all(c.denominator == 1 for c in mat_vec(self.order_inverse, z))
 
 
 def module_normalize(K: NumberField) -> ModuleData:

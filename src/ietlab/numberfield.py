@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
-from .matrices import charpoly, inverse, is_primitive, mat_vec, solve_fraction_free
+from .matrices import charpoly, inverse, is_primitive, kernel_vector, mat_vec, solve_fraction_free
 from .polynomials import IntPoly, count_roots, factor
 
 _START_BITS = 64
@@ -421,10 +421,7 @@ class FieldElement:
         ip = IntPoly(c * s**k for k, c in enumerate(chi.coeffs)).primitive_part()
         _, pieces = factor(ip)
         for q, _mult in pieces:
-            acc = self.field.zero
-            for c in reversed(q.coeffs):
-                acc = acc * self + c
-            if not acc:
+            if not q(self):
                 return q
         raise AssertionError("no factor of the characteristic polynomial vanished")
 
@@ -479,7 +476,7 @@ def perron_pair(M):
         [K.from_rational(M[i][j]) - (b if i == j else K.zero) for j in range(n)]
         for i in range(n)
     ]
-    v = _kernel_vector_field(rows, K)
+    v = kernel_vector(rows)
     total = K.zero
     for x in v:
         total = total + x
@@ -489,44 +486,10 @@ def perron_pair(M):
     for x in v:
         if x.sign() <= 0:
             raise AssertionError("Perron eigenvector not strictly positive")
-    for i in range(n):
-        lhs = K.zero
-        for j in range(n):
-            lhs = lhs + v[j] * M[i][j]
-        if lhs != b * v[i]:
+    for lhs, x in zip(mat_vec(M, v), v):
+        if lhs != b * x:
             raise AssertionError("eigenvector equation failed")
     return beta, v
-
-
-def _kernel_vector_field(rows, K: NumberField):
-    """One kernel vector of a singular square matrix over the field K;
-    requires a one-dimensional kernel."""
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if rows[i][c].sign() != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * bb for a, bb in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension {len(free)}, expected 1")
-    c0 = free[0]
-    v = [K.zero] * n
-    v[c0] = K.one
-    for rr, c in enumerate(pivots):
-        v[c] = -rows[rr][c0]
-    return v
 
 
 def to_real_algebraic(x: FieldElement) -> RealAlgebraic:

@@ -118,8 +118,8 @@ class IntPoly:
         return IntPoly(reversed(self.coeffs))
 
     def is_self_reciprocal(self) -> bool:
-        r = self.reciprocal()
-        return r == self or r == -self
+        """Nonzero and a palindrome: x^deg * p(1/x) = p."""
+        return bool(self.coeffs) and self.reciprocal() == self
 
     def __repr__(self):
         if not self.coeffs:
@@ -139,7 +139,6 @@ class IntPoly:
 
 
 X = IntPoly((0, 1))
-ONE = IntPoly((1,))
 
 
 def _frac_coeffs(p: IntPoly):
@@ -472,15 +471,10 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
     return int(det(S))
 
 
-def is_self_reciprocal(p: IntPoly) -> bool:
-    c = p.coeffs
-    return bool(c) and c == tuple(reversed(c))
-
-
 def trace_polynomial(p: IntPoly) -> IntPoly:
     """For a self-reciprocal p of even degree 2g, the degree-g polynomial q
     with x^g * q(x + 1/x) = p(x)."""
-    if not is_self_reciprocal(p) or p.degree % 2 != 0 or p.degree < 2:
+    if not p.is_self_reciprocal() or p.degree % 2 != 0 or p.degree < 2:
         raise ValueError("needs a self-reciprocal polynomial of even degree")
     g = p.degree // 2
     rest = list(p.coeffs)

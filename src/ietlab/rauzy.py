@@ -12,23 +12,13 @@ contraction is rho = 1/beta.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations as _all_permutations
 
-from .iet import IET, Permutation
+from .iet import IET, Permutation, is_irreducible_perm
 from .matrices import charpoly, identity, inverse_int, mat_mul, mat_vec
 from .matrices import is_primitive as _matrix_primitive
 from .numberfield import perron_pair
 from .polynomials import IntPoly, is_irreducible
-
-
-def _perm_irreducible(images) -> bool:
-    seen = 0
-    for k in range(1, len(images)):
-        seen = max(seen, images[k - 1])
-        if seen == k:
-            return False
-    return True
 
 
 def rauzy_type0_perm(images):
@@ -91,10 +81,7 @@ def rauzy_step(pi: Permutation, lengths):
     rtype = 0 if s > 0 else 1
     A = step_matrix(images, rtype)
     Ainv = inverse_int(A)
-    new_lengths = tuple(
-        sum((Ainv[i][j] * lengths[j] for j in range(N)), start=lengths[0].field.zero)
-        for i in range(N)
-    )
+    new_lengths = tuple(mat_vec(Ainv, lengths))
     for l in new_lengths:
         if l.sign() <= 0:
             raise ValueError("induction produced a non-positive length")
@@ -110,7 +97,7 @@ def rauzy_graph(N: int):
     """
     if not 2 <= N <= 7:
         raise ValueError("supported for 2..7 intervals")
-    verts = [p for p in _all_permutations(range(1, N + 1)) if _perm_irreducible(p)]
+    verts = [p for p in _all_permutations(range(1, N + 1)) if is_irreducible_perm(p)]
     parent = {v: v for v in verts}
 
     def find(x):
@@ -132,13 +119,24 @@ def rauzy_graph(N: int):
     return out
 
 
-def class_of(images, N=None):
-    """The Rauzy class (vertex list) containing the given permutation."""
-    images = tuple(images)
-    for cls in rauzy_graph(len(images)):
-        if images in cls:
-            return cls
-    raise ValueError(f"{images} is not an irreducible permutation")
+def class_of(images):
+    """The Rauzy class (sorted vertex list) containing the given
+    irreducible permutation.
+
+    Both induction moves are bijections of a class, so walking them
+    forward from one vertex reaches the whole class.  Raises ValueError
+    on a non-permutation or a reducible one.
+    """
+    start = Permutation(images).images
+    seen = {start}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for w in (rauzy_type0_perm(v), rauzy_type1_perm(v)):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return sorted(seen)
 
 
 class RauzyCycle:
@@ -251,15 +249,10 @@ def self_similar_from_cycle(cycle: RauzyCycle):
     P, normalized to total length 1; the contraction is rho = 1/beta for
     the Perron root beta.  Returns (IET, rho as a field element).
     """
-    beta, v = perron_pair(cycle.product)
+    beta, v = perron_pair(cycle.product)  # verifies P v = beta v exactly
     E = IET(Permutation(cycle.base), v)
-    rho = v[0].field.one / v[0].field.generator_element()
     # P Lambda = beta Lambda, so the induced lengths are Lambda / beta
-    check = mat_vec(cycle.product, list(v))
-    gen = v[0].field.generator_element()
-    for lhs, l in zip(check, v):
-        if lhs != gen * l:
-            raise ValueError("eigenvector verification failed")
+    rho = v[0].field.one / v[0].field.generator_element()
     return E, rho
 
 

@@ -10,11 +10,9 @@ when that matches.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebraic import RealAlgebraic
-from .matrices import charpoly, is_primitive, mat_mul
-from .numberfield import spectral_radius
+from .matrices import charpoly, is_primitive, mat_pow
+from .numberfield import NumberField, spectral_radius
 from .polynomials import count_roots, root_bound
 
 
@@ -146,12 +144,16 @@ class PrefixGraph:
             for t in range(len(sigma.rules[j]))
         ]
         self.index = {p: k for k, p in enumerate(self.states)}
+        by_plus = {}
+        for nu in self.states:
+            by_plus.setdefault(self.plus(nu), []).append(nu)
+        # successors[mu]: the states nu with chi(mu) == plus(nu), in state order
+        self.successors = {mu: tuple(by_plus.get(self.chi(mu), ())) for mu in self.states}
         n = len(self.states)
         A = [[0] * n for _ in range(n)]
         for a, mu in enumerate(self.states):
-            for b, nu in enumerate(self.states):
-                if self.chi(mu) == self.plus(nu):
-                    A[a][b] = 1
+            for nu in self.successors[mu]:
+                A[a][self.index[nu]] = 1
         self.adjacency = A
 
     def chi(self, mu: Prefix) -> int:
@@ -165,17 +167,11 @@ class PrefixGraph:
 
     def count_paths(self, t: int):
         """Number of admissible prefix sequences of length t+1 (t edges)."""
-        n = len(self.states)
-        P = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(t):
-            P = mat_mul(P, self.adjacency)
-        return sum(sum(row) for row in P)
+        return sum(map(sum, mat_pow(self.adjacency, t)))
 
     def count_cycles(self, T: int):
         """Number of closed admissible sequences of period T (trace of A^T)."""
-        P = self.adjacency
-        for _ in range(T - 1):
-            P = mat_mul(P, self.adjacency)
+        P = mat_pow(self.adjacency, T)
         return sum(P[i][i] for i in range(len(P)))
 
     def spectral_radius_matches(self, beta: RealAlgebraic) -> bool:
@@ -189,23 +185,10 @@ class PrefixGraph:
         if not is_primitive(self.adjacency):
             return False
         p = charpoly(self.adjacency)
-        from .numberfield import NumberField
-
-        K = NumberField(beta)
-        th = K.generator_element()
-        acc = K.zero
-        power = K.one
-        for c in p.coeffs:
-            acc = acc + c * power
-            power = power * th
-        if acc != K.zero:
+        if p(NumberField(beta).generator_element()):
             return False
         hi = beta.hi
         bound = root_bound(p)
         if hi < bound and count_roots(p, hi, bound) != 0:
             return False
         return True
-
-
-def prefix_graph(sigma: Substitution) -> PrefixGraph:
-    return PrefixGraph(sigma)

@@ -23,13 +23,7 @@ from .numberfield import (
     eigen_moduli_squared,
     to_real_algebraic,
 )
-from .polynomials import (
-    IntPoly,
-    is_self_reciprocal,
-    power_sum_poly,
-    resultant,
-    trace_polynomial,
-)
+from .polynomials import IntPoly, power_sum_poly, resultant, trace_polynomial
 from .substitution import Prefix
 
 
@@ -159,14 +153,14 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
 
 
 def _validate_consistency(model: LatticeModel, code: VershikCode):
-    rules = model.sigma.rules
+    G = model.prefix_graph
     seq = list(code.transient + code.period)
     for mu in seq:
-        if mu.rule not in rules or not 0 <= mu.cut < len(rules[mu.rule]):
+        if mu not in G.index:
             raise ValueError("prefix outside the rule set")
     chain = seq + ([code.period[0]] if code.period else [])
     for a, b in zip(chain, chain[1:]):
-        if rules[b.rule][b.cut] != a.rule:
+        if b not in G.successors[a]:
             raise ValueError("inconsistent consecutive prefixes")
 
 
@@ -225,12 +219,10 @@ def enumerate_tiles(model: LatticeModel, depth: int):
     the innermost rule.
     """
     _require_self_similar(model)
-    K = model.field
     E = model.E
     rho = model.rho
-    rules = model.sigma.rules
-    prefixes = [Prefix(j, c) for j in sorted(rules) for c in range(len(rules[j]))]
-    offsets = {mu: tile_offset(model, mu) for mu in prefixes}
+    G = model.prefix_graph
+    offsets = {mu: tile_offset(model, mu) for mu in G.states}
     atoms = E.atoms()
     out = []
 
@@ -240,14 +232,12 @@ def enumerate_tiles(model: LatticeModel, depth: int):
             lo, hi = atoms[j - 1]
             out.append((tuple(chain), offset + power * lo, power * (hi - lo)))
             return
-        last = chain[-1]
-        for mu in prefixes:
-            if rules[mu.rule][mu.cut] == last.rule:
-                chain.append(mu)
-                rec(chain, offset + power * offsets[mu], power * rho)
-                chain.pop()
+        for mu in G.successors[chain[-1]]:
+            chain.append(mu)
+            rec(chain, offset + power * offsets[mu], power * rho)
+            chain.pop()
 
-    for mu in prefixes:
+    for mu in G.states:
         rec([mu], offsets[mu], rho)
     return out
 
@@ -260,16 +250,11 @@ def random_consistent_code(model: LatticeModel, rng) -> VershikCode:
     discard the geometrically invalid ones.
     """
     _require_self_similar(model)
-    rules = model.sigma.rules
-    prefixes = [Prefix(j, c) for j in sorted(rules) for c in range(len(rules[j]))]
-    succ = {
-        mu: [nxt for nxt in prefixes if rules[nxt.rule][nxt.cut] == mu.rule]
-        for mu in prefixes
-    }
-    walk = [rng.choice(prefixes)]
+    G = model.prefix_graph
+    walk = [rng.choice(G.states)]
     seen = {walk[0]: 0}
     while True:
-        nxt = rng.choice(succ[walk[-1]])
+        nxt = rng.choice(G.successors[walk[-1]])
         if nxt in seen:
             j = seen[nxt]
             return VershikCode(tuple(walk[:j]), tuple(walk[j:]))
@@ -296,7 +281,7 @@ def d_T(model: LatticeModel, T: int) -> int:
         raise ValueError("I - R^T is singular")
     result = abs(int(val))
     chi = charpoly(model.R)
-    if not model.drift.is_zero and is_self_reciprocal(chi) and chi.degree % 2 == 0:
+    if not model.drift.is_zero and chi.is_self_reciprocal() and chi.degree % 2 == 0:
         q = trace_polynomial(chi)
         cross = abs(resultant(q, power_sum_poly(T) - IntPoly((2,))))
         if cross != result:
@@ -342,12 +327,7 @@ def _alg_power_equals(a: RealAlgebraic, e: int, b: RealAlgebraic) -> bool:
         return b == a.as_fraction() ** e
     if e == 1:
         return a == b
-    K = NumberField(a)
-    w = K.generator_element()
-    acc = K.one
-    for _ in range(e):
-        acc = acc * w
-    return to_real_algebraic(acc) == b
+    return to_real_algebraic(NumberField(a).generator_element() ** e) == b
 
 
 def _log_ratio_enclosure(u_num: RealAlgebraic, u_den: RealAlgebraic):
@@ -377,12 +357,6 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     u2, mult2 = mods_M[1]
     mods_R = eigen_moduli_squared(charpoly(model.R))
     u_R = mods_R[0][0]
-    if isinstance(u_M, Fraction):
-        u_M = RealAlgebraic.from_rational(u_M)
-    if isinstance(u2, Fraction):
-        u2 = RealAlgebraic.from_rational(u2)
-    if isinstance(u_R, Fraction):
-        u_R = RealAlgebraic.from_rational(u_R)
     eq_flag = _alg_power_equals(u_R, model.n - 1, u_M)
     v_lo, v_hi = _log_ratio_enclosure(u_R, u_M)
     d_lo, d_hi = _log_ratio_enclosure(u2, u_M)
@@ -414,13 +388,7 @@ def escape_bound_check(model: LatticeModel, code: VershikCode, z=None):
         x = vershik_decode(model, code)
         _, z = model.layer_of(x)
     norm = max(abs(int(c)) for c in z) if len(z) else 0
-    mods_R = eigen_moduli_squared(charpoly(model.R))
-    u_R = mods_R[0][0]
-    if isinstance(u_R, Fraction):
-        srf = math.sqrt(float(u_R))
-    else:
-        u_R.refine_to(Fraction(1, 2**40))
-        srf = math.sqrt(float(u_R))
+    srf = math.sqrt(float(eigen_moduli_squared(charpoly(model.R))[0][0]))
     if srf <= 1.0:
         raise ValueError("bound needs an expanding scaling matrix")
     n = model.n

@@ -54,6 +54,16 @@ def test_refinement_narrows_and_preserves():
     assert float(r) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
+def test_refine_to_matches_repeated_refine():
+    width = Fraction(1, 2**30)
+    for p in (P(-2, 0, 1), P(-1, -1, 0, 1), P(1, -7, 13, -7, 1)):
+        for a, b in zip(real_roots(p), real_roots(p)):
+            a.refine_to(width)
+            while b.hi - b.lo > width:
+                b.refine()
+            assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
 def test_comparisons_with_rationals():
     r = real_roots(P(-2, 0, 1))[1]  # sqrt(2)
     assert r > 1

@@ -13,7 +13,7 @@ from ietlab.builders import (
 )
 from ietlab.iet import IET
 from ietlab.lattice import LatticeModel
-from ietlab.matrices import charpoly, mat_mul, transpose
+from ietlab.matrices import charpoly, mat_mul
 from ietlab.numberfield import to_real_algebraic
 from ietlab.polynomials import IntPoly, factor, is_irreducible
 from ietlab.vershik import d_T

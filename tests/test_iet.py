@@ -16,23 +16,8 @@ from ietlab.iet import (
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 
-QUARTIC = IntPoly((1, -7, 13, -7, 1))
-
-
 def golden_field():
     return NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
-
-
-def quartic_model():
-    K = NumberField(root_in(QUARTIC, Fraction(1, 5), Fraction(1, 4)))
-    r = K.generator_element()
-    lengths = [
-        r,
-        1 - 4 * r + r * r,
-        1 - 4 * r + 5 * r * r - r**3,
-        -1 + 7 * r - 6 * r * r + r**3,
-    ]
-    return K, r, IET(Permutation([4, 2, 1, 3]), lengths)
 
 
 def test_permutation_validation():
@@ -55,16 +40,16 @@ def test_rotation_translations():
     assert taus[1] == -a
 
 
-def test_quartic_translation_coordinates():
-    _, _, E = quartic_model()
+def test_quartic_translation_coordinates(quartic_iet):
+    _, _, E = quartic_iet
     expected = [(1, -1, 0, 0), (1, -5, 5, -1), (-1, 3, -1, 0), (0, -1, 0, 0)]
     for tau, coords in zip(E.translations, expected):
         assert tuple(tau.power_coords) == tuple(Fraction(c) for c in coords)
     assert E.total == E.field.one
 
 
-def test_tiling_is_exact():
-    _, _, E = quartic_model()
+def test_tiling_is_exact(quartic_iet):
+    _, _, E = quartic_iet
     images = sorted(
         ((left + t, right + t) for (left, right), t in zip(E.atoms(), E.translations)),
         key=lambda ab: float(ab[0]),
@@ -76,8 +61,8 @@ def test_tiling_is_exact():
     assert cursor == E.total
 
 
-def test_apply_orbit_and_out_of_range():
-    K, r, E = quartic_model()
+def test_apply_orbit_and_out_of_range(quartic_iet):
+    K, r, E = quartic_iet
     word, end = E.orbit(K.zero, 3)
     assert word == (1, 4, 3)
     with pytest.raises(ValueError):
@@ -94,8 +79,8 @@ def test_rational_rotation_periodicity():
     assert end == x
 
 
-def test_inverse_round_trip():
-    K, _, E = quartic_model()
+def test_inverse_round_trip(quartic_iet):
+    K, _, E = quartic_iet
     Einv = E.inverse()
     rng = random.Random(11)
     for _ in range(40):
@@ -104,8 +89,8 @@ def test_inverse_round_trip():
         assert E.apply(Einv.apply(x)) == x
 
 
-def test_staircase_discrepancy():
-    K, _, E = quartic_model()
+def test_staircase_discrepancy(quartic_iet):
+    K, _, E = quartic_iet
     s, D = staircase_discrepancy(E, K.zero, 0)
     assert s == [0, 0, 0, 0]
     assert all(d == K.zero for d in D)
@@ -139,8 +124,8 @@ def test_induce_full_window_is_identity_data():
     assert im.return_words == ((1,), (2,))
 
 
-def test_quartic_induction_on_first_atom():
-    K, r, E = quartic_model()
+def test_quartic_induction_on_first_atom(quartic_iet):
+    K, r, E = quartic_iet
     im = induce(E, length=r, anchor="left")
     assert im.induced.perm == E.perm
     for li, l in zip(im.induced.lengths, E.lengths):
@@ -153,9 +138,9 @@ def test_quartic_induction_on_first_atom():
     )
 
 
-def test_return_words_concatenate_with_base_coding():
+def test_return_words_concatenate_with_base_coding(quartic_iet):
     # following the tower: orbit of a window point replays its return word
-    K, r, E = quartic_model()
+    K, r, E = quartic_iet
     im = induce(E, length=r, anchor="left")
     for (left, right), word in zip(im.induced.atoms(), im.return_words):
         x = (left + right) / 2
@@ -164,8 +149,8 @@ def test_return_words_concatenate_with_base_coding():
         assert (end - im.window[0]).sign() >= 0 and (end - im.window[1]).sign() < 0
 
 
-def test_check_self_similar_quartic():
-    K, r, E = quartic_model()
+def test_check_self_similar_quartic(quartic_iet):
+    K, r, E = quartic_iet
     ok, sigma = check_self_similar(E, r)
     assert ok
     assert sigma.rules == {
@@ -194,9 +179,9 @@ def test_check_self_similar_rejects_wrong_scale():
     assert not ok and sigma is None
 
 
-def test_keane_finite_horizon():
+def test_keane_finite_horizon(quartic_iet):
     # discontinuity orbits stay disjoint over a desk-scale horizon
-    K, r, E = quartic_model()
+    K, r, E = quartic_iet
     pts = [left for (left, _) in E.atoms()[1:]]
     seen = set()
     horizon = 120
@@ -209,8 +194,8 @@ def test_keane_finite_horizon():
             x = E.apply(x)
 
 
-def test_serialization_round_trip():
-    _, _, E = quartic_model()
+def test_serialization_round_trip(quartic_iet):
+    _, _, E = quartic_iet
     data = E.to_data()
     E2 = IET.from_data(data)
     assert E2 == E

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -7,8 +6,8 @@ import pytest
 from ietlab.algebraic import root_in
 from ietlab.iet import IET, Permutation
 from ietlab.lattice import (
+    LatticeModel,
     LatticePoint,
-    build_lattice_model,
     density_estimate,
     drift_vector,
     interval_predicate,
@@ -19,31 +18,8 @@ from ietlab.lattice import (
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 
-QUARTIC = IntPoly((1, -7, 13, -7, 1))
-
-
-def quartic_model(with_rho=True):
-    K = NumberField(root_in(QUARTIC, Fraction(1, 5), Fraction(1, 4)))
-    r = K.generator_element()
-    lengths = [
-        r,
-        1 - 4 * r + r * r,
-        1 - 4 * r + 5 * r * r - r**3,
-        -1 + 7 * r - 6 * r * r + r**3,
-    ]
-    E = IET(Permutation([4, 2, 1, 3]), lengths)
-    return K, r, build_lattice_model(E, rho=r if with_rho else None)
-
-
-def golden_rotation_model():
-    K = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
-    phi = K.generator_element()
-    E = IET(Permutation([2, 1]), [2 - phi, phi - 1])
-    return K, phi, build_lattice_model(E, rho=2 - phi)
-
-
-def test_quartic_projection_columns():
-    _, _, model = quartic_model(with_rho=False)
+def test_quartic_projection_columns(quartic_lattice):
+    _, _, model = quartic_lattice
     expected = [(1, -1, 0, 0), (1, -5, 5, -1), (-1, 3, -1, 0), (0, -1, 0, 0)]
     for i, col in enumerate(expected):
         assert tuple(model.projection[r][i] for r in range(4)) == col
@@ -51,8 +27,8 @@ def test_quartic_projection_columns():
     assert model.module.b == 1
 
 
-def test_quartic_drift_closed_form():
-    K, r, model = quartic_model(with_rho=False)
+def test_quartic_drift_closed_form(quartic_lattice):
+    K, r, model = quartic_lattice
     S, consistent = drift_vector(model)
     expected = [
         r - 4 * r * r + r**3,
@@ -75,11 +51,11 @@ def test_rejects_translations_outside_module():
         [coarse.from_power_coords(c.power_coords) for c in (2 - phi, phi - 1)],
     )
     with pytest.raises(ValueError):
-        build_lattice_model(E)
+        LatticeModel(E)
 
 
-def test_commutation_and_R():
-    K, r, model = quartic_model()
+def test_commutation_and_R(quartic_model):
+    K, r, model = quartic_model
     assert model.R is not None
     # W is trivial here, so R is plain multiplication by rho
     from ietlab.numberfield import mult_matrix
@@ -91,8 +67,8 @@ def test_commutation_and_R():
     assert mat_mul(model.R, model.projection) == mat_mul(model.projection, M)
 
 
-def test_conjugacy_along_orbit():
-    K, r, model = quartic_model(with_rho=False)
+def test_conjugacy_along_orbit(quartic_lattice):
+    K, r, model = quartic_lattice
     E = model.E
     x = K.zero
     p = LatticePoint((0, 0, 0, 0), (0, 0, 0, 0))
@@ -105,8 +81,8 @@ def test_conjugacy_along_orbit():
     assert model.value_of(p) == x
 
 
-def test_conjugacy_random_layers():
-    K, r, model = quartic_model(with_rho=False)
+def test_conjugacy_random_layers(quartic_lattice):
+    K, r, model = quartic_lattice
     E = model.E
     rng = random.Random(7)
     for _ in range(40):
@@ -120,8 +96,8 @@ def test_conjugacy_random_layers():
         assert model.value_of(p) == x
 
 
-def test_displacement_identity():
-    K, r, model = quartic_model(with_rho=False)
+def test_displacement_identity(quartic_lattice):
+    K, r, model = quartic_lattice
     E = model.E
     k = 150
     p0 = LatticePoint((0, 0, 0, 0), (0, 0, 0, 0))
@@ -137,8 +113,8 @@ def test_displacement_identity():
         assert K.from_rational(pk.z[row] - p0.z[row]) == rhs
 
 
-def test_orbit_checkpoints_and_projection_of_counts():
-    _, _, model = quartic_model(with_rho=False)
+def test_orbit_checkpoints_and_projection_of_counts(quartic_lattice):
+    _, _, model = quartic_lattice
     p0 = LatticePoint((0, 0, 0, 0), (0, 0, 0, 0))
     pk, counts, marks = model.psi_orbit(p0, 64, checkpoints=(16, 64))
     assert set(marks) == {16, 64}
@@ -149,14 +125,14 @@ def test_orbit_checkpoints_and_projection_of_counts():
     assert proj_counts == pk.z
 
 
-def test_spectrum_with_drift():
-    _, _, model = quartic_model()
+def test_spectrum_with_drift(quartic_model):
+    _, _, model = quartic_model
     beta_eig, drift0, consistent = spectrum_check(model)
     assert beta_eig and not drift0 and consistent
 
 
-def test_golden_rotation_lattice():
-    K, phi, model = golden_rotation_model()
+def test_golden_rotation_lattice(golden_model):
+    K, phi, model = golden_model
     S, consistent = drift_vector(model)
     assert not S.is_zero and consistent
     beta_eig, drift0, ok = spectrum_check(model)
@@ -169,8 +145,8 @@ def test_golden_rotation_lattice():
     assert x.sign() >= 0 and (x - model.total).sign() < 0
 
 
-def test_layer_split_and_scale():
-    K, phi, model = golden_rotation_model()
+def test_layer_split_and_scale(golden_model):
+    K, phi, model = golden_model
     x = phi * Fraction(1, 2)
     xi, z = model.layer_of(x)
     assert xi == (Fraction(0), Fraction(1, 2))
@@ -179,8 +155,8 @@ def test_layer_split_and_scale():
     assert model.scale_layer(xi) == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_layer_order_is_a_period():
-    _, r, model = quartic_model()
+def test_layer_order_is_a_period(quartic_model):
+    _, r, model = quartic_model
     xi = (Fraction(1, 3), Fraction(0), Fraction(0), Fraction(0))
     t = model.order_of(xi)
     assert t >= 1
@@ -195,21 +171,21 @@ def test_layer_order_is_a_period():
         assert xi2 != xi
 
 
-def test_density_full_slab_is_one():
-    _, _, model = quartic_model(with_rho=False)
+def test_density_full_slab_is_one(quartic_lattice):
+    _, _, model = quartic_lattice
     member = interval_predicate(model, 0, 1)
     assert density_estimate(model, member, 3) == 1
 
 
-def test_density_half_interval():
-    _, _, model = quartic_model(with_rho=False)
+def test_density_half_interval(quartic_lattice):
+    _, _, model = quartic_lattice
     member = interval_predicate(model, 0, Fraction(1, 2))
     est = density_estimate(model, member, 10)
     assert abs(float(est) - 0.5) < 0.1
 
 
-def test_liouville_powers_of_rho():
-    K, r, model = quartic_model()
+def test_liouville_powers_of_rho(quartic_model):
+    K, r, model = quartic_model
     z = K.one
     for _ in range(8):
         z = z * r
@@ -218,8 +194,8 @@ def test_liouville_powers_of_rho():
         assert val >= bound
 
 
-def test_liouville_random_sweep():
-    K, r, model = quartic_model(with_rho=False)
+def test_liouville_random_sweep(quartic_lattice):
+    K, r, model = quartic_lattice
     rng = random.Random(11)
     for _ in range(60):
         zfree = tuple(rng.randrange(-20, 21) for _ in range(3))
@@ -246,7 +222,7 @@ def test_liouville_requires_power_basis():
         + [(half, 0, 0), (0, half, 0), (half, -half, 0)]
     ]
     E = IET(Permutation([7, 6, 5, 4, 3, 2, 1]), lengths)
-    model = build_lattice_model(E)
+    model = LatticeModel(E)
     assert (model.module.d, model.module.j, model.module.b) == (2, 1, 2)
     with pytest.raises(ValueError):
         liouville_check(model, lengths[0])
@@ -267,6 +243,6 @@ def test_density_counts_residues():
     ]
     E = IET(Permutation([7, 6, 5, 4, 3, 2, 1]), lengths)
     assert E.total == total
-    model = build_lattice_model(E)
+    model = LatticeModel(E)
     member = interval_predicate(model, 0, total)
     assert density_estimate(model, member, 4) == 1

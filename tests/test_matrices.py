@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab.algebraic import root_in
 from ietlab.matrices import (
     charpoly,
     det,
@@ -13,6 +14,7 @@ from ietlab.matrices import (
     inverse_int,
     is_primitive,
     kernel_int,
+    kernel_vector,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -22,6 +24,7 @@ from ietlab.matrices import (
     transpose,
     unimodular_completion,
 )
+from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 
 
@@ -66,6 +69,10 @@ def test_det_matches_expansion_randomized():
         n = rng.randint(1, 5)
         A = rand_mat(rng, n, n)
         assert det(A) == det_cofactor(A)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rand_mat(rng, n, n)]
+        assert det(A) == det_cofactor(A)
 
 
 def test_inverse_and_solve():
@@ -85,6 +92,20 @@ def test_inverse_and_solve():
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
         inverse([[1, 2], [2, 4]])
+
+
+def test_kernel_vector_over_fractions_and_a_number_field():
+    A = [[Fraction(x) for x in row] for row in ([1, 2, 3], [4, 5, 6], [7, 8, 9])]
+    assert kernel_vector(A) == [1, -2, 1]
+    for B in ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], identity(3)):
+        with pytest.raises(ValueError):  # kernel dimension 2, then 0
+            kernel_vector([[Fraction(x) for x in row] for row in B])
+    K = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
+    phi = K.generator_element()
+    A = [[phi, -K.one], [phi * phi, -phi]]
+    v = kernel_vector(A)
+    assert v == [1 / phi, K.one]
+    assert mat_vec(A, v) == [0, 0]
 
 
 def test_inverse_int_unimodular():

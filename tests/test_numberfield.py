@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ietlab.algebraic import real_roots, root_in
-from ietlab.matrices import charpoly, mat_vec
+from ietlab.matrices import mat_vec
 from ietlab.numberfield import (
-    FieldElement,
     NumberField,
     compare,
     mult_matrix,

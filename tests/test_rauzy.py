@@ -8,7 +8,6 @@ from ietlab.matrices import mat_vec
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 from ietlab.rauzy import (
-    RauzyCycle,
     class_of,
     enumerate_cycles,
     rauzy_graph,
@@ -77,6 +76,22 @@ def test_rauzy_graph_small():
     assert len(class_of((4, 2, 1, 3))) == 7
     with pytest.raises(ValueError):
         rauzy_graph(8)
+
+
+def test_class_of_is_the_graph_component():
+    # every vertex up to N = 6; for N = 7 every tenth vertex of each class,
+    # its smallest included (all 3,447 vertices take several seconds)
+    for N in range(2, 8):
+        for cls in rauzy_graph(N):
+            for v in cls if N < 7 else cls[::10]:
+                assert class_of(v) == cls
+
+
+def test_class_of_rejects_bad_input():
+    with pytest.raises(ValueError):
+        class_of((2, 1, 3))  # reducible: {1, 2} is invariant
+    with pytest.raises(ValueError):
+        class_of((1, 1, 2))  # not a permutation
 
 
 def test_golden_cycle():

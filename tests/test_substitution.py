@@ -1,12 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
-from ietlab.algebraic import root_in
-from ietlab.numberfield import NumberField, spectral_radius
-from ietlab.polynomials import IntPoly
-from ietlab.substitution import Substitution, analyze_substitution, prefix_graph
+from ietlab.numberfield import spectral_radius
+from ietlab.substitution import PrefixGraph, Substitution, analyze_substitution
 
 FIB = Substitution({1: (1, 2), 2: (1,)})
 QUARTIC_SIGMA = Substitution(
@@ -82,18 +79,18 @@ def test_abelianization_growth():
 
 
 def test_prefix_graph_counts():
-    g = prefix_graph(FIB)
+    g = PrefixGraph(FIB)
     assert g.size() == 3
     assert g.count_cycles(1) == 1  # only the empty prefix of rule 1 self-loops
-    gq = prefix_graph(QUARTIC_SIGMA)
+    gq = PrefixGraph(QUARTIC_SIGMA)
     assert gq.size() == sum(len(w) for w in QUARTIC_SIGMA.rules.values())
 
 
 def test_prefix_graph_spectral_radius_exact():
-    g = prefix_graph(FIB)
+    g = PrefixGraph(FIB)
     beta = spectral_radius(FIB.incidence())
     assert g.spectral_radius_matches(beta)
-    gq = prefix_graph(QUARTIC_SIGMA)
+    gq = PrefixGraph(QUARTIC_SIGMA)
     betaq = spectral_radius(P_QUARTIC)
     assert gq.spectral_radius_matches(betaq)
     # a wrong candidate is rejected

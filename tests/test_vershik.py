@@ -1,16 +1,11 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ietlab.algebraic import root_in
-from ietlab.iet import IET, Permutation
-from ietlab.lattice import build_lattice_model, unit_representative
-from ietlab.numberfield import NumberField
-from ietlab.polynomials import IntPoly
-from ietlab.substitution import Prefix, prefix_graph
+from ietlab.lattice import unit_representative
+from ietlab.substitution import Prefix, PrefixGraph
 from ietlab.vershik import (
     VershikCode,
     affine_closed_form,
@@ -24,39 +19,16 @@ from ietlab.vershik import (
     vershik_encode,
 )
 
-QUARTIC = IntPoly((1, -7, 13, -7, 1))
-
-
-def quartic_model():
-    K = NumberField(root_in(QUARTIC, Fraction(1, 5), Fraction(1, 4)))
-    r = K.generator_element()
-    lengths = [
-        r,
-        1 - 4 * r + r * r,
-        1 - 4 * r + 5 * r * r - r**3,
-        -1 + 7 * r - 6 * r * r + r**3,
-    ]
-    E = IET(Permutation([4, 2, 1, 3]), lengths)
-    return K, r, build_lattice_model(E, rho=r)
-
-
-def golden_model():
-    K = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
-    phi = K.generator_element()
-    E = IET(Permutation([2, 1]), [2 - phi, phi - 1])
-    return K, phi, build_lattice_model(E, rho=2 - phi)
-
-
-def test_encode_zero_is_fixed_empty_prefix():
-    K, r, model = quartic_model()
+def test_encode_zero_is_fixed_empty_prefix(quartic_model):
+    K, r, model = quartic_model
     code = vershik_encode(model, K.zero)
     assert code.t == 0 and code.T == 1
     assert code.period == (Prefix(1, 0),)
     assert vershik_decode(model, code) == K.zero
 
 
-def test_fixed_codes_round_trip():
-    K, r, model = quartic_model()
+def test_fixed_codes_round_trip(quartic_model):
+    K, r, model = quartic_model
     # word-consistent one-periodic prefixes: word[cut] == rule
     candidates = [
         Prefix(j, c)
@@ -82,12 +54,12 @@ def test_fixed_codes_round_trip():
     assert sorted(points, key=float) == lefts
 
 
-def test_round_trip_module_points():
+def test_round_trip_module_points(quartic_model):
     # The scaling eigenvalue has a conjugate of modulus > 1, so only part of
     # the lattice carries eventually periodic codes.  Every point of the small
     # box that does determine must round-trip exactly; the rest must be
     # reported as undetermined rather than mislabelled.
-    K, r, model = quartic_model()
+    K, r, model = quartic_model
     determined = 0
     for zfree in itertools.product((-1, 0, 1), repeat=3):
         x = unit_representative(model, zfree)
@@ -101,18 +73,18 @@ def test_round_trip_module_points():
     assert determined >= 20
 
 
-def test_generic_module_point_never_repeats():
+def test_generic_module_point_never_repeats(quartic_model):
     # Level points of a generic lattice point blow up along the expanding
     # conjugate direction, so no depth cap can close the code.
-    K, r, model = quartic_model()
+    K, r, model = quartic_model
     x = unit_representative(model, (-2, 0, 2))
     code = vershik_encode(model, x, depth=160)
     assert not code.determined
 
 
-def test_round_trip_decoded_codes():
+def test_round_trip_decoded_codes(quartic_model):
     # encode inverts decode on every geometrically valid random code
-    K, r, model = quartic_model()
+    K, r, model = quartic_model
     rng = random.Random(5)
     kept = 0
     while kept < 30:
@@ -127,18 +99,18 @@ def test_round_trip_decoded_codes():
         assert vershik_decode(model, again) == x
 
 
-def test_rational_points_report_undetermined():
+def test_rational_points_report_undetermined(quartic_model):
     # rational layers inherit the same conjugate growth, so none of these
     # close; the encoder must say so instead of guessing
-    K, r, model = quartic_model()
+    K, r, model = quartic_model
     for q in (Fraction(1, 3), Fraction(1, 7), Fraction(5, 8)):
         code = vershik_encode(model, K.from_rational(q), depth=64)
         assert not code.determined
         assert code.T == 0
 
 
-def test_decode_rejects_inconsistent():
-    _, _, model = quartic_model()
+def test_decode_rejects_inconsistent(quartic_model):
+    _, _, model = quartic_model
     with pytest.raises(ValueError):
         vershik_decode(model, VershikCode((), (Prefix(1, 1),)))
     with pytest.raises(ValueError):
@@ -154,9 +126,9 @@ def test_code_serialization():
     assert VershikCode.from_line(line) == code
 
 
-def test_tile_partition_exact():
-    K, r, model = quartic_model()
-    G = prefix_graph(model.sigma)
+def test_tile_partition_exact(quartic_model):
+    K, r, model = quartic_model
+    G = PrefixGraph(model.sigma)
     for depth in (1, 2, 3, 4):
         tiles = enumerate_tiles(model, depth)
         if depth > 1:
@@ -169,8 +141,8 @@ def test_tile_partition_exact():
         assert cursor == model.total
 
 
-def test_coding_compatibility():
-    K, r, model = quartic_model()
+def test_coding_compatibility(quartic_model):
+    K, r, model = quartic_model
     E = model.E
     rng = random.Random(5)
     for _ in range(10):
@@ -184,23 +156,23 @@ def test_coding_compatibility():
         assert got == expected
 
 
-def test_d_T_quartic():
-    _, _, model = quartic_model()
+def test_d_T_quartic(quartic_model):
+    _, _, model = quartic_model
     assert d_T(model, 1) == 1
     vals = [d_T(model, T) for T in range(1, 31)]
     assert all(v > 0 for v in vals)
     assert vals[5:] == sorted(vals[5:])  # monotone beyond a short threshold
 
 
-def test_d_T_golden():
-    _, _, model = golden_model()
+def test_d_T_golden(golden_model):
+    _, _, model = golden_model
     # R is the golden companion matrix, so |det(I - R^T)| = L_{2T} - 2
     # (Lucas numbers L_2, L_4, ... = 3, 7, 18, 47, 123)
     assert [d_T(model, T) for T in range(1, 6)] == [1, 5, 16, 45, 121]
 
 
-def test_exponent_quartic():
-    _, _, model = quartic_model()
+def test_exponent_quartic(quartic_model):
+    _, _, model = quartic_model
     rep = exponent_report(model)
     assert abs(rep.beta - 4.390256) < 1e-5
     assert abs(rep.sr_R - rep.beta) < 1e-12
@@ -211,24 +183,24 @@ def test_exponent_quartic():
     assert 0 < rep.discrepancy_exponent < 1
 
 
-def test_exponent_golden():
-    _, _, model = golden_model()
+def test_exponent_golden(golden_model):
+    _, _, model = golden_model
     rep = exponent_report(model)
     # two letters: sr(R) equals beta and the identity holds at n = 2
     assert rep.eq_flag
     assert abs(rep.v - 1.0) < 1e-12
 
 
-def test_escape_bound_fixed_codes():
-    K, r, model = quartic_model()
+def test_escape_bound_fixed_codes(quartic_model):
+    K, r, model = quartic_model
     for mu in (Prefix(1, 0), Prefix(2, 3), Prefix(3, 4), Prefix(4, 2)):
         ok, ratio, C = escape_bound_check(model, VershikCode((), (mu,)))
         assert ok
         assert ratio <= C
 
 
-def test_escape_bound_encoded_points():
-    K, r, model = quartic_model()
+def test_escape_bound_encoded_points(quartic_model):
+    K, r, model = quartic_model
     rng = random.Random(9)
     kept = 0
     while kept < 12:
@@ -242,8 +214,8 @@ def test_escape_bound_encoded_points():
         assert ok
 
 
-def test_escape_bound_zero():
-    K, _, model = quartic_model()
+def test_escape_bound_zero(quartic_model):
+    K, _, model = quartic_model
     code = vershik_encode(model, K.zero)
     ok, ratio, _ = escape_bound_check(model, code)
     assert ok and ratio == 0
@@ -263,8 +235,8 @@ def test_affine_closed_form_matches_iteration():
         ]
 
 
-def test_tile_offsets_are_translation_sums():
-    K, r, model = quartic_model()
+def test_tile_offsets_are_translation_sums(quartic_model):
+    K, r, model = quartic_model
     mu = Prefix(2, 2)  # first two letters of rule 2 = "14..."
     w = model.sigma.rules[2]
     expect = model.E.translations[w[0] - 1] + model.E.translations[w[1] - 1]
