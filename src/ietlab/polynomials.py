@@ -4,17 +4,25 @@ Coefficients are stored ascending, so ``coeffs[k]`` is the coefficient of
 ``x**k``; trailing zeros are stripped and the zero polynomial has an empty
 coefficient tuple.  Everything here is exact: evaluation takes Fractions,
 gcds run over the rationals and are returned as primitive integer
-polynomials, and factorization is a deterministic search (rational roots
-plus Kronecker interpolation up to factor degree 4, pruned with a Mignotte
-coefficient bound).  Polynomials of degree above 8 are outside the
-supported range of the factoring routines.
+polynomials, and factorization is a deterministic search: rational roots,
+then Kronecker interpolation.  The interpolation is fraction-free: an integer
+Lagrange basis scaled by a common denominator D is built once per factor
+degree, and a candidate must have coefficients divisible by D, fit the
+Mignotte bound and pass integer divisibility tests at the leading coefficient
+and at a spare sample point before any exact division.  ``factor`` and
+``is_irreducible`` accept degree up to FACTOR_DEGREE_LIMIT (8) and raise
+ValueError above it; Kronecker factors are searched up to degree
+KRONECKER_DEGREE_LIMIT (4), which covers every split of degree 8.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import product
+from math import gcd, isqrt, lcm
 
 FACTOR_DEGREE_LIMIT = 8
+KRONECKER_DEGREE_LIMIT = 4
+_SAMPLE_POINTS = (0, 1, -1, 2, -2, 3)  # KRONECKER_DEGREE_LIMIT + 1 nodes, one spare
 
 
 class IntPoly:
@@ -303,59 +311,54 @@ def _mignotte_bound(p: IntPoly, d: int) -> int:
     return (1 << d) * norm2
 
 
+def _lagrange_rows(d: int):
+    """(D, rows) for the nodes x_0..x_d = _SAMPLE_POINTS[:d + 1]: rows[i] holds
+    the integer coefficients of D*L_i, where L_i(x_j) = delta_ij and D is the
+    lcm of the denominators prod_{j != i} (x_i - x_j)."""
+    pts = _SAMPLE_POINTS[: d + 1]
+    nums, dens = [], []
+    for i, xi in enumerate(pts):
+        num, den = IntPoly((1,)), 1
+        for xj in pts[:i] + pts[i + 1:]:
+            num, den = num * IntPoly((-xj, 1)), den * (xi - xj)
+        nums.append(num.coeffs)
+        dens.append(den)
+    D = lcm(*dens)
+    return D, [[c * (D // den) for c in num] for num, den in zip(nums, dens)]
+
+
 def _kronecker_factor(p: IntPoly, d: int):
-    """Deterministic degree-d factor search by divisor interpolation."""
-    pts = [0, 1, -1, 2, -2, 3, -3][: d + 1]
+    """Deterministic degree-d factor search by divisor interpolation.
+
+    A candidate takes a divisor of p(x_i) at each node; its numerator
+    sum y_i * D*L_i is a polynomial iff every coefficient is 0 mod D, so the
+    last node's choices are looked up by their residues mod D.  Integer tests
+    (Mignotte bound, lc(cand) | lc(p), cand(s) | p(s) at the spare point s)
+    run before the exact division."""
+    pts = _SAMPLE_POINTS[: d + 2]
     vals = [p(x) for x in pts]
-    if any(v == 0 for v in vals):
+    if 0 in vals:
         # a rational integer root slipped through; caller handles roots first
         raise ValueError("sample point is a root")
-    bound = _mignotte_bound(p, d)
-    choice_lists = []
-    for i, v in enumerate(vals):
-        divs = _divisors(abs(v))
-        opts = [x for x in divs] if i == 0 else [s * x for x in divs for s in (1, -1)]
-        choice_lists.append(opts)
-
-    idx = [0] * len(pts)
-    n = len(pts)
-    while True:
-        ys = [Fraction(choice_lists[i][idx[i]]) for i in range(n)]
-        cand = _lagrange(pts, ys)
-        if cand is not None and cand.degree == d and max(abs(c) for c in cand.coeffs) <= bound:
-            if divides(cand, p):
-                return cand
-        k = n - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(choice_lists[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return None
-
-
-def _lagrange(pts, ys):
-    n = len(pts)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
+    D, rows = _lagrange_rows(d)
+    bound, s, ps = _mignotte_bound(p, d), pts[-1], vals[-1]
+    scaled = []
+    for i, (v, row) in enumerate(zip(vals, rows)):
+        ys = _divisors(abs(v)) if i == 0 else [t * x for x in _divisors(abs(v)) for t in (1, -1)]
+        scaled.append([[y * c for c in row] for y in ys])
+    tails = {}
+    for tail in scaled.pop():
+        tails.setdefault(tuple(c % D for c in tail), []).append(tail)
+    for combo in product(*scaled):
+        head = [sum(col) for col in zip(*combo)]
+        for tail in tails.get(tuple(-c % D for c in head), ()):
+            cand = IntPoly((a + b) // D for a, b in zip(head, tail))
+            if cand.degree != d or max(map(abs, cand.coeffs)) > bound or p.lc % cand.lc:
                 continue
-            basis = [
-                (basis[k - 1] if k else 0) - pts[j] * (basis[k] if k < len(basis) else 0)
-                for k in range(len(basis) + 1)
-            ]
-            denom *= pts[i] - pts[j]
-        w = ys[i] / denom
-        for k, c in enumerate(basis):
-            acc[k] += w * c
-    if any(c.denominator != 1 for c in acc):
-        return None
-    return IntPoly(int(c) for c in acc)
+            cs = cand(s)
+            if cs and not ps % cs and divides(cand, p):
+                return cand
+    return None
 
 
 def _factor_squarefree(p: IntPoly):
@@ -368,7 +371,7 @@ def _factor_squarefree(p: IntPoly):
             out.append(lin)
             work = exact_quotient(work, lin)
     d = 2
-    while work.degree >= 2 * d and d <= 4:
+    while work.degree >= 2 * d and d <= KRONECKER_DEGREE_LIMIT:
         fac = _kronecker_factor(work, d)
         if fac is None:
             d += 1
@@ -435,14 +438,7 @@ def is_irreducible(p: IntPoly) -> bool:
         raise ValueError(f"irreducibility supported up to degree {FACTOR_DEGREE_LIMIT}")
     if poly_gcd(pp, pp.derivative()).degree > 0:
         return False
-    if rational_roots(pp):
-        return False
-    d = 2
-    while 2 * d <= pp.degree and d <= 4:
-        if _kronecker_factor(pp, d) is not None:
-            return False
-        d += 1
-    return True
+    return len(_factor_squarefree(pp)) == 1
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from ietlab.polynomials import (
+    _SAMPLE_POINTS,
     IntPoly,
+    _lagrange_rows,
     count_roots,
     factor,
     is_irreducible,
@@ -122,6 +124,12 @@ def test_factor_quartic_into_quadratics():
     p = P(1, 0, 1) * P(-2, 0, 1)
     _, pieces = factor(p)
     assert sorted(q.coeffs for q, _ in pieces) == [(-2, 0, 1), (1, 0, 1)]
+    # the e2* palindrome splits into two cubics
+    _, pieces = factor(P(1, -16, 76, -138, 76, -16, 1))
+    assert sorted(q.coeffs for q, _ in pieces) == [(-1, 6, -10, 1), (-1, 10, -6, 1)]
+    # non-monic; the degree-2 search meets (x - 2)^2, which vanishes at the spare point 2
+    _, pieces = factor(P(-24, -46, -11, -13, 3))
+    assert sorted(q.coeffs for q, _ in pieces) == [(-3, -5, 1), (8, 2, 3)]
 
 
 def test_factor_power_of_x():
@@ -140,6 +148,9 @@ def test_is_irreducible():
     assert is_irreducible(P(1, -1, -6, -1, 1))  # self-reciprocal quartic
     assert not is_irreducible(P(4))
     assert is_irreducible(P(3, 2))
+    assert is_irreducible(P(1, -7199, 276121, -7199, 1))
+    assert not is_irreducible(P(1, -16, 76, -138, 76, -16, 1))  # e2* palindrome
+    assert not is_irreducible(P(-24, -46, -11, -13, 3))
 
 
 def test_is_irreducible_quartic_with_quadratic_split():
@@ -150,6 +161,17 @@ def test_is_irreducible_quartic_with_quadratic_split():
 def test_factor_degree_limit():
     with pytest.raises(ValueError):
         factor(IntPoly([1] + [0] * 8 + [1]))
+    with pytest.raises(ValueError):
+        is_irreducible(IntPoly([1] + [0] * 8 + [1]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lagrange_rows_are_scaled_basis(d):
+    D, rows = _lagrange_rows(d)
+    pts = _SAMPLE_POINTS[: d + 1]
+    assert len(rows) == d + 1
+    for i, row in enumerate(rows):
+        assert [IntPoly(row)(x) for x in pts] == [D if j == i else 0 for j in range(d + 1)]
 
 
 def test_from_string_round_trip():
