@@ -150,57 +150,33 @@ class RealAlgebraic:
 
 
 def real_roots(p: IntPoly):
-    """All distinct real roots of p, sorted, as RealAlgebraic numbers."""
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        if not p:
-            raise ValueError("every number is a root of the zero polynomial")
-        return []
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    _, pieces = factor(sf)
-    irreducibles = [q for q, _ in pieces]
+    """All distinct real roots of p, sorted, as RealAlgebraic numbers.
 
-    isolated = []
-    stack = [(-bound, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        c = count_roots(sf, lo, hi, chain)
-        if c == 0:
-            continue
-        if c == 1:
-            isolated.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        k = 2
-        while sf(mid) == 0:
-            mid = lo + (hi - lo) / (1 << k)
-            k += 1
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-
+    Each irreducible factor is isolated on its own: a linear factor gives
+    its rational root, and a factor of degree >= 2 is bisected with its
+    own Sturm chain.  Such a factor has no rational root, so no bisection
+    point is a root.  Intervals of different factors may overlap, so the
+    roots are sorted by exact comparison.
+    """
+    _, pieces = factor(squarefree_part(p))
     roots = []
-    for lo, hi in isolated:
-        owner = None
-        for q in irreducibles:
-            if q.degree == 1:
-                a, b = q.coeffs
-                if lo < Fraction(-a, b) < hi:
-                    owner = q
-                    break
-            elif count_roots(q, lo, hi) == 1:
-                owner = q
-                break
-        if owner is None:
-            raise AssertionError("isolated interval lost its factor")
-        if owner.degree == 1:
-            a, b = owner.coeffs
-            r = Fraction(-a, b)
-            roots.append(RealAlgebraic(owner, r, r))
-        else:
-            roots.append(RealAlgebraic(owner, lo, hi))
-    roots.sort(key=lambda r: r.lo)
-    return roots
+    for q, _ in pieces:
+        if q.degree == 1:
+            r = Fraction(-q.coeffs[0], q.coeffs[1])
+            roots.append(RealAlgebraic(q, r, r))
+            continue
+        chain = sturm_chain(q)
+        bound = root_bound(q)
+        stack = [(-bound, bound)]
+        while stack:
+            lo, hi = stack.pop()
+            c = count_roots(q, lo, hi, chain)
+            if c == 1:
+                roots.append(RealAlgebraic(q, lo, hi))
+            elif c > 1:
+                mid = (lo + hi) / 2
+                stack += [(lo, mid), (mid, hi)]
+    return sorted(roots)
 
 
 def root_in(p: IntPoly, lo, hi) -> "RealAlgebraic":

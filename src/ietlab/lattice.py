@@ -7,15 +7,22 @@ translation and the atom i is selected by the real position of the point.
 Layers xi + M (rational torsion residues) are invariant, so a model pins
 one layer and walks Z^n.
 
-Float bookkeeping: atom selection runs on cached float approximations
-with a certified error radius; any comparison that lands inside the
-uncertainty band is retried with exact field arithmetic.  Coordinates
-themselves are always exact integers.
+Integer positions: atom selection runs on one integer position per walk.
+`NumberField.enclose` gives, at one sign-table precision and a common
+scale q, integers s with |q x - s| <= e for the layer value, the unit
+module points nu'_k / d and the atom right endpoints.  The position
+X = s_layer + sum z_k s_k moves by an exact integer per step, so it never
+drifts, and its error is bounded for the whole walk by the largest |z_k|
+the walk can reach.  An atom is taken from X only when the enclosure
+lies inside it; otherwise the step is decided with exact field
+arithmetic.  Coordinates themselves are always exact integers.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import mul
 
 from .iet import IET, check_self_similar
 from .matrices import charpoly, mat_mul, mat_vec
@@ -107,7 +114,7 @@ class LatticeModel:
             self._verify_commutation()
             self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
-        self._float_cache = None
+        self._units = [nu / self.module.d for nu in self.module.nu_prime]
 
     def _verify_commutation(self):
         """R * projection = projection * M_sigma, column by column."""
@@ -163,40 +170,27 @@ class LatticeModel:
                 return t
         raise RuntimeError("layer order exceeded the denominator bound")
 
-    # -- float fast path -----------------------------------------------
+    def enclose(self, xs=()):
+        """(q, enclosures): NumberField.enclose of the points xs followed
+        by the unit module points nu'_k / d, all at one precision."""
+        return self.field.enclose([*xs, *self._units])
 
-    def _floats(self):
-        if self._float_cache is None:
-            nu = [float(e) for e in self.field.basis]
-            nup = [float(e) for e in self.module.nu_prime]
-            self._float_cache = {
-                "nu": nu,
-                "nu_prime": nup,
-                "bounds_f": [float(b) for b in self.E.rights],
-                "taus_f": [float(t) for t in self.E.translations],
-                "total_f": float(self.total),
-            }
-        return self._float_cache
+    def _position(self, p: LatticePoint, k: int):
+        """(q, X, err, moves, rights): the integer position of a walk.
 
-    def _value_float(self, p: LatticePoint):
-        fc = self._floats()
-        x = 0.0
-        mag = 0.0
-        for c, nf in zip(p.layer, fc["nu"]):
-            t = float(c) * nf
-            x += t
-            mag += abs(t)
-        d = self.module.d
-        for c, nf in zip(p.z, fc["nu_prime"]):
-            t = c * nf / d
-            x += t
-            mag += abs(t)
-        # conservative radius: relative error per term plus summation slack
-        return x, (mag + 1.0) * 1e-14
-
-    def _atom_exact(self, p: LatticePoint) -> int:
-        x = self.value_of(p)
-        return self.E.atom_of(x)  # raises if out of the slab
+        |q * value - X| <= err holds at p and at every point within k
+        steps of it, where a step by atom i adds moves[i] to X; rights
+        holds the enclosures (s, e) of q times the atom right endpoints.
+        """
+        N = self.E.N
+        q, (layer, *rest) = self.enclose([self.field.element(p.layer), *self.E.rights])
+        rights, units = rest[:N], rest[N:]
+        X = layer[0] + sum(z * s for z, (s, _) in zip(p.z, units))
+        # a step changes z_r by at most max_i |proj[r][i]|
+        reach = [abs(z) + k * max(map(abs, row)) for z, row in zip(p.z, self.projection)]
+        err = layer[1] + sum(r * e for r, (_, e) in zip(reach, units))
+        moves = [sum(row[i] * s for row, (s, _) in zip(self.projection, units)) for i in range(N)]
+        return q, X, err, moves, rights
 
     # -- dynamics --------------------------------------------------------
 
@@ -212,42 +206,27 @@ class LatticeModel:
         """
         marks = {}
         want = set(checkpoints)
-        counts = [0] * self.E.N
-        layer = p.layer
-        fc = self._floats()
-        xf, err = self._value_float(p)
-        z = list(p.z)
-        proj = self.projection
-        taus_f = fc["taus_f"]
-        bounds_f = fc["bounds_f"]
-        total_f = fc["total_f"]
-        n = self.n
+        N = self.E.N
+        counts = [0] * N
+        _, X, err, moves, rights = self._position(p, k)
+        # atom i + 1 is certain for X in [lows[i], highs[i])
+        lows = [err] + [s + e + err for s, e in rights[:-1]]
+        highs = [s - e - err for s, e in rights]
+
+        def z_now():
+            return [z + sum(map(mul, row, counts)) for z, row in zip(p.z, self.projection)]
+
         for step in range(1, k + 1):
-            # inline atom selection on the running float
-            i = 0
-            lo = 0.0
-            if xf < err or xf > total_f - err:
-                i = -1
-            else:
-                for idx, bf in enumerate(bounds_f, start=1):
-                    if xf < bf - err:
-                        i = idx if xf > lo + err else -1
-                        break
-                    lo = bf
-                else:
-                    i = -1
-            if i == -1:
-                cur = LatticePoint(layer, z)
-                i = self._atom_exact(cur)
-                xf, err = self._value_float(cur)
-            counts[i - 1] += 1
-            for r in range(n):
-                z[r] += proj[r][i - 1]
-            xf += taus_f[i - 1]
-            err += 1e-15 * (abs(xf) + 1.0)
+            # bisect_right returns N or an index with X < highs[i], sorted or not
+            i = bisect_right(highs, X)
+            if i == N or X < lows[i]:
+                i = self.E.atom_of(self.value_of(LatticePoint(p.layer, z_now()))) - 1
+            counts[i] += 1
+            X += moves[i]
             if step in want:
-                marks[step] = (tuple(z), max(abs(c) for c in z))
-        return LatticePoint(layer, z), counts, marks
+                z = z_now()
+                marks[step] = (tuple(z), max(map(abs, z)))
+        return LatticePoint(p.layer, z_now()), counts, marks
 
 
 def drift_vector(model: LatticeModel):
@@ -316,42 +295,40 @@ def density_estimate(model: LatticeModel, predicate, k: int) -> Fraction:
 def interval_predicate(model: LatticeModel, lo, hi):
     """Membership of the reduced point in phi(M intersect [lo, hi)).
 
-    For a reduced tuple (r, m1..m_{n-1}) there is exactly one module
-    point with that data in any window of length 1, since consecutive
-    admissible m0 values move the point by b*j/d = 1.  Floats pick the
-    candidate m0; boundary-uncertain cases re-check exactly.
+    For a reduced tuple (r, m1..m_{n-1}) the admissible m0 = r + b*t move
+    the point by b*j/d = 1 per unit of t, so only the least t with value
+    >= lo can be a member.  Integer enclosures narrow that t down to one
+    or two candidates and decide membership; a candidate whose enclosure
+    meets lo or hi is re-checked exactly.
     """
     K = model.field
     lof = lo if isinstance(lo, FieldElement) else K.from_rational(Fraction(lo))
     hif = hi if isinstance(hi, FieldElement) else K.from_rational(Fraction(hi))
-    lo_f, hi_f = float(lof), float(hif)
-    fc = model._floats()
-    nup = fc["nu_prime"]
-    d = model.module.d
     b = model.module.b
-    j = model.module.j
-    step = b * j / d  # consecutive admissible m0 move the value by 1
+    q, ((slo, elo), (shi, ehi), *units) = model.enclose([lof, hif])
+    S = [s for s, _ in units]
+    etot = sum(e for _, e in units)
+    lo_out = slo - elo  # q * lo >= lo_out
+    w_in, w_out = shi - ehi - lo_out, shi + ehi - lo_out
 
     def member(reduced):
-        r, rest = reduced[0], reduced[1:]
-        c = 0.0
-        mag = 0.0
-        for m, nf in zip(rest, nup[1:]):
-            t = m * nf / d
-            c += t
-            mag += abs(t)
-        err = (mag + 1.0) * 1e-13
-        # want m0 = r + b*s with m0*j/d + c in [lo, hi)
-        s = math.floor((lo_f - c - r * j / d) / step + 0.5)
-        for cand in (s - 1, s, s + 1):
-            m0 = r + b * cand
-            x = m0 * j / d + c
-            if lo_f - err <= x < hi_f + err:
-                if lo_f + err <= x < hi_f - err:
-                    return True
-                zeta = model.module.from_m_coords((m0,) + rest)
-                if (zeta - lof).sign() >= 0 and (zeta - hif).sign() < 0:
-                    return True
+        # with value(t) the value at m0 = r + b*t, q * value(t) lies
+        # within err of X(t) = sum(m_k s_k) + t*q
+        err = max(map(abs, reduced)) * etot
+        band = 2 * (err + elo)
+        a = sum(map(mul, reduced, S)) + err - lo_out
+        # t = -(a // q) is the least t whose value can reach lo, and
+        # y = X(t) + err - lo_out
+        y = a % q
+        if y >= band:  # value(t) >= lo for sure, so t is the only candidate
+            if y < w_in:
+                return True
+            if y - 2 * err >= w_out:
+                return False
+        for t in range(-(a // q), -((a - band) // q) + 1):
+            zeta = model.module.from_m_coords((reduced[0] + b * t,) + reduced[1:])
+            if (zeta - lof).sign() >= 0 and (zeta - hif).sign() < 0:
+                return True
         return False
 
     return member
@@ -392,22 +369,15 @@ def liouville_check(model: LatticeModel, zeta: FieldElement):
 
 
 def unit_representative(model: LatticeModel, zfree):
-    """The module point with given free coordinates and value in [0, 1)."""
-    fc = model._floats()
-    nup = fc["nu_prime"]
-    d = model.module.d
-    j = model.module.j
-    c = sum(m * nf / d for m, nf in zip(zfree, nup[1:]))
-    b = model.module.b
-    # m0 ranges over all integers here; value steps by j/d per unit of m0
-    m0 = -math.floor(c * d / j)
-    zeta = model.module.from_m_coords((m0,) + tuple(zfree))
-    # float rounding can land one notch off; fix exactly
-    while zeta.sign() < 0:
-        m0 += 1
+    """The module point with given free coordinates and the least value
+    >= 0; that value is below j/d <= 1, so it lies in [0, 1)."""
+    q, ((g, _), *free) = model.enclose()  # g = q*j/d exactly: j/d is rational
+    C = sum(m * s for m, (s, _) in zip(zfree, free))
+    err = sum(abs(m) * e for m, (_, e) in zip(zfree, free))
+    # q * value(m0) lies within err of m0*g + C, so the least m0 with
+    # value >= 0 lies in [first, last]
+    first, last = -((C + err) // g), -((C - err) // g)
+    for m0 in range(first, last + 1):
         zeta = model.module.from_m_coords((m0,) + tuple(zfree))
-    one = model.field.one
-    while (zeta - one).sign() >= 0:
-        m0 -= 1
-        zeta = model.module.from_m_coords((m0,) + tuple(zfree))
-    return zeta
+        if m0 == last or zeta.sign() >= 0:
+            return zeta

@@ -31,7 +31,8 @@ of x with one integer dot product.  When the bound straddles zero and a
 numerator is nonzero, P doubles: the generator is refined and the table
 rebuilt, for every later call too.  A nonzero numerator means x != 0, so
 the loop ends.  A rational generator (n = 1) has the exact table m_0 = 1,
-r = 0.
+r = 0.  `NumberField.enclose` hands the same certificate to callers that
+keep a position as an integer.
 """
 from __future__ import annotations
 
@@ -183,6 +184,24 @@ class NumberField:
         if self._V is None:
             return [FieldElement(self, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
         return [self.from_power_coords([self._V[i][k] for i in range(n)]) for k in range(n)]
+
+    def enclose(self, xs):
+        """(q, [(s, e), ...]) with |q x - s| <= e for each x in xs.
+
+        Every pair comes from one table precision P, with q = 2^P times
+        the lcm of the denominators, so integer positions built from them
+        can be added and compared.  A rational x has e = 0.
+        """
+        xs = [self._coerce(x) for x in xs]
+        enc = self._enc
+        den = math.lcm(*(x.den for x in xs))
+        out = []
+        for x in xs:
+            s, e = enc.approx(x.num)
+            f = den // x.den
+            # m_0 = 2^P exactly, so s is exact for a rational x
+            out.append((s * f, 0 if x.is_rational else e * f))
+        return den << enc.bits, out
 
     # -- integer arithmetic ---------------------------------------------
 

@@ -147,12 +147,21 @@ class RauzyCycle:
     product * (final lengths) = initial lengths along the walk.
     """
 
-    __slots__ = ("steps", "product", "_charpoly")
+    __slots__ = ("steps", "_product", "_charpoly")
 
-    def __init__(self, steps, product):
+    def __init__(self, steps):
         self.steps = tuple((tuple(v), t) for v, t in steps)
-        self.product = product
+        self._product = None
         self._charpoly = None
+
+    @property
+    def product(self):
+        if self._product is None:
+            P = identity(len(self.base))
+            for v, t in self.steps:
+                P = mat_mul(P, step_matrix(list(v), t))
+            self._product = P
+        return self._product
 
     @property
     def base(self):
@@ -185,12 +194,7 @@ class RauzyCycle:
         images = tuple(images)
         for r, (v, _) in enumerate(self.steps):
             if v == images:
-                steps = self.steps[r:] + self.steps[:r]
-                P = None
-                for w, t in steps:
-                    A = step_matrix(list(w), t)
-                    P = A if P is None else mat_mul(P, A)
-                return RauzyCycle(steps, P)
+                return RauzyCycle(self.steps[r:] + self.steps[:r])
         raise ValueError(f"{images} does not lie on this cycle")
 
     def __repr__(self):
@@ -211,24 +215,21 @@ def enumerate_cycles(cls_verts, Lmax: int):
     edges = {
         v: (rauzy_type0_perm(list(v)), rauzy_type1_perm(list(v))) for v in cls_verts
     }
-    mats = {v: (step_matrix(list(v), 0), step_matrix(list(v), 1)) for v in cls_verts}
     seen = set()
     for start in cls_verts:
-        stack = [(start, (), None)]
+        stack = [(start, ())]
         while stack:
-            v, steps, P = stack.pop()
+            v, steps = stack.pop()
             L = len(steps)
             if L and v == start:
-                cyc = RauzyCycle(steps, P)
+                cyc = RauzyCycle(steps)
                 key = cyc.canonical_key()
                 if key not in seen:
                     seen.add(key)
                     yield cyc
             if L < Lmax:
                 for t in (0, 1):
-                    w = edges[v][t]
-                    A = mats[v][t]
-                    stack.append((w, steps + ((v, t),), mat_mul(P, A) if P else A))
+                    stack.append((edges[v][t], steps + ((v, t),)))
 
 
 def survey(cls_verts, Lmax: int):

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ietlab import builders
 from ietlab.algebraic import root_in
 from ietlab.iet import IET, Permutation
 from ietlab.lattice import (
@@ -17,6 +20,18 @@ from ietlab.lattice import (
 )
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
+
+
+@pytest.fixture
+def walk_models(quartic_lattice, golden_model):
+    """Fresh quartic, e2*, E_1 (b = 2) and golden models by name."""
+    return {
+        "quartic": quartic_lattice[2],
+        "e2star": builders.e2star_model(),
+        "ek1": builders.ek_model(1),
+        "golden": golden_model[2],
+    }
+
 
 def test_quartic_projection_columns(quartic_lattice):
     _, _, model = quartic_lattice
@@ -246,3 +261,108 @@ def test_density_counts_residues():
     model = LatticeModel(E)
     member = interval_predicate(model, 0, total)
     assert density_estimate(model, member, 4) == 1
+
+
+def test_position_certificate_holds_exactly(walk_models):
+    # |q * value - X| <= err at p and after one step by any atom, |z| <= 10^6
+    rng = random.Random(13)
+    for model in walk_models.values():
+        q, _, _, _, rights = model._position(LatticePoint((0,) * model.n, (0,) * model.n), 0)
+        claims = [(q * x, s, e) for x, (s, e) in zip(model.E.rights, rights)]
+        for _ in range(10):
+            layer = tuple(Fraction(rng.randrange(6), 6) for _ in range(model.n))
+            z = tuple(rng.randint(-(10**6), 10**6) for _ in range(model.n))
+            q, X, err, moves, _ = model._position(LatticePoint(layer, z), 1)
+            assert err * 2**30 < q  # the bound is far below the atom lengths
+            claims.append((q * model.value_of(LatticePoint(layer, z)), X, err))
+            for i in range(model.E.N):
+                zi = tuple(c + row[i] for c, row in zip(z, model.projection))
+                claims.append((q * model.value_of(LatticePoint(layer, zi)), X + moves[i], err))
+        # signs last: they refine the sign table, which later positions would use
+        for qv, X, err in claims:
+            assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
+
+
+TINY = Fraction(1, 2**200)
+
+
+def walk_starts(model):
+    """Atom left endpoints, points within 2^-200 of them, module points
+    and points of rational layers."""
+    starts = [left for left, _ in model.E.atoms()]
+    starts += [x + TINY for x in starts] + [x - TINY for x in starts[1:]]
+    rng = random.Random(model.name)
+    while len(starts) < 3 * model.E.N + 7:
+        x = unit_representative(model, [rng.randint(-4, 4) for _ in range(model.n - 1)])
+        if len(starts) % 2:
+            x = x * Fraction(1, 3)  # a rational layer xi != 0
+        if x < model.total:
+            starts.append(x)
+    return starts
+
+
+def test_psi_orbit_matches_exact_orbit(walk_models):
+    for model in walk_models.values():
+        for x in walk_starts(model):
+            p = model.point_of(x)
+            end, counts, marks = model.psi_orbit(p, 300, checkpoints=(100,))
+            word, y = model.E.orbit(x, 300)
+            assert model.value_of(end) == y
+            assert counts == [word.count(i) for i in range(1, model.E.N + 1)]
+            assert marks[100][0] == model.point_of(model.E.orbit(x, 100)[1]).z
+
+
+def test_fallbacks_do_not_grow_after_refinement(quartic_lattice, monkeypatch):
+    K, r, model = quartic_lattice
+    calls = []
+    atom_of = IET.atom_of
+    monkeypatch.setattr(IET, "atom_of", lambda E, x: calls.append(x) or atom_of(E, x))
+    # an atom endpoint, whose first step falls back, and a point of a rational layer
+    starts = [model.point_of(model.E.rights[1]), model.point_of(model.E.rights[1] / 3)]
+    before = [model.psi_orbit(p, 3000) for p in starts]
+    fallbacks = len(calls)
+    assert 1 <= fallbacks <= 3
+    # the sign of r - c for a close rational c refines the generator's table
+    probe = root_in(K.minpoly, K.generator.lo, K.generator.hi)
+    probe.refine_to(Fraction(1, 2**200))
+    c = probe.lo.limit_denominator(2**48)
+    assert (r - c).sign() == (1 if probe > c else -1)
+    assert K.generator.hi - K.generator.lo < Fraction(1, 2**100)
+    calls.clear()
+    assert [model.psi_orbit(p, 3000) for p in starts] == before
+    assert len(calls) <= fallbacks
+
+
+def exact_member(model, lo, hi, reduced):
+    """Brute force: some m0 = r (mod b) puts the module point in [lo, hi)."""
+    r, rest = reduced[0], reduced[1:]
+    b, points = model.module.b, model.module.from_m_coords
+    t0 = math.floor(float(lo) - float(points((r,) + rest)))
+    span = range(t0 - 4, t0 + 5 + math.ceil(float(hi - lo)))
+    return any(lo <= points((r + b * t,) + rest) < hi for t in span)
+
+
+def test_interval_predicate_matches_exact_membership(walk_models):
+    for name in ("quartic", "e2star", "ek1"):
+        model = walk_models[name]
+        K, free = model.field, model.n - 1
+        g = K.generator_element()
+        g = g - math.floor(float(g))
+        edge = unit_representative(model, (1,) + (0,) * (free - 1))
+        windows = [
+            (Fraction(0), Fraction(1, 2)),
+            (Fraction(1, 3), model.total),
+            (g, g + Fraction(1, 5)),
+            (edge, edge + Fraction(1, 4)),  # a module point on lo
+            (edge - Fraction(1, 4), edge),  # and on hi
+            (edge + TINY, edge + Fraction(1, 4)),  # and within 2^-200 of them
+            (edge - TINY, edge + Fraction(1, 4)),
+            (edge - Fraction(1, 4), edge + TINY),
+            (edge - Fraction(1, 4), edge - TINY),
+        ]
+        for lo, hi in windows:
+            member = interval_predicate(model, lo, hi)
+            for rest in itertools.product(range(-2, 3), repeat=free):
+                for r in range(model.module.b):
+                    want = exact_member(model, lo, hi, (r,) + rest)
+                    assert member((r,) + rest) == want, (name, lo, hi, r, rest)

@@ -1,8 +1,9 @@
-"""`factor` and `is_irreducible` against sympy's factorization over the integers."""
+"""`factor`, `is_irreducible` and `real_roots` against sympy over the integers."""
 import random
 
 import pytest
 
+from ietlab.algebraic import real_roots
 from ietlab.polynomials import FACTOR_DEGREE_LIMIT, IntPoly, factor, is_irreducible
 
 sympy = pytest.importorskip("sympy")
@@ -30,3 +31,15 @@ def test_factor_and_is_irreducible_match_sympy():
         got_content, got = factor(p)
         assert (got_content, sorted((q.coeffs, e) for q, e in got)) == (int(content), expected), p
         assert is_irreducible(p) == (len(expected) == 1 and expected[0][1] == 1), p
+
+
+def test_real_roots_match_sympy():
+    x = sympy.symbols("x")
+    rng = random.Random(20070509)
+    for _ in range(100):
+        p = random_product(rng)
+        want = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x), multiple=False)
+        got = real_roots(p)
+        assert len(got) == len(want), p
+        for r, (w, _) in zip(got, want):
+            assert float(r) == pytest.approx(float(w), rel=1e-12, abs=1e-12), p
