@@ -170,10 +170,11 @@ class LatticeModel:
                 return t
         raise RuntimeError("layer order exceeded the denominator bound")
 
-    def enclose(self, xs=()):
+    def enclose(self, xs=(), bits: int = 0):
         """(q, enclosures): NumberField.enclose of the points xs followed
-        by the unit module points nu'_k / d, all at one precision."""
-        return self.field.enclose([*xs, *self._units])
+        by the unit module points nu'_k / d, all at one precision of at
+        least `bits`."""
+        return self.field.enclose([*xs, *self._units], bits)
 
     def _position(self, p: LatticePoint, k: int):
         """(q, X, err, moves, rights): the integer position of a walk.
@@ -371,7 +372,11 @@ def liouville_check(model: LatticeModel, zeta: FieldElement):
 def unit_representative(model: LatticeModel, zfree):
     """The module point with given free coordinates and the least value
     >= 0; that value is below j/d <= 1, so it lies in [0, 1)."""
-    q, ((g, _), *free) = model.enclose()  # g = q*j/d exactly: j/d is rational
+    # g = q*j/d exactly, as j/d is rational; the candidates for m0 below
+    # span about sum|z_k| * 2^-P units, so P >= log2 sum|z_k| + 32 leaves
+    # at most two, and small coordinates keep the table's P
+    bits = sum(map(abs, zfree)).bit_length() + 32
+    q, ((g, _), *free) = model.enclose(bits=bits)
     C = sum(m * s for m, (s, _) in zip(zfree, free))
     err = sum(abs(m) * e for m, (_, e) in zip(zfree, free))
     # q * value(m0) lies within err of m0*g + C, so the least m0 with

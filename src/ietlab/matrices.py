@@ -14,7 +14,9 @@ unimodular transform is what the lattice routines build on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .polynomials import IntPoly
 
@@ -144,15 +146,9 @@ def inverse(A):
 def inverse_int(A):
     """Inverse of a unimodular integer matrix, as integers."""
     inv = inverse(A)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(r)
-    return out
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 def solve(A, b):
@@ -206,8 +202,9 @@ def solve_fraction_free(A, b):
 def charpoly(A) -> IntPoly:
     """Characteristic polynomial det(x*I - A) of an integer matrix.
 
-    Newton's identities on power-sum traces, over Fractions; raises
-    ValueError if a coefficient is not an integer.
+    Newton's identities on power-sum traces: k e_k is an integer sum, and
+    its division by k is exact; raises ValueError if a coefficient is not
+    an integer.
     """
     n = len(A)
     traces = []
@@ -215,16 +212,13 @@ def charpoly(A) -> IntPoly:
     for _ in range(n):
         P = mat_mul(P, A)
         traces.append(sum(P[i][i] for i in range(n)))
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, n + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += (-1) ** (i - 1) * e[k - i] * traces[i - 1]
-        e.append(s / k)
-    coeffs = [(-1) ** k * e[k] for k in range(n, -1, -1)]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError("characteristic polynomial is not integral: matrix is not integer")
-    return IntPoly(int(c) for c in coeffs)
+        s = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
+        if s % k:
+            raise ValueError("characteristic polynomial is not integral: matrix is not integer")
+        e.append(int(s // k))
+    return IntPoly((-1) ** k * e[k] for k in range(n, -1, -1))
 
 
 def extgcd(a: int, b: int):
@@ -308,35 +302,26 @@ def rank_int(A) -> int:
 
 
 def is_primitive(A) -> bool:
-    """Primitivity of a nonnegative integer matrix (Wielandt bound)."""
+    """Primitivity of a nonnegative integer matrix: A^k > 0 at the Wielandt
+    bound k = n^2 - 2n + 2, by repeated squaring of the 0/1 pattern, whose
+    rows are held as bit masks."""
     n = len(A)
     if any(x < 0 for row in A for x in row):
         raise ValueError("primitivity test needs a nonnegative matrix")
-    B = [[1 if x else 0 for x in row] for row in A]
+
+    def mul(X, Y):
+        return [reduce(or_, (y for t, y in enumerate(Y) if x >> t & 1), 0) for x in X]
+
+    base = [sum(1 << j for j, x in enumerate(row) if x) for row in A]
+    out = [1 << i for i in range(n)]
     k = n * n - 2 * n + 2
-    out = identity(n)
-    base = B
     while k:
         if k & 1:
-            out = _bool_mul(out, base)
+            out = mul(out, base)
         k >>= 1
         if k:
-            base = _bool_mul(base, base)
-    return all(all(row) for row in out)
-
-
-def _bool_mul(A, B):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            if A[i][t]:
-                Bt = B[t]
-                row = out[i]
-                for j in range(n):
-                    if Bt[j]:
-                        row[j] = 1
-    return out
+            base = mul(base, base)
+    return all(row == (1 << n) - 1 for row in out)
 
 
 def unimodular_completion(v):

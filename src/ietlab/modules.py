@@ -59,11 +59,7 @@ def multiplier_ring_basis(K: NumberField):
     for k in range(n):
         cols = [(basis[k] * basis[i]).coords for i in range(n)]
         T.append([[Fraction(cols[i][r]) for i in range(n)] for r in range(n)])
-    D = 1
-    for Tk in T:
-        for row in Tk:
-            for c in row:
-                D = lcm(D, c.denominator)
+    D = lcm(*(c.denominator for Tk in T for row in Tk for c in row))
     if D == 1:
         return [[int(i == k) for i in range(n)] for k in range(n)], one_coords
     # rows: one congruence per matrix entry; columns: x_1..x_n then slack
@@ -99,19 +95,12 @@ class ModuleData:
 
         # J = d*M has nu-coordinate lattice d*Z^n; integers q in J need
         # q*one_coords in d*Z^n
-        j = 1
-        for c in one_coords:
-            j = lcm(j, d // gcd(d, c))
+        j = lcm(1, *(d // gcd(d, c) for c in one_coords))
         self.j = j
         self.b = d // gcd(d, j)
 
         # primitive first basis vector (j/d)*one_coords, completed
-        v = []
-        for c in one_coords:
-            f = Fraction(j * c, d)
-            if f.denominator != 1:
-                raise ValueError("internal: j*1 not in J")
-            v.append(f.numerator)
+        v = _integer_vector([Fraction(j * c, d) for c in one_coords], "internal: j*1 in J")
         self.W = unimodular_completion(v)
         self.Winv = inverse_int(self.W)
         # nu' basis as field elements: nu-coordinates are d * (columns of W)
@@ -124,9 +113,7 @@ class ModuleData:
 
     def m_coords(self, zeta: FieldElement):
         """Integer coordinates m with zeta = (1/d) sum m_k nu'_k."""
-        z = _integer_vector(
-            self.field.coords_of(zeta), "module element"
-        )
+        z = _integer_vector(self.field.coords_of(zeta), "module element")
         return tuple(sum(self.Winv[r][i] * z[i] for i in range(len(z))) for r in range(len(z)))
 
     def from_m_coords(self, m) -> FieldElement:

@@ -23,26 +23,28 @@ the module and lattice code asks for.  Views of one field share the
 generator, and equal elements are equal across views.
 
 Sign certificate.  Every generator carries a dyadic table: midpoints m_k
-and one radius r with |2^P theta^k - m_k| <= r for k < n, taken from
-floor and ceil of interval powers of the generator's isolating interval
-once it is narrower than 2^-P.  For x as above, s = sum a_k m_k obeys
-|2^P den x - s| <= r sum |a_k|, so |s| > r sum |a_k| certifies the sign
-of x with one integer dot product.  When the bound straddles zero and a
+and one radius r with |2^P theta^k - m_k| <= r for k < n.  The
+generator's isolating interval is [g, g + 1] / 2^K with K >= P, so
+theta^k lies in an integer interval over 2^(kK), which shifts down to P
+bits.  For x as above, s = sum a_k m_k obeys |2^P den x - s| <=
+r sum |a_k|, so |s| > r sum |a_k| certifies the sign of x with one
+integer dot product.  When the bound straddles zero and a
 numerator is nonzero, P doubles: the generator is refined and the table
 rebuilt, for every later call too.  A nonzero numerator means x != 0, so
 the loop ends.  A rational generator (n = 1) has the exact table m_0 = 1,
 r = 0.  `NumberField.enclose` hands the same certificate to callers that
-keep a position as an integer.
+keep a position as an integer, at a precision no lower than they ask for.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
 from .matrices import charpoly, inverse, is_primitive, kernel_vector, mat_vec, solve_fraction_free
-from .polynomials import IntPoly, count_roots, factor
+from .polynomials import IntPoly, factor
 
 _START_BITS = 64
 _FLOAT_BITS = 96  # __float__ also wants a relative error below 2^-64
@@ -65,16 +67,19 @@ class _Enclosure:
         bits = 2 * self.bits if self.bits else _START_BITS
         g = self.generator
         g.refine_to(Fraction(1, 1 << bits))
-        scale = 1 << bits
-        lo = hi = Fraction(1)
+        m, k = g.m, g.k
+        lo = hi = 1  # theta^i lies in [lo, hi] / 2^(i k)
         mids = []
         rad = 0
-        for _ in range(self.n):
-            low, high = math.floor(lo * scale), math.ceil(hi * scale)
-            m = (low + high) // 2
-            mids.append(m)
-            rad = max(rad, high - m)
-            cands = (lo * g.lo, lo * g.hi, hi * g.lo, hi * g.hi)
+        for i in range(self.n):
+            shift = i * k - bits
+            if shift >= 0:
+                low, high = lo >> shift, -(-hi >> shift)
+            else:
+                low, high = lo << -shift, hi << -shift
+            mids.append((low + high) // 2)
+            rad = max(rad, high - mids[-1])
+            cands = (lo * m, lo * (m + 1), hi * m, hi * (m + 1))
             lo, hi = min(cands), max(cands)
         self.bits, self.mids, self.rad = bits, tuple(mids), rad
 
@@ -185,15 +190,18 @@ class NumberField:
             return [FieldElement(self, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
         return [self.from_power_coords([self._V[i][k] for i in range(n)]) for k in range(n)]
 
-    def enclose(self, xs):
+    def enclose(self, xs, bits: int = 0):
         """(q, [(s, e), ...]) with |q x - s| <= e for each x in xs.
 
-        Every pair comes from one table precision P, with q = 2^P times
-        the lcm of the denominators, so integer positions built from them
-        can be added and compared.  A rational x has e = 0.
+        Every pair comes from one table precision P >= bits (a rational
+        generator's table is exact at P = 0), with q = 2^P times the lcm
+        of the denominators, so integer positions built from them can be
+        added and compared.  A rational x has e = 0.
         """
         xs = [self._coerce(x) for x in xs]
         enc = self._enc
+        while enc.bits < bits and self.n > 1:
+            enc.refine()
         den = math.lcm(*(x.den for x in xs))
         out = []
         for x in xs:
@@ -240,6 +248,7 @@ def _combine(field, a, da, b, db, op):
     return _reduced(field, [op(x * db, y * da) for x, y in zip(a, b)], da * db)
 
 
+@total_ordering
 class FieldElement:
     """(num_0 + num_1 theta + ... ) / den, viewed in a NumberField."""
 
@@ -400,18 +409,6 @@ class FieldElement:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c < 0
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
@@ -496,18 +493,14 @@ def perron_pair(M):
         for i in range(n)
     ]
     v = kernel_vector(rows)
-    total = K.zero
-    for x in v:
-        total = total + x
+    total = sum(v, K.zero)
     if not total:
         raise AssertionError("eigenvector sums to zero")
     v = [x / total for x in v]
-    for x in v:
-        if x.sign() <= 0:
-            raise AssertionError("Perron eigenvector not strictly positive")
-    for lhs, x in zip(mat_vec(M, v), v):
-        if lhs != b * x:
-            raise AssertionError("eigenvector equation failed")
+    if any(x.sign() <= 0 for x in v):
+        raise AssertionError("Perron eigenvector not strictly positive")
+    if any(lhs != b * x for lhs, x in zip(mat_vec(M, v), v)):
+        raise AssertionError("eigenvector equation failed")
     return beta, v
 
 
@@ -515,15 +508,14 @@ def to_real_algebraic(x: FieldElement) -> RealAlgebraic:
     """The value of x as a standalone algebraic number (minpoly + interval)."""
     q = x.min_poly()
     if q.degree == 1:
-        a, b = q.coeffs
-        return RealAlgebraic.from_rational(Fraction(-a, b))
+        return RealAlgebraic(q)
     enc = x.field._enc
     while True:
         s, e = enc.approx(x.num)
         scale = x.den << enc.bits
-        lo, hi = Fraction(s - e, scale), Fraction(s + e, scale)
-        if q(lo) != 0 and q(hi) != 0 and count_roots(q, lo, hi) == 1:
-            return RealAlgebraic(q, lo, hi)
+        r = RealAlgebraic.enclosed(q, Fraction(s - e, scale), Fraction(s + e, scale))
+        if r is not None:
+            return r
         enc.refine()
 
 
@@ -541,12 +533,7 @@ def eigen_moduli_squared(p: IntPoly):
     for q, mult in pieces:
         rroots = real_roots(q)
         for r in rroots:
-            if r.is_rational:
-                rv = r.as_fraction()
-                entries.append((RealAlgebraic.from_rational(rv * rv), mult))
-            else:
-                K = NumberField(r)
-                entries.append((to_real_algebraic(K.generator_element() ** 2), mult))
+            entries.append((to_real_algebraic(NumberField(r).generator_element() ** 2), mult))
         n_complex = q.degree - len(rroots)
         if n_complex == 0:
             continue
@@ -567,8 +554,7 @@ def eigen_moduli_squared(p: IntPoly):
                 "complex pair modulus for irreducible quartic factors is not supported"
             )
     # exact descending sort, merging equal moduli
-    entries.sort(key=lambda entry: entry[0])
-    entries.reverse()
+    entries.sort(key=lambda entry: entry[0], reverse=True)
     merged = []
     for usq, mult in entries:
         if merged and merged[-1][0] == usq:
@@ -590,13 +576,7 @@ def mult_matrix(zeta: FieldElement):
     Column k holds the coordinates of zeta*nu_k; raises if any coordinate
     is non-integral (zeta does not stabilize the module)."""
     K = zeta.field
-    cols = []
-    for nu in K.basis:
-        prod = zeta * nu
-        col = []
-        for c in prod.coords:
-            if c.denominator != 1:
-                raise ValueError("element does not stabilize the module")
-            col.append(int(c))
-        cols.append(col)
-    return [[cols[k][i] for k in range(K.n)] for i in range(K.n)]
+    cols = [(zeta * nu).coords for nu in K.basis]
+    if any(c.denominator != 1 for col in cols for c in col):
+        raise ValueError("element does not stabilize the module")
+    return [[int(cols[k][i]) for k in range(K.n)] for i in range(K.n)]

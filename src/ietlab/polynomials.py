@@ -2,10 +2,15 @@
 
 Coefficients are stored ascending, so ``coeffs[k]`` is the coefficient of
 ``x**k``; trailing zeros are stripped and the zero polynomial has an empty
-coefficient tuple.  Everything here is exact: evaluation takes Fractions,
-gcds run over the rationals and are returned as primitive integer
-polynomials, and factorization is a deterministic search: rational roots,
-then Kronecker interpolation.  The interpolation is fraction-free: an integer
+coefficient tuple.  Everything here is exact and stays in the integers.
+The sign of p at a/b is read from b^deg p(a/b), one integer Horner pass
+(`homogenized`).  Sturm chains, gcds and squarefree parts come from
+pseudo-remainder sequences made primitive at each step (Knuth, TAOCP
+vol. 2, 4.6.1), with Sturm remainders scaled by positive constants only;
+exact division by a primitive divisor is integer long division (Gauss's
+lemma).  Gcds are returned as primitive integer polynomials.
+Factorization is a deterministic search: rational roots, then Kronecker
+interpolation.  The interpolation is fraction-free: an integer
 Lagrange basis scaled by a common denominator D is built once per factor
 degree, and a candidate must have coefficients divisible by D, fit the
 Mignotte bound and pass integer divisibility tests at the leading coefficient
@@ -19,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import ne
 
 FACTOR_DEGREE_LIMIT = 8
 KRONECKER_DEGREE_LIMIT = 4
@@ -94,13 +100,15 @@ class IntPoly:
             v = v * x + c
         return v
 
-    def eval_interval(self, lo: Fraction, hi: Fraction):
-        """Enclosure of the image of [lo, hi] under this polynomial."""
-        vlo, vhi = Fraction(0), Fraction(0)
+    def homogenized(self, a: int, b: int = 1) -> int:
+        """b^deg * p(a/b) as an integer, by one Horner pass; for b > 0 its
+        sign is the sign of p(a/b).  Sturm counts, refinement and
+        comparisons all read signs from here."""
+        v, w = 0, 1
         for c in reversed(self.coeffs):
-            cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-            vlo, vhi = min(cands) + c, max(cands) + c
-        return vlo, vhi
+            v = v * a + c * w
+            w *= b
+        return v
 
     def derivative(self) -> "IntPoly":
         return IntPoly(k * c for k, c in enumerate(self.coeffs) if k)
@@ -149,72 +157,70 @@ class IntPoly:
 X = IntPoly((0, 1))
 
 
-def _frac_coeffs(p: IntPoly):
-    return [Fraction(c) for c in p.coeffs]
+def _prem(a, b):
+    """r with c * a = q * b + r for some positive integer c and deg r < deg b:
+    the pseudo-remainder of coefficient lists a and b (b nonzero), scaled at
+    each step by the least positive factor that keeps it integral."""
+    if b[-1] < 0:
+        b = [-y for y in b]  # a = q*b + r = (-q)(-b) + r
+    lb, nb = b[-1], len(b)
+    r = list(a)
+    while len(r) >= nb:
+        c = r.pop()
+        g = gcd(lb, c)
+        u, v = lb // g, c // g
+        s = len(r) - nb + 1
+        r = [x * u for x in r[:s]] + [x * u - v * y for x, y in zip(r[s:], b)]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
-def _frac_divmod(a, b):
-    # dense ascending Fraction lists; b must be nonzero
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        f = a[-1] / lb
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _from_fracs(coeffs) -> IntPoly:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return IntPoly(int(c * den) for c in coeffs)
-
-
-def poly_divmod_exact(a: IntPoly, b: IntPoly):
-    """(q, r) with a = q*b + r over the rationals, as integer-primitive data.
-
-    Returns the Fraction coefficient lists; callers mostly care whether r
-    is empty.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _frac_divmod(_frac_coeffs(a), _frac_coeffs(b))
+def _quotient(a, b):
+    """q with a = q * b for integer coefficient lists and a primitive b, or
+    None when b does not divide a.  By Gauss's lemma a quotient over the
+    rationals is then integral, so each step's exact division decides."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    q = [0] * max(len(r) - nb + 1, 0)
+    while len(r) >= nb:
+        c, rest = divmod(r[-1], lb)
+        if rest:
+            return None
+        s = len(r) - nb
+        q[s] = c
+        for i, y in enumerate(b):
+            r[s + i] -= c * y
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return None if r else q
 
 
 def divides(b: IntPoly, a: IntPoly) -> bool:
+    """Whether b divides a over the rationals."""
     if not b:
         return not a
-    _, r = poly_divmod_exact(a, b)
-    return not r
+    return _quotient(a.coeffs, b.primitive_part().coeffs) is not None
 
 
 def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
-    q, r = poly_divmod_exact(a, b)
-    if r:
+    """The primitive part of a / b; raises unless b divides a."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = _quotient(a.coeffs, b.primitive_part().coeffs)
+    if q is None:
         raise ValueError("not an exact polynomial quotient")
-    return _from_fracs(q).primitive_part() if q else IntPoly()
+    return IntPoly(q).primitive_part()
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over the rationals (positive leading coefficient)."""
-    fa, fb = _frac_coeffs(a), _frac_coeffs(b)
-    while any(fb):
-        _, r = _frac_divmod(fa, fb)
-        fa, fb = fb, r
-    if not any(fa):
-        return IntPoly()
-    return _from_fracs(fa).primitive_part()
+    """Primitive gcd over the rationals (positive leading coefficient), by a
+    primitive pseudo-remainder sequence."""
+    a, b = a.primitive_part(), b.primitive_part()
+    while b:
+        a, b = b, IntPoly(_prem(a.coeffs, b.coeffs)).primitive_part()
+    return a
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -228,47 +234,45 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def _pos_primitive(p: IntPoly) -> IntPoly:
-    # divide by the positive gcd of coefficients; sign pattern untouched
-    c = abs(p.content())
-    if c in (0, 1):
-        return p
-    return IntPoly(x // c for x in p.coeffs)
+    # the primitive part with the sign pattern of p
+    return p.primitive_part() if p.lc > 0 else -p.primitive_part()
 
 
 def sturm_chain(p: IntPoly):
     """Sturm sequence of p; members scaled by positive constants only."""
     chain = [_pos_primitive(p), _pos_primitive(p.derivative())]
     while chain[-1]:
-        _, r = poly_divmod_exact(chain[-2], chain[-1])
-        if not any(r):
+        r = _prem(chain[-2].coeffs, chain[-1].coeffs)
+        if not r:
             break
-        chain.append(_pos_primitive(_from_fracs([-c for c in r])))
+        chain.append(_pos_primitive(IntPoly(-c for c in r)))
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(chain, a: int, b: int = 1) -> int:
+    """Sign changes of the chain at a/b (b > 0), zeros skipped."""
+    signs = [v > 0 for v in (q.homogenized(a, b) for q in chain) if v]
+    return sum(map(ne, signs, signs[1:]))
 
 
-def count_roots(p: IntPoly, lo: Fraction, hi: Fraction, chain=None) -> int:
+def count_roots(p: IntPoly, lo, hi, chain=None) -> int:
     """Number of distinct real roots of p in (lo, hi]; endpoints must not be roots
     of p for the open/half-open distinction to be immaterial."""
     if chain is None:
         chain = sturm_chain(squarefree_part(p))
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return sign_variations(chain, lo.numerator, lo.denominator) - sign_variations(
+        chain, hi.numerator, hi.denominator
+    )
 
 
-def root_bound(p: IntPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-bound, bound)."""
+def root_bound(p: IntPoly) -> int:
+    """A power of two above the Cauchy bound 1 + max|c_k| / |lc|: all real
+    roots lie in (-bound, bound)."""
     if p.degree < 1:
         raise ValueError("constant polynomial")
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree else 0
-    return 1 + Fraction(m, abs(p.lc))
+    top = abs(p.lc) + max(abs(c) for c in p.coeffs[:-1])
+    return 1 << (top.bit_length() - abs(p.lc).bit_length() + 1)
 
 
 def rational_roots(p: IntPoly):
@@ -446,8 +450,6 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
     m, n = p.degree, q.degree
     if not p or not q:
         return 0
-    if m < 0 or n < 0:
-        return 0
     if m == 0:
         return p.coeffs[0] ** n
     if n == 0:
@@ -496,8 +498,7 @@ def power_sum_poly(T: int) -> IntPoly:
         raise ValueError("T must be nonnegative")
     if T == 0:
         return IntPoly((2,))
-    prev, cur = IntPoly((2,)), IntPoly((0, 1))
-    y = IntPoly((0, 1))
+    prev, cur = IntPoly((2,)), X
     for _ in range(T - 1):
-        prev, cur = cur, y * cur - prev
+        prev, cur = cur, X * cur - prev
     return cur

@@ -9,6 +9,11 @@ image length), type 1 otherwise.  The step matrices A relate lengths by
 lengths = A * lengths', so a closed loop accumulates P = A_1 ... A_L with
 P * Lambda = beta * Lambda for the loop's expanding factor beta, and the
 contraction is rho = 1/beta.
+
+Limits.  `rauzy_graph` enumerates all N! permutations and supports
+N = 2..7; it raises ValueError for N = 8 and beyond.  A cycle's
+characteristic polynomial has degree N, inside the factoring limit of
+`polynomials` (FACTOR_DEGREE_LIMIT = 8).
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebraic import RealAlgebraic
 from .matrices import charpoly, is_primitive, mat_pow
 from .numberfield import NumberField, spectral_radius
-from .polynomials import count_roots, root_bound
+from .polynomials import count_roots, root_bound, squarefree_part, sturm_chain
 
 
 class Substitution:
@@ -180,15 +180,15 @@ class PrefixGraph:
         The adjacency matrix is nonnegative and primitive, so its
         spectral radius is its largest real eigenvalue; it equals beta
         iff beta is a root of the characteristic polynomial and no real
-        root lies above beta's isolating interval.
+        root lies above it: beta's interval is refined until it holds no
+        other root, and then none may lie above the interval.
         """
         if not is_primitive(self.adjacency):
             return False
         p = charpoly(self.adjacency)
         if p(NumberField(beta).generator_element()):
             return False
-        hi = beta.hi
-        bound = root_bound(p)
-        if hi < bound and count_roots(p, hi, bound) != 0:
-            return False
-        return True
+        chain = sturm_chain(squarefree_part(p))
+        while count_roots(p, beta.lo, beta.hi, chain) > 1:
+            beta.refine()
+        return count_roots(p, beta.hi, root_bound(p), chain) == 0

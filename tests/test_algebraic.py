@@ -1,8 +1,11 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from ietlab import builders
 from ietlab.algebraic import RealAlgebraic, is_pisot, real_roots, root_in
 from ietlab.matrices import charpoly
 from ietlab.polynomials import IntPoly
@@ -62,6 +65,48 @@ def test_refine_to_matches_repeated_refine():
             while b.hi - b.lo > width:
                 b.refine()
             assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
+@pytest.mark.parametrize("build", [builders.quartic_model, builders.e2star_model])
+def test_refine_to_16384_bits_brackets_a_sign_change(build):
+    g = build().field.generator
+    start = time.perf_counter()
+    g.refine_to(Fraction(1, 2**16384))
+    assert time.perf_counter() - start < 1.0
+    assert g.hi - g.lo == Fraction(1, 2**16384)
+    assert g.poly(g.lo) * g.poly(g.hi) < 0
+
+
+def test_refinement_separates_close_roots():
+    # 2^(2s) x^2 - 2^(s+2) x + 2 has the roots (2 +- sqrt 2) / 2^s, about
+    # 2^(1.5-s) apart, so a Newton step from a coarse interval can land in
+    # a unit interval without a sign change
+    for s in range(8, 19):
+        p = P(2, -(1 << (s + 2)), 1 << (2 * s))
+        left, right = real_roots(p)
+        for r in (left, right):
+            r.refine_to(Fraction(1, 2 ** (4 * s + 100)))
+            assert p(r.lo) * p(r.hi) < 0
+        assert left.hi < right.lo
+
+
+def test_enclosed_rounds_outward_to_the_root_interval():
+    rng = random.Random(7)
+    for p in (P(-2, 0, 1), P(1, -7, 13, -7, 1), P(-1, 6, -10, 1)):
+        for r in real_roots(p):
+            r.refine_to(Fraction(1, 2**80))
+            for _ in range(40):
+                j = rng.randint(8, 70)
+                lo = r.lo - Fraction(rng.randint(0, 1000), 2**j)
+                hi = r.hi + Fraction(rng.randint(0, 1000), 2**j)
+                got = RealAlgebraic.enclosed(p, lo, hi)
+                if got is None:  # the rounded interval holds another root
+                    w = 2 * (hi - lo)  # the rounding moves each end by less
+                    assert sum(lo - w < s < hi + w for s in real_roots(p)) > 1
+                    continue
+                assert p(got.lo) * p(got.hi) < 0
+                assert got.lo < hi and lo < got.hi and got.hi - got.lo > hi - lo
+                assert got == r
 
 
 def test_comparisons_with_rationals():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,36 @@ def test_position_certificate_holds_exactly(walk_models):
         # signs last: they refine the sign table, which later positions would use
         for qv, X, err in claims:
             assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
+
+
+def test_signs_after_each_scaled_position_stay_fast():
+    # a sign check on a 2^P-scaled position needs more than P bits, so
+    # taking a new position after each check doubles the table every
+    # time, here to 2^16 bits; the generator refines quadratically
+    model = builders.quartic_model()
+    rng = random.Random(17)
+    start = time.perf_counter()
+    for _ in range(10):
+        z = tuple(rng.randint(-(10**6), 10**6) for _ in range(model.n))
+        p = LatticePoint((0,) * model.n, z)
+        q, X, err, _, _ = model._position(p, 0)
+        qv = q * model.value_of(p)
+        assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
+    assert time.perf_counter() - start < 2.0
+    assert model.field._enc.bits >= 16384
+
+
+def test_unit_representative_of_huge_coordinates():
+    # at the first table precision (64 bits) these coordinates would leave
+    # about 2.4e11 candidates for m0, each an exact sign
+    model = builders.quartic_model()
+    zfree = (2**100 + 12345, -(2**99) - 777, 2**98 + 5)
+    start = time.perf_counter()
+    zeta = unit_representative(model, zfree)
+    assert time.perf_counter() - start < 0.5
+    assert model.module.m_coords(zeta)[1:] == zfree
+    step = Fraction(model.module.j, model.module.d)
+    assert zeta.sign() >= 0 and (zeta - step).sign() < 0
 
 
 TINY = Fraction(1, 2**200)

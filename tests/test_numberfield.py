@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ietlab.algebraic import real_roots, root_in
+from ietlab.builders import e2star_model
 from ietlab.matrices import mat_vec
 from ietlab.numberfield import (
     NumberField,
@@ -220,6 +221,23 @@ def test_to_real_algebraic_round_trip():
     assert float(r) == pytest.approx((3 + math.sqrt(5)) / 2)
     half = to_real_algebraic(K.from_rational(Fraction(-3, 4)))
     assert half.is_rational and half.as_fraction() == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("make", [golden_field, quartic_field, lambda: e2star_model().field])
+def test_sign_table_encloses_generator_powers(make):
+    # |2^P theta^k - m_k| <= r, against an independent copy of the
+    # generator; tables below 300 bits round a 300-bit interval
+    K = make()
+    enc = K._enc
+    oracle = root_in(K.minpoly, K.generator.lo, K.generator.hi)
+    K.generator.refine_to(Fraction(1, 2**300))
+    for _ in range(4):
+        enc.refine()
+        scale = 2**enc.bits
+        oracle.refine_to(Fraction(1, scale << 100))
+        lo, hi = oracle.lo, oracle.hi  # both generators are positive
+        for k, m in enumerate(enc.mids):
+            assert m - enc.rad <= scale * lo**k and scale * hi**k <= m + enc.rad
 
 
 def test_eigen_moduli_all_real():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,12 +44,17 @@ def test_evaluation_horner():
     assert p(Fraction(1, 2)) == Fraction(-1, 2)
 
 
-def test_eval_interval_encloses_samples():
-    p = P(1, -3, 0, 1)  # x^3 - 3x + 1
-    lo, hi = p.eval_interval(Fraction(-2), Fraction(2))
-    for k in range(-8, 9):
-        x = Fraction(k, 4)
-        assert lo <= p(x) <= hi
+def test_homogenized_sign_matches_fraction_value():
+    # 2^(k deg) p(m / 2^k) is an integer with the sign of the exact value
+    rng = random.Random(5)
+    for p in (P(1, -3, 0, 1), P(1, -7, 13, -7, 1), P(-24, -46, -11, -13, 3), P(5)):
+        for _ in range(200):
+            k = rng.randint(0, 70)
+            m = rng.randint(-(4 << k), 4 << k)
+            v = p.homogenized(m, 1 << k)
+            exact = p(Fraction(m, 1 << k))
+            assert v == exact * 2 ** (k * p.degree)
+            assert (v > 0) - (v < 0) == (exact > 0) - (exact < 0)
 
 
 def test_derivative():

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from ietlab.algebraic import real_roots
 from ietlab.numberfield import spectral_radius
+from ietlab.polynomials import IntPoly
 from ietlab.substitution import PrefixGraph, Substitution, analyze_substitution
 
 FIB = Substitution({1: (1, 2), 2: (1,)})
@@ -95,6 +97,17 @@ def test_prefix_graph_spectral_radius_exact():
     assert gq.spectral_radius_matches(betaq)
     # a wrong candidate is rejected
     assert not gq.spectral_radius_matches(beta)
+
+
+def test_spectral_radius_rejects_a_root_below_the_perron_root():
+    # charpoly (x - 3)(x^2 - x - 1): the golden ratio is a root, and the
+    # Perron root 3 lies inside its first isolating interval [0, 4]
+    g = PrefixGraph.__new__(PrefixGraph)
+    g.adjacency = [[0, 0, 1], [1, 2, 0], [2, 1, 2]]
+    phi = real_roots(IntPoly((-1, -1, 1)))[-1]
+    assert phi.lo < 3 < phi.hi
+    assert not g.spectral_radius_matches(phi)
+    assert g.spectral_radius_matches(spectral_radius(g.adjacency))
 
 
 def test_serialization_lines():
