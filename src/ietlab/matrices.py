@@ -14,9 +14,7 @@ unimodular transform is what the lattice routines build on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import or_
 
 from .polynomials import IntPoly
 
@@ -302,26 +300,28 @@ def rank_int(A) -> int:
 
 
 def is_primitive(A) -> bool:
-    """Primitivity of a nonnegative integer matrix: A^k > 0 at the Wielandt
-    bound k = n^2 - 2n + 2, by repeated squaring of the 0/1 pattern, whose
-    rows are held as bit masks."""
+    """Primitivity of a nonnegative integer matrix, from the 0/1 pattern
+    with rows held as bit masks: square A, A^2, A^4, ... and stop when a
+    power is all ones (primitive) or the exponent has reached the Wielandt
+    bound n^2 - 2n + 2 (a primitive A is positive from that power on)."""
     n = len(A)
     if any(x < 0 for row in A for x in row):
         raise ValueError("primitivity test needs a nonnegative matrix")
-
-    def mul(X, Y):
-        return [reduce(or_, (y for t, y in enumerate(Y) if x >> t & 1), 0) for x in X]
-
-    base = [sum(1 << j for j, x in enumerate(row) if x) for row in A]
-    out = [1 << i for i in range(n)]
-    k = n * n - 2 * n + 2
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return all(row == (1 << n) - 1 for row in out)
+    full, bound, e = (1 << n) - 1, n * n - 2 * n + 2, 1
+    X = [sum(1 << j for j, x in enumerate(row) if x) for row in A]
+    while not all(row == full for row in X):
+        if e >= bound:
+            return False
+        square = []
+        for x in X:  # row x of X^2: the rows y of X picked by the bits of x
+            acc = 0
+            for y in X:
+                if x & 1:
+                    acc |= y
+                x >>= 1
+            square.append(acc)
+        X, e = square, 2 * e
+    return True
 
 
 def unimodular_completion(v):

@@ -298,14 +298,22 @@ def rational_roots(p: IntPoly):
 
 
 def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """Sorted positive divisors of n >= 1, from a trial-division
+    factorization that takes each prime out of n as it is found (2^74 costs
+    75 divisions).  The cost is about max(q2, sqrt(q1)) divisions for the
+    largest prime factors q1 >= q2, so a large prime factor stays slow."""
+    out = [1]
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out = [d * p**i for d in out for i in range(e + 1)]
+        p += 1
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 

@@ -1,6 +1,5 @@
-"""Rauzy-Veech induction: the two elementary steps, the graph on
-irreducible permutations, cycle enumeration, and the construction of
-self-similar IETs from cycles.
+"""Rauzy-Veech induction: the two elementary steps, Rauzy classes, cycle
+enumeration, and the construction of self-similar IETs from cycles.
 
 Step conventions.  With I0 the domain minus its last atom and I1 the
 domain minus the last image atom, induction happens on the larger one:
@@ -10,68 +9,53 @@ lengths = A * lengths', so a closed loop accumulates P = A_1 ... A_L with
 P * Lambda = beta * Lambda for the loop's expanding factor beta, and the
 contraction is rho = 1/beta.
 
-Limits.  `rauzy_graph` enumerates all N! permutations and supports
-N = 2..7; it raises ValueError for N = 8 and beyond.  A cycle's
+Cost.  A step matrix is the identity with one column changed, so a
+product P * A is one column sum (and for type 1 a column shift), O(N)
+work per step.  `enumerate_cycles` walks from each base only through
+vertices listed at or after it (Johnson's least-vertex rule).  A cycle's
 characteristic polynomial has degree N, inside the factoring limit of
 `polynomials` (FACTOR_DEGREE_LIMIT = 8).
 """
 from __future__ import annotations
 
-from itertools import permutations as _all_permutations
-
-from .iet import IET, Permutation, is_irreducible_perm
-from .matrices import charpoly, identity, inverse_int, mat_mul, mat_vec
+from .iet import IET, Permutation
+from .matrices import charpoly, identity, inverse_int, mat_vec, transpose
 from .matrices import is_primitive as _matrix_primitive
 from .numberfield import perron_pair
 from .polynomials import IntPoly, is_irreducible
 
 
 def rauzy_type0_perm(images):
-    N = len(images)
-    piN = images[N - 1]
-    out = []
-    for pj in images:
-        if pj <= piN:
-            out.append(pj)
-        elif pj == N:
-            out.append(piN + 1)
-        else:
-            out.append(pj + 1)
-    return tuple(out)
+    N, piN = len(images), images[-1]
+    return tuple(p if p <= piN else piN + 1 if p == N else p + 1 for p in images)
 
 
 def rauzy_type1_perm(images):
+    images = tuple(images)
+    k = images.index(len(images)) + 1  # position of the top atom in the domain
+    return images[:k] + images[-1:] + images[k:-1] if k < len(images) else images
+
+
+def _times_step(cols, images, rauzy_type: int):
+    """Turn the columns `cols` of P into those of P * A, in place, for the
+    step matrix A of a step of the given type from `images`.  A is the
+    identity but for the columns from k on, k the top atom's (0-based):
+    type 0 adds e_{N-1} to column k; type 1 makes column k+1 e_k + e_{N-1}
+    and shifts e_{k+1}.. right.  So P * A is one column sum and a shift."""
     N = len(images)
-    piN = images[N - 1]
-    k = images.index(N) + 1  # position of the top atom in the domain
-    out = []
-    for j in range(1, N + 1):
-        if j <= k:
-            out.append(images[j - 1])
-        elif j == k + 1:
-            out.append(piN)
-        else:
-            out.append(images[j - 2])
-    return tuple(out)
+    k = images.index(N)
+    added = [a + b for a, b in zip(cols[k], cols[N - 1])]
+    if rauzy_type == 0:
+        cols[k] = added
+    elif k < N - 1:
+        cols[k + 1 :] = [added] + cols[k + 1 : N - 1]
 
 
 def step_matrix(images, rauzy_type: int):
     """A with lengths = A * induced lengths for the given step type."""
-    N = len(images)
-    k = images.index(N) + 1
-    if rauzy_type == 0:
-        A = identity(N)
-        A[N - 1][k - 1] += 1
-        return A
-    A = [[0] * N for _ in range(N)]
-    for j in range(1, k + 1):
-        A[j - 1][j - 1] = 1
-    if k < N:
-        A[k - 1][k] = 1
-        A[N - 1][k] = 1
-    for j in range(k + 1, N):
-        A[j - 1][j] = 1
-    return A
+    cols = identity(len(images))
+    _times_step(cols, images, rauzy_type)
+    return transpose(cols)
 
 
 def rauzy_step(pi: Permutation, lengths):
@@ -92,36 +76,6 @@ def rauzy_step(pi: Permutation, lengths):
             raise ValueError("induction produced a non-positive length")
     new_images = rauzy_type0_perm(images) if rtype == 0 else rauzy_type1_perm(images)
     return rtype, Permutation(new_images), new_lengths, A
-
-
-def rauzy_graph(N: int):
-    """Rauzy classes: the connected components of the induction graph.
-
-    Returns a list of sorted vertex lists (each vertex an image tuple),
-    ordered by (size, smallest vertex).
-    """
-    if not 2 <= N <= 7:
-        raise ValueError("supported for 2..7 intervals")
-    verts = [p for p in _all_permutations(range(1, N + 1)) if is_irreducible_perm(p)]
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in verts:
-        for w in (rauzy_type0_perm(list(v)), rauzy_type1_perm(list(v))):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rv] = rw
-    groups = {}
-    for v in verts:
-        groups.setdefault(find(v), []).append(v)
-    out = [sorted(g) for g in groups.values()]
-    out.sort(key=lambda g: (len(g), g[0]))
-    return out
 
 
 def class_of(images):
@@ -162,10 +116,10 @@ class RauzyCycle:
     @property
     def product(self):
         if self._product is None:
-            P = identity(len(self.base))
+            cols = identity(len(self.base))
             for v, t in self.steps:
-                P = mat_mul(P, step_matrix(list(v), t))
-            self._product = P
+                _times_step(cols, v, t)
+            self._product = transpose(cols)
         return self._product
 
     @property
@@ -191,8 +145,10 @@ class RauzyCycle:
         return _matrix_primitive(self.product) and is_irreducible(self.charpoly())
 
     def canonical_key(self):
+        """The least rotation of `steps`; it starts at the least vertex."""
         steps = self.steps
-        return min(steps[r:] + steps[:r] for r in range(len(steps)))
+        least = min(steps)[0]
+        return min(steps[r:] + steps[:r] for r, (v, _) in enumerate(steps) if v == least)
 
     def with_base(self, images) -> "RauzyCycle":
         """The same loop walked from a chosen vertex on it."""
@@ -210,16 +166,18 @@ def enumerate_cycles(cls_verts, Lmax: int):
     """All closed walks of length <= Lmax in the class, one per rotation
     orbit of the (vertex, type) step sequence.
 
-    Walks are found depth-first from every base point and deduplicated
-    through their canonical rotation; no pruning beyond the length cap,
-    so the census sees every cycle.
+    Walks run depth-first from each base in `cls_verts` order and never
+    enter a vertex listed before the base (Johnson's least-vertex rule): a
+    closed walk through one was found from the earliest vertex on it.  So
+    the pruned branches hold no new cycle and the yields are those of the
+    unpruned search, in its order; the canonical-rotation dedupe stays,
+    since a walk may pass its base more than once.
     """
     if Lmax < 1:
         raise ValueError("Lmax must be at least 1")
     cls_verts = [tuple(v) for v in cls_verts]
-    edges = {
-        v: (rauzy_type0_perm(list(v)), rauzy_type1_perm(list(v))) for v in cls_verts
-    }
+    rank = {v: i for i, v in enumerate(cls_verts)}
+    edges = {v: (rauzy_type0_perm(v), rauzy_type1_perm(v)) for v in cls_verts}
     seen = set()
     for start in cls_verts:
         stack = [(start, ())]
@@ -233,8 +191,9 @@ def enumerate_cycles(cls_verts, Lmax: int):
                     seen.add(key)
                     yield cyc
             if L < Lmax:
-                for t in (0, 1):
-                    stack.append((edges[v][t], steps + ((v, t),)))
+                for t, w in enumerate(edges[v]):
+                    if rank[w] >= rank[start]:
+                        stack.append((w, steps + ((v, t),)))
 
 
 def survey(cls_verts, Lmax: int):
@@ -266,10 +225,11 @@ def walk_from(pi: Permutation, lengths, steps: int):
     """Run `steps` inductions, returning the visited (perm, type) list and
     the accumulated product."""
     visited = []
-    P = None
+    cols = identity(pi.N)
     cur_pi, cur_len = pi, tuple(lengths)
     for _ in range(steps):
-        t, cur_pi, cur_len, A = rauzy_step(cur_pi, cur_len)
+        images = cur_pi.images
+        t, cur_pi, cur_len, _ = rauzy_step(cur_pi, cur_len)
         visited.append((cur_pi, t))
-        P = A if P is None else mat_mul(P, A)
-    return visited, P, cur_pi, cur_len
+        _times_step(cols, images, t)
+    return visited, transpose(cols), cur_pi, cur_len

@@ -1,17 +1,19 @@
-"""Shared test models.
+"""Shared test models and oracles.
 
-Each fixture builds a fresh field, so refinements of one test's generator
-interval never reach another test.
+Each model fixture builds a fresh field, so refinements of one test's
+generator interval never reach another test.
 """
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from ietlab.algebraic import root_in
-from ietlab.iet import IET, Permutation
+from ietlab.iet import IET, Permutation, is_irreducible_perm
 from ietlab.lattice import LatticeModel
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
+from ietlab.rauzy import rauzy_type0_perm, rauzy_type1_perm
 
 QUARTIC = IntPoly((1, -7, 13, -7, 1))
 
@@ -51,3 +53,40 @@ def golden_model():
     phi = K.generator_element()
     E = IET(Permutation([2, 1]), [2 - phi, phi - 1])
     return K, phi, LatticeModel(E, rho=2 - phi)
+
+
+def _rauzy_graph(N: int):
+    """Rauzy classes: the connected components of the induction graph on
+    all N! permutations, a brute-force oracle for `class_of`.
+
+    Returns a list of sorted vertex lists (each vertex an image tuple),
+    ordered by (size, smallest vertex).  Supports N = 2..7.
+    """
+    if not 2 <= N <= 7:
+        raise ValueError("supported for 2..7 intervals")
+    verts = [p for p in permutations(range(1, N + 1)) if is_irreducible_perm(p)]
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in verts:
+        for w in (rauzy_type0_perm(v), rauzy_type1_perm(v)):
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[rv] = rw
+    groups = {}
+    for v in verts:
+        groups.setdefault(find(v), []).append(v)
+    out = [sorted(g) for g in groups.values()]
+    out.sort(key=lambda g: (len(g), g[0]))
+    return out
+
+
+@pytest.fixture
+def rauzy_graph():
+    """The brute-force Rauzy class enumeration, as a function of N."""
+    return _rauzy_graph

@@ -90,6 +90,17 @@ def test_refinement_separates_close_roots():
         assert left.hi < right.lo
 
 
+def test_real_roots_of_large_power_of_two_coefficients():
+    # listing the divisors of 2^74 by trial division up to 2^37 never ended
+    for s in (24, 37):
+        p = P(2, -(1 << (s + 2)), 1 << (2 * s))
+        start = time.perf_counter()
+        left, right = real_roots(p)
+        assert time.perf_counter() - start < 1.0
+        assert left.hi <= right.lo
+        assert all(p(r.lo) * p(r.hi) < 0 for r in (left, right))
+
+
 def test_enclosed_rounds_outward_to_the_root_interval():
     rng = random.Random(7)
     for p in (P(-2, 0, 1), P(1, -7, 13, -7, 1), P(-1, 6, -10, 1)):

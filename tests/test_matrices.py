@@ -223,6 +223,40 @@ def test_is_primitive():
     assert is_primitive([[1, 1, 1, 1], [0, 2, 1, 0], [1, 2, 2, 1], [1, 1, 1, 2]])
 
 
+def positive_at_wielandt_bound(A):
+    n = len(A)
+    return all(x > 0 for row in mat_pow(A, n * n - 2 * n + 2) for x in row)
+
+
+def wielandt(n):
+    """The primitive n x n pattern whose least positive power is the
+    Wielandt bound n^2 - 2n + 2: a cycle with one chord."""
+    A = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    A[n - 1][0] = A[n - 1][1] = 1
+    return A
+
+
+def test_is_primitive_matches_the_wielandt_power():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.15, 0.25, 0.4, 0.6))
+        A = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        expected = positive_at_wielandt_bound(A)
+        assert is_primitive(A) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    for n in range(2, 8):
+        W = wielandt(n)
+        assert is_primitive(W)
+        bound = n * n - 2 * n + 2
+        assert not all(x > 0 for row in mat_pow(W, bound - 1) for x in row)
+        shift = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        assert not is_primitive(shift)  # irreducible, period n
+        assert is_primitive([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shift)])
+
+
 def test_unimodular_completion():
     rng = random.Random(23)
     from math import gcd

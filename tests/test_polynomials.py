@@ -6,6 +6,7 @@ import pytest
 from ietlab.polynomials import (
     _SAMPLE_POINTS,
     IntPoly,
+    _divisors,
     _lagrange_rows,
     count_roots,
     factor,
@@ -116,6 +117,17 @@ def test_rational_roots():
     assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
     assert rational_roots(P(0, 0, 1)) == [Fraction(0)]
     assert rational_roots(P(1, 0, 1)) == []
+
+
+def test_divisors_brute_force():
+    sieve = [[] for _ in range(5001)]
+    for d in range(1, 5001):
+        for n in range(d, 5001, d):
+            sieve[n].append(d)
+    for n in range(1, 5001):
+        assert _divisors(n) == sieve[n]
+    assert _divisors(2**74) == [2**i for i in range(75)]
+    assert _divisors(2**40 * 1000003) == sorted(2**i * q for i in range(41) for q in (1, 1000003))
 
 
 def test_factor_reassembles_and_finds_pieces():

@@ -1,18 +1,24 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from ietlab.algebraic import root_in
+from ietlab.cli import main
 from ietlab.iet import IET, Permutation, check_self_similar
-from ietlab.matrices import mat_vec
+from ietlab.matrices import identity, mat_mul, mat_vec
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 from ietlab.rauzy import (
+    RauzyCycle,
     class_of,
     enumerate_cycles,
-    rauzy_graph,
     rauzy_step,
+    rauzy_type0_perm,
+    rauzy_type1_perm,
     self_similar_from_cycle,
+    step_matrix,
     survey,
     walk_from,
 )
@@ -68,7 +74,7 @@ def test_equal_intervals_rejected():
         rauzy_step(Permutation([2, 1]), (half, half))
 
 
-def test_rauzy_graph_small():
+def test_rauzy_graph_small(rauzy_graph):
     cls3 = rauzy_graph(3)
     assert len(cls3) == 1 and len(cls3[0]) == 3
     cls4 = rauzy_graph(4)
@@ -78,7 +84,7 @@ def test_rauzy_graph_small():
         rauzy_graph(8)
 
 
-def test_class_of_is_the_graph_component():
+def test_class_of_is_the_graph_component(rauzy_graph):
     # every vertex up to N = 6; for N = 7 every tenth vertex of each class,
     # its smallest included (all 3,447 vertices take several seconds)
     for N in range(2, 8):
@@ -110,7 +116,7 @@ def test_golden_cycle():
     assert ok
 
 
-def test_no_cubic_candidates():
+def test_no_cubic_candidates(rauzy_graph):
     cls3 = rauzy_graph(3)[0]
     rows = survey(cls3, 6)
     assert all(rows[L] == (0, 0) for L in range(3, 7))
@@ -148,8 +154,107 @@ def test_self_reciprocal_filter_on_survey_hits():
             assert p == p.reciprocal()
 
 
-def test_seven_interval_class_sizes():
+def test_seven_interval_class_sizes(rauzy_graph):
     classes = rauzy_graph(7)
     assert any(len(c) == 294 for c in classes)
     e2_class = class_of((5, 4, 6, 2, 7, 3, 1))
     assert len(e2_class) == 294
+
+
+CENSUS_BASES = [(2, 1), (3, 2, 1), (4, 3, 2, 1), (4, 2, 1, 3), (5, 4, 3, 2, 1)]
+
+
+def unpruned_cycles(cls_verts, Lmax):
+    """Reference census: every walk from every base, deduplicated through
+    the least rotation of its steps."""
+    cls_verts = [tuple(v) for v in cls_verts]
+    edges = {v: (rauzy_type0_perm(v), rauzy_type1_perm(v)) for v in cls_verts}
+    seen = set()
+    for start in cls_verts:
+        stack = [(start, ())]
+        while stack:
+            v, steps = stack.pop()
+            if steps and v == start:
+                key = min(steps[r:] + steps[:r] for r in range(len(steps)))
+                if key not in seen:
+                    seen.add(key)
+                    yield steps
+            if len(steps) < Lmax:
+                for t in (0, 1):
+                    stack.append((edges[v][t], steps + ((v, t),)))
+
+
+def reference_step_matrix(images, t):
+    """The step matrix entry by entry: type 0 is the identity plus
+    A[N-1][k-1] = 1; type 1 keeps e_1..e_k, sends column k+1 to
+    e_k + e_N and column j > k+1 to e_{j-1} (k the 1-based position of N)."""
+    N = len(images)
+    k = list(images).index(N) + 1
+    A = identity(N)
+    if t == 0:
+        A[N - 1][k - 1] += 1
+        return A
+    for j in range(k + 1, N + 1):
+        A[j - 1][j - 1] = 0
+        A[j - 2][j - 1] = 1
+    if k < N:
+        A[N - 1][k] = 1
+    return A
+
+
+@pytest.mark.parametrize("base", CENSUS_BASES)
+def test_pruned_census_matches_unpruned_search(base):
+    cls = class_of(base)
+    shuffled = cls[:]
+    random.Random(repr(base)).shuffle(shuffled)
+    for verts in (cls, shuffled):
+        for cap in range(6, 11):
+            got = [c.steps for c in enumerate_cycles(verts, cap)]
+            assert got == list(unpruned_cycles(verts, cap))
+
+
+def test_step_matrix_and_product_match_the_entrywise_reference():
+    for base in CENSUS_BASES:
+        for v in class_of(base):
+            for t in (0, 1):
+                assert step_matrix(v, t) == reference_step_matrix(v, t)
+    for cyc in enumerate_cycles(class_of((5, 4, 3, 2, 1)), 8):
+        P = identity(5)
+        for v, t in cyc.steps:
+            P = mat_mul(P, reference_step_matrix(v, t))
+        assert cyc.product == P
+
+
+def test_canonical_key_is_the_least_rotation():
+    for cyc in enumerate_cycles(class_of((5, 4, 3, 2, 1)), 9):
+        steps = cyc.steps
+        for r in range(len(steps)):
+            turned = RauzyCycle(steps[r:] + steps[:r])
+            assert turned.canonical_key() == min(steps[i:] + steps[:i] for i in range(len(steps)))
+
+
+def test_walk_from_product_is_the_step_product():
+    K, r, E = quartic_iet()
+    visited, P, _, _ = walk_from(E.perm, E.lengths, 16)
+    Q = identity(4)
+    images = E.perm.images
+    for pi, t in visited:
+        Q = mat_mul(Q, reference_step_matrix(images, t))
+        images = pi.images
+    assert P == Q
+
+
+def test_cli_census_report(capsys):
+    assert main(["report", "census", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cls = class_of((4, 3, 2, 1))
+    rows = survey(cls, 10)
+    assert {int(L): tuple(row) for L, row in out["rows"].items()} == rows
+    assert len(out["cycles"]) == sum(q for q, _ in rows.values()) == 14
+    hits = [c for c in enumerate_cycles(cls, 10) if c.is_qualifying()]
+    assert out["cycles"] == [
+        {"base": list(c.base), "labels": list(c.edge_labels), "charpoly": list(c.charpoly().coeffs)}
+        for c in hits
+    ]
+    with pytest.raises(SystemExit):
+        main(["report", "census", "0"])
