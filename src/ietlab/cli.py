@@ -4,17 +4,17 @@ characteristic polynomial coefficients, as one JSON object."""
 import argparse
 import json
 
-from .rauzy import class_of, enumerate_cycles, survey
+from .rauzy import census_rows, class_of, enumerate_cycles
 
 
 def census_report(cap: int):
+    """The report as a JSON-ready dict, from one pass over the class."""
     base = (4, 3, 2, 1)
-    cls = class_of(base)
-    rows = {str(L): list(row) for L, row in survey(cls, cap).items()}
+    hits = [c for c in enumerate_cycles(class_of(base), cap) if c.is_qualifying()]
+    rows = {str(L): list(row) for L, row in census_rows(hits, cap).items()}
     cycles = [
         {"base": list(c.base), "labels": list(c.edge_labels), "charpoly": list(c.charpoly().coeffs)}
-        for c in enumerate_cycles(cls, cap)
-        if c.is_qualifying()
+        for c in hits
     ]
     return {"class": list(base), "cap": cap, "rows": rows, "cycles": cycles}
 

@@ -107,14 +107,9 @@ class IET:
         """[left_i, right_i) endpoints of the domain partition."""
         return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
 
-    def _coerce(self, x) -> FieldElement:
-        if isinstance(x, FieldElement):
-            return x
-        return self.field.from_rational(Fraction(x))
-
     def atom_of(self, x) -> int:
         """1-based index of the atom containing x; raises if out of range."""
-        x = self._coerce(x)
+        x = self.field.coerce(x)
         if x.sign() >= 0:
             for i, right in enumerate(self.rights, start=1):
                 if (x - right).sign() < 0:
@@ -122,14 +117,14 @@ class IET:
         raise ValueError("point outside the domain")
 
     def apply(self, x) -> FieldElement:
-        x = self._coerce(x)
+        x = self.field.coerce(x)
         return x + self.translations[self.atom_of(x) - 1]
 
     __call__ = apply
 
     def orbit(self, x, k: int):
         """(coding word of length k, E^k x)."""
-        x = self._coerce(x)
+        x = self.field.coerce(x)
         word = []
         for _ in range(k):
             i = self.atom_of(x)
@@ -229,8 +224,11 @@ def staircase_discrepancy(E: IET, x, k: int):
     s = [0] * E.N
     for sym in word:
         s[sym - 1] += 1
-    D = [E.field.from_rational(Fraction(s[i])) - k * E.lengths[i] for i in range(E.N)]
+    D = [s[i] - k * E.lengths[i] for i in range(E.N)]
     return s, D
+
+
+RETURN_TIME_CAP = 10**6  # longest itinerary `induce` follows
 
 
 class InducedMap:
@@ -245,29 +243,17 @@ class InducedMap:
         self.return_words = return_words
 
 
-def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int = 10**6) -> InducedMap:
-    """First-return map of E on a window, with itineraries.
+def induce(E: IET, window) -> InducedMap:
+    """First-return map of E on the window [a, b), given as the pair (a, b)
+    of field elements, ints or Fractions, with itineraries.
 
-    The window is either given as an exact pair (a, b) or as a length
-    anchored at the left or right end of the domain.  Pieces of the
-    window are pushed forward until they re-enter it, splitting at atom
-    and window boundaries, so every returned piece carries a single
-    itinerary word.
+    Pieces of the window are pushed forward until they re-enter it,
+    splitting at atom and window boundaries, so every returned piece
+    carries a single itinerary word.  A return time above
+    RETURN_TIME_CAP raises RuntimeError.
     """
     field = E.field
-    if window is None:
-        if length is None:
-            raise ValueError("need a window or a length")
-        length = length if isinstance(length, FieldElement) else field.from_rational(Fraction(length))
-        if anchor == "left":
-            window = (field.zero, length)
-        elif anchor == "right":
-            window = (E.total - length, E.total)
-        else:
-            raise ValueError("anchor must be 'left' or 'right'")
-    a, b = window
-    a = a if isinstance(a, FieldElement) else field.from_rational(Fraction(a))
-    b = b if isinstance(b, FieldElement) else field.from_rational(Fraction(b))
+    a, b = map(field.coerce, window)
     if a.sign() < 0 or (b - E.total).sign() > 0 or (b - a).sign() <= 0:
         raise ValueError("window must be a nonempty subinterval of the domain")
 
@@ -275,7 +261,7 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
     stack = [(a, b, field.zero, ())]
     while stack:
         lo, hi, shift, word = stack.pop()
-        if len(word) > cap:
+        if len(word) > RETURN_TIME_CAP:
             raise RuntimeError("return-time cap exceeded during induction")
         cur_lo = lo + shift
         cur_hi = hi + shift
@@ -309,20 +295,23 @@ def induce(E: IET, window=None, *, length=None, anchor: str = "left", cap: int =
     return InducedMap(E, (a, b), induced, words)
 
 
-def check_self_similar(E: IET, rho, anchor: str = "left", cap: int = 10**6):
+def check_self_similar(E: IET, rho, anchor: str = "left"):
     """Does inducing on a window of length rho*total reproduce E scaled?
 
-    Returns (flag, substitution); the substitution collects the return
-    words and is only meaningful when the flag is true.  On success the
+    The window [a, a + rho*total) sits at the left end of the domain
+    (anchor "left", a = 0) or at its right end (anchor "right").  Returns
+    (flag, substitution); the substitution collects the return words and
+    is only meaningful when the flag is true.  On success the
     scale-conjugacy E^{|sigma(i)|}(rho*x + a) = rho*E(x) + a is verified
     on an interior sample point of every atom.
     """
     from .substitution import Substitution
 
-    field = E.field
-    rho = rho if isinstance(rho, FieldElement) else field.from_rational(Fraction(rho))
+    if anchor not in ("left", "right"):
+        raise ValueError("anchor must be 'left' or 'right'")
+    rho = E.field.coerce(rho)
     ell = rho * E.total
-    im = induce(E, length=ell, anchor=anchor, cap=cap)
+    im = induce(E, (E.field.zero, ell) if anchor == "left" else (E.total - ell, E.total))
     ind = im.induced
     if ind.N != E.N or ind.perm != E.perm:
         return False, None

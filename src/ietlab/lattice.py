@@ -70,9 +70,17 @@ class DriftVector:
 
 
 class LatticeModel:
-    """An IET together with its module coordinates and lattice dynamics."""
+    """An IET together with its module coordinates and lattice dynamics.
 
-    def __init__(self, E: IET, rho=None, sigma=None, name: str = "", anchor: str = "left"):
+    With a scaling factor rho (a field element, int or Fraction) the map
+    must be self-similar on the window of length rho*total at the given
+    anchor ("left" or "right" end of the domain): `check_self_similar`
+    decides that and supplies the substitution sigma, and the model gains
+    the scaling matrix R and the prefix automaton.  Without rho the model
+    carries the lattice walk and the drift only.
+    """
+
+    def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left"):
         self.E = E
         self.name = name
         self.field = E.field
@@ -85,32 +93,24 @@ class LatticeModel:
         # projection matrix: column i is v_i
         self.projection = [[cols[i][r] for i in range(E.N)] for r in range(self.n)]
         self.total = E.total
-        if rho is not None and not isinstance(rho, FieldElement):
-            rho = self.field.from_rational(Fraction(rho))
-        self.rho = rho
-        self.sigma = sigma
+        self.rho = None
+        self.sigma = None
         self.anchor = anchor
         self.window_start = None
         self.R = None
         self.prefix_graph = None  # the substitution's prefix automaton
         self._Rnu = None
         if rho is not None:
+            self.rho = rho = self.field.coerce(rho)
             if not self.module.in_order(rho):
                 raise ValueError("scaling factor does not multiply the module into itself")
-            if anchor == "left":
-                self.window_start = self.field.zero
-            elif anchor == "right":
-                self.window_start = E.total - rho * E.total
-            else:
-                raise ValueError("anchor must be 'left' or 'right'")
+            ok, self.sigma = check_self_similar(E, rho, anchor)
+            if not ok:
+                raise ValueError("map is not self-similar with the given factor")
+            self.window_start = E.total - rho * E.total if anchor == "right" else self.field.zero
             self._Rnu = mult_matrix(rho)
             W, Winv = self.module.W, self.module.Winv
             self.R = mat_mul(Winv, mat_mul(self._Rnu, W))
-            if sigma is None:
-                ok, sig = check_self_similar(E, rho, anchor=anchor)
-                if not ok:
-                    raise ValueError("map is not self-similar with the given factor")
-                self.sigma = sig
             self._verify_commutation()
             self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
@@ -194,9 +194,6 @@ class LatticeModel:
         return q, X, err, moves, rights
 
     # -- dynamics --------------------------------------------------------
-
-    def psi_apply(self, p: LatticePoint) -> LatticePoint:
-        return self.psi_orbit(p, 1)[0]
 
     def psi_orbit(self, p: LatticePoint, k: int, checkpoints=()):
         """Walk k steps; returns (final point, symbol counts, checkpoint map).
@@ -303,8 +300,7 @@ def interval_predicate(model: LatticeModel, lo, hi):
     meets lo or hi is re-checked exactly.
     """
     K = model.field
-    lof = lo if isinstance(lo, FieldElement) else K.from_rational(Fraction(lo))
-    hif = hi if isinstance(hi, FieldElement) else K.from_rational(Fraction(hi))
+    lof, hif = K.coerce(lo), K.coerce(hi)
     b = model.module.b
     q, ((slo, elo), (shi, ehi), *units) = model.enclose([lof, hif])
     S = [s for s, _ in units]

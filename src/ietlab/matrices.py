@@ -292,13 +292,6 @@ def kernel_int(A):
     return cols
 
 
-def rank_int(A) -> int:
-    H, _ = hnf_column(A)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    return sum(1 for j in range(n) if any(H[i][j] for i in range(m)))
-
-
 def is_primitive(A) -> bool:
     """Primitivity of a nonnegative integer matrix, from the 0/1 pattern
     with rows held as bit masks: square A, A^2, A^4, ... and stop when a

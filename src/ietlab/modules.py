@@ -108,9 +108,6 @@ class ModuleData:
             K.element([self.d * self.W[i][k] for i in range(n)]) for k in range(n)
         ]
 
-    def in_module(self, zeta: FieldElement) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.field.coords_of(zeta))
-
     def m_coords(self, zeta: FieldElement):
         """Integer coordinates m with zeta = (1/d) sum m_k nu'_k."""
         z = _integer_vector(self.field.coords_of(zeta), "module element")

@@ -22,6 +22,11 @@ own basis with `with_basis`.  Coordinates with respect to that basis
 the module and lattice code asks for.  Views of one field share the
 generator, and equal elements are equal across views.
 
+Outside values.  `NumberField.coerce` is the one place where an int or a
+Fraction becomes a field element; an element of a field with another
+generator raises TypeError there.  Sums, differences, order tests and
+every caller that takes a point, a bound or a factor go through it.
+
 Sign certificate.  Every generator carries a dyadic table: midpoints m_k
 and one radius r with |2^P theta^k - m_k| <= r for k < n.  The
 generator's isolating interval is [g, g + 1] / 2^K with K >= P, so
@@ -129,7 +134,7 @@ class NumberField:
 
     def with_basis(self, elements) -> "NumberField":
         """Same field, new module basis given as n field elements."""
-        cols = [self._coerce(e).power_coords for e in elements]
+        cols = [self.coerce(e).power_coords for e in elements]
         if len(cols) != self.n:
             raise ValueError("basis size must equal the field degree")
         V = [[cols[k][i] for k in range(self.n)] for i in range(self.n)]
@@ -143,7 +148,9 @@ class NumberField:
             self.minpoly == other.minpoly and self.generator == other.generator
         )
 
-    def _coerce(self, x) -> "FieldElement":
+    def coerce(self, x) -> "FieldElement":
+        """x as an element of this field: an int or Fraction becomes one,
+        an element sharing the generator passes, any other raises."""
         if isinstance(x, FieldElement):
             if x.field is self or self.shares_generator(x.field):
                 return x
@@ -170,7 +177,7 @@ class NumberField:
     def coords_of(self, x):
         """Module-basis coordinates of x (an element sharing the generator,
         or a rational)."""
-        pc = self._coerce(x).power_coords
+        pc = self.coerce(x).power_coords
         return pc if self._V is None else tuple(mat_vec(self._Vinv, pc))
 
     def from_rational(self, q) -> "FieldElement":
@@ -198,7 +205,7 @@ class NumberField:
         of the denominators, so integer positions built from them can be
         added and compared.  A rational x has e = 0.
         """
-        xs = [self._coerce(x) for x in xs]
+        xs = [self.coerce(x) for x in xs]
         enc = self._enc
         while enc.bits < bits and self.n > 1:
             enc.refine()
@@ -270,17 +277,17 @@ class FieldElement:
 
     # -- coercion --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
         if other.__class__ is FieldElement and other.field is self.field:
             return other
         if isinstance(other, (FieldElement, int, Fraction)):
-            return self.field._coerce(other)
+            return self.field.coerce(other)
         return None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _combine(self.field, self.num, self.den, o.num, o.den, add)
@@ -291,13 +298,13 @@ class FieldElement:
         return FieldElement(self.field, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _combine(self.field, self.num, self.den, o.num, o.den, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _combine(self.field, o.num, o.den, self.num, self.den, sub)
@@ -308,7 +315,7 @@ class FieldElement:
         if isinstance(other, Fraction):
             num = [v * other.numerator for v in self.num]
             return _reduced(self.field, num, self.den * other.denominator)
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         c, f = self.field._mul(self.num, o.num)
@@ -340,13 +347,13 @@ class FieldElement:
             if other == 0:
                 raise ZeroDivisionError
             return self * (1 / Fraction(other))
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -399,15 +406,11 @@ class FieldElement:
         # equal across basis views sharing a generator value
         return hash((self.field.minpoly.coeffs, self.num, self.den))
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
+    def __lt__(self, other):
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign()
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        return (self - o).sign() < 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -451,16 +454,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)!r} ~ {float(self):.12g})"
-
-
-def compare(a, b) -> int:
-    """Exact sign of a - b for field elements / rationals."""
-    if isinstance(a, FieldElement):
-        return a._cmp(b)
-    if isinstance(b, FieldElement):
-        return -b._cmp(a)
-    a, b = Fraction(a), Fraction(b)
-    return (a > b) - (a < b)
 
 
 def spectral_radius(M) -> RealAlgebraic:
@@ -562,12 +555,6 @@ def eigen_moduli_squared(p: IntPoly):
         else:
             merged.append((usq, mult))
     return merged
-
-
-def spectral_radius_squared(M) -> RealAlgebraic:
-    """Exact square of the spectral radius (largest root modulus) of an
-    integer matrix; complex pairs included via eigen_moduli_squared."""
-    return eigen_moduli_squared(charpoly(M))[0][0]
 
 
 def mult_matrix(zeta: FieldElement):

@@ -42,13 +42,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def from_string(cls, text: str) -> "IntPoly":
-        return cls(int(t) for t in text.replace(",", " ").split())
-
-    def to_string(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -150,14 +150,6 @@ class RauzyCycle:
         least = min(steps)[0]
         return min(steps[r:] + steps[:r] for r, (v, _) in enumerate(steps) if v == least)
 
-    def with_base(self, images) -> "RauzyCycle":
-        """The same loop walked from a chosen vertex on it."""
-        images = tuple(images)
-        for r, (v, _) in enumerate(self.steps):
-            if v == images:
-                return RauzyCycle(self.steps[r:] + self.steps[:r])
-        raise ValueError(f"{images} does not lie on this cycle")
-
     def __repr__(self):
         return f"RauzyCycle(base={self.base}, labels={self.edge_labels})"
 
@@ -196,15 +188,19 @@ def enumerate_cycles(cls_verts, Lmax: int):
                         stack.append((w, steps + ((v, t),)))
 
 
+def census_rows(qualifying, Lmax: int):
+    """Census rows {length: (qualifying cycles, distinct polynomials)} for
+    lengths 1..Lmax, read from the qualifying cycles of a class."""
+    polys = {L: [] for L in range(1, Lmax + 1)}
+    for cyc in qualifying:
+        polys[cyc.length].append(cyc.charpoly().coeffs)
+    return {L: (len(ps), len(set(ps))) for L, ps in polys.items()}
+
+
 def survey(cls_verts, Lmax: int):
     """Census rows {length: (qualifying cycles, distinct polynomials)}."""
-    counts = {L: 0 for L in range(1, Lmax + 1)}
-    polys = {L: set() for L in range(1, Lmax + 1)}
-    for cyc in enumerate_cycles(cls_verts, Lmax):
-        if cyc.is_qualifying():
-            counts[cyc.length] += 1
-            polys[cyc.length].add(cyc.charpoly().coeffs)
-    return {L: (counts[L], len(polys[L])) for L in range(1, Lmax + 1)}
+    qualifying = [c for c in enumerate_cycles(cls_verts, Lmax) if c.is_qualifying()]
+    return census_rows(qualifying, Lmax)
 
 
 def self_similar_from_cycle(cycle: RauzyCycle):

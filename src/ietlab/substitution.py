@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebraic import RealAlgebraic
 from .matrices import charpoly, is_primitive, mat_pow
-from .numberfield import NumberField, spectral_radius
+from .numberfield import NumberField
 from .polynomials import count_roots, root_bound, squarefree_part, sturm_chain
 
 
@@ -73,45 +73,11 @@ class Substitution:
             w = self(w)
             yield w
 
-    def to_lines(self):
-        return [
-            "%d -> %s" % (i, "".join(str(s) for s in self.rules[i]))
-            if self.N < 10
-            else "%d -> %s" % (i, ",".join(str(s) for s in self.rules[i]))
-            for i in range(1, self.N + 1)
-        ]
-
-    @classmethod
-    def from_lines(cls, lines):
-        rules = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            left, right = line.split("->")
-            word = right.strip()
-            syms = [int(s) for s in word.split(",")] if "," in word else [int(c) for c in word]
-            rules[int(left.strip())] = syms
-        return cls(rules)
-
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.rules == other.rules
 
     def __repr__(self):
         return "Substitution(%s)" % {i: "".join(map(str, w)) for i, w in self.rules.items()}
-
-
-def analyze_substitution(sigma: Substitution):
-    """(incidence matrix, beta = its Perron root, fixed-point stream).
-
-    Raises on non-primitive substitutions: everything downstream (unique
-    positive eigenvector, tiling) needs primitivity.
-    """
-    M = sigma.incidence()
-    if not is_primitive(M):
-        raise ValueError("substitution is not primitive")
-    beta = spectral_radius(M)
-    return M, beta, sigma.fixed_point_prefixes()
 
 
 class Prefix:
@@ -161,9 +127,6 @@ class PrefixGraph:
 
     def plus(self, mu: Prefix) -> int:
         return self.sigma.rules[mu.rule][mu.cut]
-
-    def size(self) -> int:
-        return len(self.states)
 
     def count_paths(self, t: int):
         """Number of admissible prefix sequences of length t+1 (t edges)."""

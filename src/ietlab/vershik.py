@@ -32,6 +32,7 @@ class VershikCode:
 
     transient: the first t prefixes; period: the repeating block, empty
     when the encoder hit its depth cap without finding a repeat.
+    `to_line` is a display form for messages and repr; nothing parses it.
     """
 
     __slots__ = ("transient", "period")
@@ -64,24 +65,6 @@ class VershikCode:
         mus = " ".join(f"({m.rule},{m.cut})" for m in self.transient + self.period)
         return f"(t={self.t}; T={self.T}; {mus})"
 
-    @classmethod
-    def from_line(cls, line: str) -> "VershikCode":
-        body = line.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError("malformed code line")
-        head, _, rest = body[1:-1].partition(";")
-        tpart = head.split("=")[1]
-        Tpart, _, mus = rest.partition(";")
-        t = int(tpart)
-        T = int(Tpart.split("=")[1])
-        pairs = []
-        for tok in mus.split():
-            a, b = tok.strip("()").split(",")
-            pairs.append(Prefix(int(a), int(b)))
-        if len(pairs) != t + T:
-            raise ValueError("prefix count disagrees with t + T")
-        return cls(pairs[:t], pairs[t:])
-
     def __eq__(self, other):
         return (
             isinstance(other, VershikCode)
@@ -94,7 +77,8 @@ class VershikCode:
 
 
 def _require_self_similar(model: LatticeModel):
-    if model.rho is None or model.sigma is None:
+    # a scaling factor brings the substitution and the scaling matrix R
+    if model.rho is None:
         raise ValueError("model must carry a scaling factor and substitution")
 
 
@@ -120,9 +104,7 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     """
     _require_self_similar(model)
     E = model.E
-    K = model.field
-    if not isinstance(x, FieldElement):
-        x = K.from_rational(Fraction(x))
+    x = model.field.coerce(x)
     if x.sign() < 0 or (x - E.total).sign() >= 0:
         raise ValueError("point outside the domain")
     Einv = E.inverse()
@@ -349,8 +331,6 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     real fields even for complex eigenvalue pairs.
     """
     _require_self_similar(model)
-    if model.R is None:
-        raise ValueError("model has no scaling matrix")
     M = model.sigma.incidence()
     mods_M = eigen_moduli_squared(charpoly(M))
     u_M, top_mult = mods_M[0]
@@ -373,20 +353,16 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     )
 
 
-def escape_bound_check(model: LatticeModel, code: VershikCode, z=None):
-    """Prop-9-style bound: the integer part of a point with an eventually
-    periodic code satisfies ||z|| <= C * sr(R)^(t+T).
+def escape_bound_check(model: LatticeModel, code: VershikCode):
+    """Prop-9-style bound: the integer part z of the point that the
+    eventually periodic code decodes to satisfies ||z|| <= C * sr(R)^(t+T).
 
     C follows the proof's chain: a uniform power bound c1 on ||R^k||/sr^k,
     a uniform resolvent bound c2 on ||(I-R^T')^-1||, and the largest
     prefix offset W.  Returns (passed, achieved_ratio, C).
     """
     _require_self_similar(model)
-    if model.R is None:
-        raise ValueError("model has no scaling matrix")
-    if z is None:
-        x = vershik_decode(model, code)
-        _, z = model.layer_of(x)
+    _, z = model.layer_of(vershik_decode(model, code))
     norm = max(abs(int(c)) for c in z) if len(z) else 0
     srf = math.sqrt(float(eigen_moduli_squared(charpoly(model.R))[0][0]))
     if srf <= 1.0:

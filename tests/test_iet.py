@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from ietlab.iet import (
     staircase_discrepancy,
     translations_from,
 )
+from ietlab.lattice import LatticeModel, interval_predicate
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
+from ietlab.vershik import vershik_encode
 
 def golden_field():
     return NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
@@ -126,7 +129,7 @@ def test_induce_full_window_is_identity_data():
 
 def test_quartic_induction_on_first_atom(quartic_iet):
     K, r, E = quartic_iet
-    im = induce(E, length=r, anchor="left")
+    im = induce(E, (K.zero, r))
     assert im.induced.perm == E.perm
     for li, l in zip(im.induced.lengths, E.lengths):
         assert li == r * l
@@ -141,7 +144,7 @@ def test_quartic_induction_on_first_atom(quartic_iet):
 def test_return_words_concatenate_with_base_coding(quartic_iet):
     # following the tower: orbit of a window point replays its return word
     K, r, E = quartic_iet
-    im = induce(E, length=r, anchor="left")
+    im = induce(E, (K.zero, r))
     for (left, right), word in zip(im.induced.atoms(), im.return_words):
         x = (left + right) / 2
         got, end = E.orbit(x, len(word))
@@ -200,3 +203,35 @@ def test_serialization_round_trip(quartic_iet):
     E2 = IET.from_data(data)
     assert E2 == E
     assert E2.translations == E.translations
+
+
+# each entry point that takes an outside value: (name, call, int, Fraction);
+# call(E, model, x) returns something comparable
+COERCING = [
+    ("atom_of", lambda E, model, x: E.atom_of(x), 0, Fraction(1, 2)),
+    ("induce", lambda E, model, x: induce(E, (x, E.total)).induced, 0, Fraction(1, 2)),
+    ("check_self_similar", lambda E, model, x: check_self_similar(E, x)[0], 1, Fraction(1, 2)),
+    ("LatticeModel", lambda E, model, x: LatticeModel(E, rho=x).sigma, 1, Fraction(1)),
+    (
+        "interval_predicate",
+        lambda E, model, x: [
+            interval_predicate(model, lo, hi)((0, a, b, 0))
+            for lo, hi in ((x, Fraction(2, 3)), (Fraction(-1, 2), x))
+            for a, b in itertools.product(range(-2, 3), repeat=2)
+        ],
+        0,
+        Fraction(1, 3),
+    ),
+    ("vershik_encode", lambda E, model, x: vershik_encode(model, x, depth=40), 0, Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize("name, call, i, q", COERCING, ids=[c[0] for c in COERCING])
+def test_outside_values_take_the_one_coercion(quartic_model, name, call, i, q):
+    K, r, model = quartic_model
+    E = model.E
+    for x in (i, q):
+        assert call(E, model, x) == call(E, model, K.from_rational(x))
+    other = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2)).generator_element() - 1
+    with pytest.raises(TypeError):
+        call(E, model, other)

@@ -89,7 +89,7 @@ def test_conjugacy_along_orbit(quartic_lattice):
     x = K.zero
     p = LatticePoint((0, 0, 0, 0), (0, 0, 0, 0))
     for _ in range(200):
-        p = model.psi_apply(p)
+        p = model.psi_orbit(p, 1)[0]
         x = E.apply(x)
         xi, z = model.layer_of(x)
         assert xi == (0, 0, 0, 0)
@@ -107,7 +107,7 @@ def test_conjugacy_random_layers(quartic_lattice):
         p = model.point_of(x)
         assert model.value_of(p) == x
         for _ in range(5):
-            p = model.psi_apply(p)
+            p = model.psi_orbit(p, 1)[0]
             x = E.apply(x)
         assert model.value_of(p) == x
 
@@ -312,6 +312,25 @@ def test_unit_representative_of_huge_coordinates():
     assert model.module.m_coords(zeta)[1:] == zfree
     step = Fraction(model.module.j, model.module.d)
     assert zeta.sign() >= 0 and (zeta - step).sign() < 0
+
+
+@pytest.mark.parametrize(
+    "build, ks", [(builders.quartic_model, range(31, 47)), (builders.e2star_model, range(26, 46))]
+)
+def test_unit_representative_checks_its_first_candidate(build, ks):
+    # -rho^k lies within 2^-60..2^-85 of a multiple of j/d, so the least
+    # m0 has two candidates and the first one can fall below 0.  Each call
+    # gets a freshly built model, whose sign table is still at low
+    # precision; one shared model would refine its table past the point
+    # where a second candidate shows up.
+    model = build()
+    for k in ks:
+        zfree = model.module.m_coords(-model.rho**k)[1:]
+        fresh = build()
+        zeta = unit_representative(fresh, zfree)
+        assert fresh.module.m_coords(zeta)[1:] == zfree
+        step = Fraction(fresh.module.j, fresh.module.d)
+        assert zeta.sign() >= 0 and (zeta - step).sign() < 0, k
 
 
 TINY = Fraction(1, 2**200)

@@ -9,7 +9,6 @@ from ietlab.builders import e2star_model
 from ietlab.matrices import mat_vec
 from ietlab.numberfield import (
     NumberField,
-    compare,
     mult_matrix,
     perron_pair,
     spectral_radius,
@@ -73,9 +72,9 @@ def test_sign_and_comparisons():
     assert rho > Fraction(22, 100)
     assert rho < Fraction(23, 100)
     assert rho * rho < rho  # rho < 1
-    assert compare(rho, rho) == 0
-    assert compare(rho, Fraction(1, 2)) == -1
-    assert compare(Fraction(1, 2), rho) == 1
+    assert rho == rho and (rho - rho).sign() == 0
+    assert rho < Fraction(1, 2) and (rho - Fraction(1, 2)).sign() == -1
+    assert Fraction(1, 2) > rho and (Fraction(1, 2) - rho).sign() == 1
 
 
 def test_compare_total_order_randomized():
@@ -87,12 +86,13 @@ def test_compare_total_order_randomized():
     ]
     for a in elts:
         for b in elts:
-            sab = compare(a, b)
-            assert sab == -compare(b, a)
+            sab = (a - b).sign()
+            assert sab == -(b - a).sign()
+            assert (a < b, a == b, a > b) == (sab < 0, sab == 0, sab > 0)
             assert (sab == 0) == ((a - b).coords == (Fraction(0), Fraction(0)))
             for c in elts:
-                if sab >= 0 and compare(b, c) >= 0:
-                    assert compare(a, c) >= 0
+                if a >= b and b >= c:
+                    assert a >= c
 
 
 def test_float_accuracy():
@@ -267,9 +267,10 @@ def test_eigen_moduli_complex_pair_identity():
 
 
 def test_spectral_radius_squared_companion():
-    from ietlab.numberfield import spectral_radius_squared
+    from ietlab.matrices import charpoly
+    from ietlab.numberfield import eigen_moduli_squared
 
-    u = spectral_radius_squared([[1, 1], [1, 0]])
+    u = eigen_moduli_squared(charpoly([[1, 1], [1, 0]]))[0][0]
     assert u.poly == IntPoly((1, -3, 1))
     assert float(u) == pytest.approx(((1 + math.sqrt(5)) / 2) ** 2)
 

@@ -190,9 +190,3 @@ def test_lagrange_rows_are_scaled_basis(d):
     assert len(rows) == d + 1
     for i, row in enumerate(rows):
         assert [IntPoly(row)(x) for x in pts] == [D if j == i else 0 for j in range(d + 1)]
-
-
-def test_from_string_round_trip():
-    p = IntPoly.from_string("1,-3,0,1")
-    assert p == P(1, -3, 0, 1)
-    assert IntPoly.from_string(p.to_string()) == p

@@ -1,11 +1,16 @@
+import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ietlab.algebraic import root_in
-from ietlab.cli import main
+from ietlab.cli import census_report, main
 from ietlab.iet import IET, Permutation, check_self_similar
 from ietlab.matrices import identity, mat_mul, mat_vec
 from ietlab.numberfield import NumberField
@@ -129,7 +134,9 @@ def test_quartic_census_length_eight():
     hits = [c for c in enumerate_cycles(cls, 8) if c.length == 8 and c.is_qualifying()]
     assert len(hits) == 1
     assert hits[0].charpoly() == QUARTIC
-    cyc = hits[0].with_base((4, 2, 1, 3))
+    steps = hits[0].steps
+    r = [v for v, _ in steps].index((4, 2, 1, 3))
+    cyc = RauzyCycle(steps[r:] + steps[:r])
     E, rho = self_similar_from_cycle(cyc)
     assert float(rho) == pytest.approx(0.22777710423438124, rel=1e-12)
     # lengths agree with the printed closed forms in rho = 1/beta
@@ -258,3 +265,29 @@ def test_cli_census_report(capsys):
     ]
     with pytest.raises(SystemExit):
         main(["report", "census", "0"])
+
+
+def test_cli_census_is_one_pass(monkeypatch):
+    # 328 distinct cycles up to length 10: one is_qualifying call each
+    calls = []
+    is_qualifying = RauzyCycle.is_qualifying
+    monkeypatch.setattr(RauzyCycle, "is_qualifying", lambda c: calls.append(c) or is_qualifying(c))
+    report = json.dumps(census_report(10))
+    assert len(calls) == len({c.canonical_key() for c in calls}) == 328
+    # the report of the earlier two-pass census, byte for byte
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "2611c5917af2f0c8978538817a0246eaae40fc4b4f6538bc39f24a82252e2c25"
+    )
+
+
+def test_python_m_ietlab_runs_from_a_checkout():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "ietlab", "report", "census", "4"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == census_report(4)

@@ -5,7 +5,7 @@ import pytest
 from ietlab.algebraic import real_roots
 from ietlab.numberfield import spectral_radius
 from ietlab.polynomials import IntPoly
-from ietlab.substitution import PrefixGraph, Substitution, analyze_substitution
+from ietlab.substitution import PrefixGraph, Substitution
 
 FIB = Substitution({1: (1, 2), 2: (1,)})
 QUARTIC_SIGMA = Substitution(
@@ -49,15 +49,9 @@ def test_primitivity():
 
 
 def test_analyze_fibonacci():
-    M, beta, stream = analyze_substitution(FIB)
+    beta = spectral_radius(FIB.incidence())
     assert float(beta) == pytest.approx((1 + math.sqrt(5)) / 2)
-    w = next(stream)
-    assert w == (1, 2)
-
-
-def test_analyze_rejects_non_primitive():
-    with pytest.raises(ValueError):
-        analyze_substitution(Substitution({1: (1,), 2: (2,)}))
+    assert next(FIB.fixed_point_prefixes()) == (1, 2)
 
 
 def test_fixed_point_prefix_nesting():
@@ -72,7 +66,8 @@ def test_fixed_point_prefix_nesting():
 
 def test_abelianization_growth():
     # |sigma^k(1)| grows like beta^k
-    _, beta, stream = analyze_substitution(QUARTIC_SIGMA)
+    beta = spectral_radius(QUARTIC_SIGMA.incidence())
+    stream = QUARTIC_SIGMA.fixed_point_prefixes()
     lens = []
     for k, w in zip(range(9), stream):
         lens.append(len(w))
@@ -82,10 +77,10 @@ def test_abelianization_growth():
 
 def test_prefix_graph_counts():
     g = PrefixGraph(FIB)
-    assert g.size() == 3
+    assert len(g.states) == 3
     assert g.count_cycles(1) == 1  # only the empty prefix of rule 1 self-loops
     gq = PrefixGraph(QUARTIC_SIGMA)
-    assert gq.size() == sum(len(w) for w in QUARTIC_SIGMA.rules.values())
+    assert len(gq.states) == sum(len(w) for w in QUARTIC_SIGMA.rules.values())
 
 
 def test_prefix_graph_spectral_radius_exact():
@@ -108,11 +103,3 @@ def test_spectral_radius_rejects_a_root_below_the_perron_root():
     assert phi.lo < 3 < phi.hi
     assert not g.spectral_radius_matches(phi)
     assert g.spectral_radius_matches(spectral_radius(g.adjacency))
-
-
-def test_serialization_lines():
-    lines = QUARTIC_SIGMA.to_lines()
-    assert lines[0] == "1 -> 143"
-    assert Substitution.from_lines(lines) == QUARTIC_SIGMA
-    big = Substitution({i: (1, min(i + 1, 11)) for i in range(1, 12)})
-    assert Substitution.from_lines(big.to_lines()) == big

