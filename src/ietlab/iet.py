@@ -1,12 +1,23 @@
 """Interval exchange transformations with exact field-element endpoints.
 
 Intervals are half-open [a, b), so the atom partition and its image tile
-the domain exactly; every comparison routes through exact signs, and a
-point on a discontinuity belongs to the atom on its right.  Symbols are
-1-based throughout, matching the usual coding alphabet {1..N}.
+the domain exactly; a point on a discontinuity belongs to the atom on its
+right.  Symbols are 1-based throughout, matching the usual coding
+alphabet {1..N}.
+
+Atom location.  `IET.atom_of` decides first with integers: one sign-table
+enclosure |q x - s| <= e of the point (`NumberField.enclosure`) is
+placed by one bisection among integer lower and upper bounds of q times
+the atom right endpoints, all at the field's current table precision.
+The IET rebuilds those bounds from `NumberField.enclose` whenever that
+precision has grown.  Only when [s - e, s + e] meets an endpoint bound,
+or leaves [0, total), does it compare x with the endpoints by exact
+signs, which refine the table as far as they must.  Every answer is
+exact either way.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .numberfield import FieldElement, NumberField
@@ -84,7 +95,7 @@ def translations_from(perm: Permutation, lengths):
 class IET:
     """Exchange of N field-element intervals on [0, total)."""
 
-    __slots__ = ("perm", "lengths", "translations", "rights", "total", "field")
+    __slots__ = ("perm", "lengths", "translations", "rights", "total", "field", "_bounds")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
@@ -98,6 +109,7 @@ class IET:
             rights.append(acc)
         self.rights = tuple(rights)  # right endpoints of the atoms
         self.total = acc
+        self._bounds = None  # (P, d, lows, highs), built by atom_of
 
     @property
     def N(self) -> int:
@@ -107,9 +119,37 @@ class IET:
         """[left_i, right_i) endpoints of the domain partition."""
         return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
 
+    def _endpoint_bounds(self):
+        """(P, d, lows, highs): at the field's precision P and the scale
+        q = d * 2^P of `NumberField.enclose`, atom i + 1 holds every x
+        with lows[i] <= q x < highs[i]."""
+        q, rights = self.field.enclose(self.rights)
+        P = self.field.precision
+        lows = [0] + [s + e for s, e in rights[:-1]]
+        highs = [s - e for s, e in rights]
+        return P, q >> P, lows, highs
+
     def atom_of(self, x) -> int:
-        """1-based index of the atom containing x; raises if out of range."""
-        x = self.field.coerce(x)
+        """1-based index of the atom containing x (a field element, int or
+        Fraction); raises ValueError if x is outside [0, total)."""
+        return self._atom(self.field.coerce(x))
+
+    def _atom(self, x: FieldElement) -> int:
+        """atom_of for an x already coerced into the field."""
+        s, e = self.field.enclosure(x)
+        bounds = self._bounds
+        if bounds is None or bounds[0] != self.field.precision:
+            bounds = self._bounds = self._endpoint_bounds()
+        _, d, lows, highs = bounds
+        # [lo, hi] encloses q x: rescale from x.den * 2^P to d * 2^P
+        lo, hi = (s - e) * d, (s + e) * d
+        if x.den != 1:
+            lo, hi = lo // x.den, -(-hi // x.den)
+        # bisect_right returns N or an index with hi < highs[i], sorted or not
+        i = bisect_right(highs, hi)
+        if i < len(highs) and lows[i] <= lo:
+            return i + 1
+        # the enclosure meets an endpoint bound or leaves [0, total)
         if x.sign() >= 0:
             for i, right in enumerate(self.rights, start=1):
                 if (x - right).sign() < 0:
@@ -118,7 +158,7 @@ class IET:
 
     def apply(self, x) -> FieldElement:
         x = self.field.coerce(x)
-        return x + self.translations[self.atom_of(x) - 1]
+        return x + self.translations[self._atom(x) - 1]
 
     __call__ = apply
 
@@ -127,7 +167,7 @@ class IET:
         x = self.field.coerce(x)
         word = []
         for _ in range(k):
-            i = self.atom_of(x)
+            i = self._atom(x)
             word.append(i)
             x = x + self.translations[i - 1]
         return tuple(word), x

@@ -23,22 +23,27 @@ the module and lattice code asks for.  Views of one field share the
 generator, and equal elements are equal across views.
 
 Outside values.  `NumberField.coerce` is the one place where an int or a
-Fraction becomes a field element; an element of a field with another
-generator raises TypeError there.  Sums, differences, order tests and
+Fraction becomes a field element; a float (inexact) and an element of a
+field with another generator raise TypeError there.  Sums, differences, order tests and
 every caller that takes a point, a bound or a factor go through it.
 
 Sign certificate.  Every generator carries a dyadic table: midpoints m_k
-and one radius r with |2^P theta^k - m_k| <= r for k < n.  The
-generator's isolating interval is [g, g + 1] / 2^K with K >= P, so
-theta^k lies in an integer interval over 2^(kK), which shifts down to P
-bits.  For x as above, s = sum a_k m_k obeys |2^P den x - s| <=
-r sum |a_k|, so |s| > r sum |a_k| certifies the sign of x with one
-integer dot product.  When the bound straddles zero and a
-numerator is nonzero, P doubles: the generator is refined and the table
-rebuilt, for every later call too.  A nonzero numerator means x != 0, so
-the loop ends.  A rational generator (n = 1) has the exact table m_0 = 1,
-r = 0.  `NumberField.enclose` hands the same certificate to callers that
-keep a position as an integer, at a precision no lower than they ask for.
+and one radius r with |2^P theta^k - m_k| <= r for k < n, where
+m_0 = 2^P is exact.  The generator's isolating interval is
+[g, g + 1] / 2^K with K >= P, so theta^k lies in an integer interval
+over 2^(kK), which shifts down to P bits.  For x as above,
+s = sum a_k m_k obeys |2^P den x - s| <= e = r sum_{k >= 1} |a_k|, so
+|s| > e certifies the sign of x with one integer dot product, and a
+rational x has e = 0.  When the bound straddles zero and a numerator is
+nonzero, P doubles: the generator is refined and the table rebuilt, for
+every later call too (`NumberField.precision` reads P).  A nonzero
+numerator means x != 0, so the loop ends.  A rational generator (n = 1)
+has the exact table m_0 = 1, r = 0.  `NumberField.enclosure` hands the
+same certificate (s, e) to callers that keep a position as an integer,
+and `NumberField.enclose` hands it out for several elements at one scale
+and at a precision no lower than asked for: `IET.atom_of` brackets a
+point between integer bounds of the atom endpoints, and the lattice walk
+and `unit_representative` move and bound integer positions.
 """
 from __future__ import annotations
 
@@ -89,10 +94,12 @@ class _Enclosure:
         self.bits, self.mids, self.rad = bits, tuple(mids), rad
 
     def approx(self, num):
-        """(s, e) with |2^bits * sum num_k theta^k - s| <= e."""
+        """(s, e) with |2^bits * sum num_k theta^k - s| <= e; e = 0 when
+        num_k = 0 for k >= 1."""
         if self.mids is None:
             self.refine()
-        return sum(map(mul, num, self.mids)), self.rad * sum(map(abs, num))
+        # m_0 = 2^bits exactly, so only num_1.. contribute to the error
+        return sum(map(mul, num, self.mids)), self.rad * sum(map(abs, num[1:]))
 
 
 def _reduction_table(p: IntPoly):
@@ -150,12 +157,15 @@ class NumberField:
 
     def coerce(self, x) -> "FieldElement":
         """x as an element of this field: an int or Fraction becomes one,
-        an element sharing the generator passes, any other raises."""
+        an element sharing the generator passes, anything else (a float,
+        an element of another generator) raises TypeError."""
         if isinstance(x, FieldElement):
             if x.field is self or self.shares_generator(x.field):
                 return x
             raise TypeError("elements belong to fields with different generators")
-        return self.from_rational(x)
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        raise TypeError(f"cannot take {type(x).__name__} {x!r} as an exact field element")
 
     # -- element constructors -------------------------------------------
 
@@ -197,6 +207,20 @@ class NumberField:
             return [FieldElement(self, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
         return [self.from_power_coords([self._V[i][k] for i in range(n)]) for k in range(n)]
 
+    @property
+    def precision(self) -> int:
+        """P, the bits of the sign table that `enclosure` and `enclose`
+        work at now; it only ever grows."""
+        return self._enc.bits
+
+    def enclosure(self, x: "FieldElement"):
+        """(s, e) with |2^P x.den x - s| <= e for an element x sharing the
+        generator, from this field's sign table at P = `precision` after
+        the call (the first call builds the table); e = 0 for a rational
+        x.  Another field with the same generator may keep its own table
+        at another P, so a caller compares only pairs from one field."""
+        return self._enc.approx(x.num)
+
     def enclose(self, xs, bits: int = 0):
         """(q, [(s, e), ...]) with |q x - s| <= e for each x in xs.
 
@@ -212,10 +236,9 @@ class NumberField:
         den = math.lcm(*(x.den for x in xs))
         out = []
         for x in xs:
-            s, e = enc.approx(x.num)
+            s, e = self.enclosure(x)
             f = den // x.den
-            # m_0 = 2^P exactly, so s is exact for a rational x
-            out.append((s * f, 0 if x.is_rational else e * f))
+            out.append((s * f, e * f))
         return den << enc.bits, out
 
     # -- integer arithmetic ---------------------------------------------

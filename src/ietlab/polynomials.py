@@ -290,14 +290,77 @@ def rational_roots(p: IntPoly):
     return sorted(roots)
 
 
+_TRIAL_LIMIT = 1 << 10  # primes below this come out by trial division
+# Miller-Rabin with these bases decides primality for every n below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES: deterministic below
+    3.3 * 10^24, a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A nontrivial factor of an odd composite n: Brent's variant of
+    Pollard's rho on y -> y^2 + c, with gcds batched over 128 steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch took in every factor: redo it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"{n} is prime")
+
+
 def _divisors(n: int):
-    """Sorted positive divisors of n >= 1, from a trial-division
-    factorization that takes each prime out of n as it is found (2^74 costs
-    75 divisions).  The cost is about max(q2, sqrt(q1)) divisions for the
-    largest prime factors q1 >= q2, so a large prime factor stays slow."""
+    """Sorted positive divisors of n >= 1.
+
+    Primes below _TRIAL_LIMIT come out by trial division, which takes each
+    prime out of n as it is found (2^74 costs 75 divisions).  Pollard-Brent
+    splits what is left and Miller-Rabin (`_is_prime`) says when a piece is
+    prime, so the cost is about sqrt(q2) modular squarings for the second
+    largest prime factor q2: two primes near 10^6 take about a millisecond,
+    two near 2^40 about 2^20 squarings.
+    """
     out = [1]
     p = 2
-    while p * p <= n:
+    while p < _TRIAL_LIMIT and p * p <= n:
         e = 0
         while n % p == 0:
             n //= p
@@ -305,8 +368,23 @@ def _divisors(n: int):
         if e:
             out = [d * p**i for d in out for i in range(e + 1)]
         p += 1
-    if n > 1:
-        out += [d * n for d in out]
+    # what is left has no prime factor below p: 1, a prime below p^2, or a
+    # product of larger primes, which Pollard-Brent splits
+    primes = [n] if 1 < n < p * p else []
+    stack = [n] if n >= p * p else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            primes.append(m)
+        else:
+            f = _brent_factor(m)
+            stack += [f, m // f]
+    last = None
+    for q in sorted(primes):
+        # a repeated prime multiplies only the divisors its last copy added
+        new = [d * q for d in (new if q == last else out)]
+        out += new
+        last = q
     return sorted(out)
 
 

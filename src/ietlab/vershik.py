@@ -110,6 +110,7 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     Einv = E.inverse()
     wlo = model.window_start
     whi = wlo + model.rho * E.total
+    beta = model.rho.inverse()
     maxlen = max(len(w) for w in model.sigma.rules.values())
     seen = {x: 0}
     prefixes = []
@@ -121,7 +122,7 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
             t += 1
             if t >= maxlen:
                 raise AssertionError("backward orbit missed the window")
-        y = (y - wlo) / model.rho
+        y = (y - wlo) * beta
         j = E.atom_of(y)
         mu = Prefix(j, t)
         if model.sigma.rules[j][t] != (prefixes[-1].rule if prefixes else E.atom_of(x)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab import builders
 from ietlab.algebraic import root_in
 from ietlab.iet import (
     IET,
@@ -14,13 +15,19 @@ from ietlab.iet import (
     staircase_discrepancy,
     translations_from,
 )
-from ietlab.lattice import LatticeModel, interval_predicate
-from ietlab.numberfield import NumberField
+from ietlab.lattice import LatticeModel, interval_predicate, unit_representative
+from ietlab.numberfield import FieldElement, NumberField
 from ietlab.polynomials import IntPoly
 from ietlab.vershik import vershik_encode
 
 def golden_field():
     return NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
+
+
+def golden_rotation():
+    K = golden_field()
+    phi = K.generator_element()
+    return IET(Permutation([2, 1]), [2 - phi, phi - 1])
 
 
 def test_permutation_validation():
@@ -209,6 +216,7 @@ def test_serialization_round_trip(quartic_iet):
 # call(E, model, x) returns something comparable
 COERCING = [
     ("atom_of", lambda E, model, x: E.atom_of(x), 0, Fraction(1, 2)),
+    ("apply", lambda E, model, x: E.apply(x), 0, Fraction(1, 10)),
     ("induce", lambda E, model, x: induce(E, (x, E.total)).induced, 0, Fraction(1, 2)),
     ("check_self_similar", lambda E, model, x: check_self_similar(E, x)[0], 1, Fraction(1, 2)),
     ("LatticeModel", lambda E, model, x: LatticeModel(E, rho=x).sigma, 1, Fraction(1)),
@@ -233,5 +241,120 @@ def test_outside_values_take_the_one_coercion(quartic_model, name, call, i, q):
     for x in (i, q):
         assert call(E, model, x) == call(E, model, K.from_rational(x))
     other = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2)).generator_element() - 1
-    with pytest.raises(TypeError):
-        call(E, model, other)
+    # a float is inexact, even one that is a dyadic rational
+    for bad in (other, float(q), float(i)):
+        with pytest.raises(TypeError):
+            call(E, model, bad)
+
+
+# fresh maps, so each test starts from the field's first sign table
+BRACKET_MAPS = {
+    "quartic": lambda: builders.quartic_model().E,
+    "e2star": lambda: builders.e2star_model().E,
+    "E_1": lambda: builders.ek_model(1).E,
+    "golden": golden_rotation,
+}
+
+
+def scan_atom(E, x):
+    """Reference: the atom of x by one exact comparison per endpoint, or
+    ValueError outside [0, total)."""
+    if x < 0 or not x < E.total:
+        return ValueError
+    return next(i for i, right in enumerate(E.rights, start=1) if x < right)
+
+
+def atom_or_error(E, x):
+    try:
+        return E.atom_of(x)
+    except ValueError:
+        return ValueError
+
+
+def theta_bracket(K, bits: int):
+    """Rationals a < theta < b with b - a < 2^-bits (from a copy of the
+    generator, so the field's own interval stays as it is)."""
+    g = K.generator
+    g = root_in(g.poly, g.lo, g.hi)
+    g.refine_to(Fraction(1, 1 << bits))
+    return g.lo, g.hi
+
+
+def refine_by_sign(K, bits: int):
+    """One sign that needs more than `bits` bits of the table."""
+    a, _ = theta_bracket(K, 2 * bits + 64)
+    assert (K.generator_element() - a).sign() == 1
+    assert K.precision > bits
+
+
+def bracket_points(E, bits: int):
+    """The endpoints 0, ..., total; points within about 2^-bits of each,
+    on both sides; rational points and 0.
+
+    The near points are c +- 2^-bits; c +- 2^30 (theta - a) for a = a, b
+    of `theta_bracket`, whose enclosures are wide next to their distance
+    to c; and c with a or b in place of theta, rationals (exact
+    enclosures) next to an endpoint whose own enclosure is wide.
+    """
+    K = E.field
+    a, b = theta_bracket(K, bits + 30)
+    theta = K.generator_element()
+    tiny = [Fraction(1, 1 << bits), (1 << 30) * (theta - a), (1 << 30) * (theta - b)]
+    tiny += [-t for t in tiny]
+    ends = [K.zero, *E.rights]  # E.rights[-1] is total
+    near = [c + t for c in ends for t in tiny]
+    near += [sum(q * v**k for k, q in enumerate(c.power_coords)) for c in ends for v in (a, b)]
+    return ends + near + [Fraction(k, 7) for k in range(7)] + [0]
+
+
+@pytest.mark.parametrize("name", BRACKET_MAPS)
+def test_atom_of_matches_the_exact_scan(name):
+    data = BRACKET_MAPS[name]().to_data()
+    E = IET.from_data(data)
+    assert scan_atom(E, E.total) is ValueError
+    assert scan_atom(E, -Fraction(1, 1 << 200)) is ValueError
+    # each point on a fresh copy of the map, so no earlier exact sign has
+    # refined the table far enough to decide it: once at the table's
+    # first precision, once after a sign has refined the table past the
+    # precision its endpoint bounds were built at
+    for refined, bits in ((False, 200), (True, 600)):
+        for x in bracket_points(E, bits):
+            F = IET.from_data(data)
+            if refined:
+                F.atom_of(0)
+                refine_by_sign(F.field, F.field.precision)
+            if isinstance(x, FieldElement):
+                x = F.field.from_power_coords(x.power_coords)
+            assert atom_or_error(F, x) == scan_atom(F, x), (refined, x)
+
+
+@pytest.mark.parametrize("name", BRACKET_MAPS)
+def test_atom_of_takes_points_of_a_field_with_another_table(name):
+    # two fields built from one generator keep separate sign tables; the
+    # map must enclose a point of the other field with the map's table,
+    # at the precision of its bounds
+    data = BRACKET_MAPS[name]().to_data()
+    E, F = IET.from_data(data), IET.from_data(data)
+    refine_by_sign(E.field, E.field.precision)
+    assert F.field.precision < E.field.precision
+    for i, (left, right) in enumerate(F.atoms(), start=1):
+        for x in (left, (left + right) / 2):
+            assert E.atom_of(x) == scan_atom(E, x) == i
+    for k in range(7):
+        x = F.field.coerce(Fraction(k, 7))
+        assert E.atom_of(x) == scan_atom(E, x)
+
+
+@pytest.mark.parametrize("build", [builders.quartic_model, builders.e2star_model])
+def test_box_orbit_takes_no_exact_fallback(build, monkeypatch):
+    model = build()
+    E, K = model.E, model.field
+    x = unit_representative(model, (1, -2, 3)[: model.n - 1])
+    word, _ = E.orbit(x, 48)
+    # the walk runs again after the table has moved past the bounds' precision
+    refine_by_sign(K, K.precision)
+    signs = []
+    sign = FieldElement.sign
+    monkeypatch.setattr(FieldElement, "sign", lambda self: signs.append(self) or sign(self))
+    assert E.orbit(x, 48)[0] == word
+    assert signs == []

@@ -187,6 +187,31 @@ def test_hnf_properties_randomized():
             prow = i
 
 
+def column_lattice(A):
+    """The nonzero columns of hnf_column(A): the Hermite form, so the
+    lattice, of the column span of A."""
+    H, _ = hnf_column(A)
+    return [c for c in zip(*H) if any(c)]
+
+
+def test_hnf_spans_the_lattice_of_sympy_hnf():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(41)
+    for t in range(100):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        if t % 2:  # rank at most k < min(m, n), or the zero matrix
+            k = rng.randint(0, min(m, n) - 1)
+            A = mat_mul(rand_mat(rng, m, k), rand_mat(rng, k, n)) if k else [[0] * n for _ in range(m)]
+        else:
+            A = rand_mat(rng, m, n, -9, 9)
+        S = hermite_normal_form(sympy.Matrix(A))
+        mine = column_lattice(A)
+        assert len(mine) == S.cols, A
+        assert mine == column_lattice([[int(v) for v in S.row(i)] for i in range(m)]), A
+
+
 def test_kernel_int():
     A = [[1, 2, 3], [2, 4, 6]]
     ker = kernel_int(A)

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -7,6 +9,7 @@ from ietlab.polynomials import (
     _SAMPLE_POINTS,
     IntPoly,
     _divisors,
+    _is_prime,
     _lagrange_rows,
     count_roots,
     factor,
@@ -128,6 +131,50 @@ def test_divisors_brute_force():
         assert _divisors(n) == sieve[n]
     assert _divisors(2**74) == [2**i for i in range(75)]
     assert _divisors(2**40 * 1000003) == sorted(2**i * q for i in range(41) for q in (1, 1000003))
+
+
+def test_divisors_split_large_cofactors():
+    # cofactors past the trial bound: prime powers, products of close
+    # primes, Mersenne primes and a product of two of them
+    m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1
+    cases = [
+        ({1031: 2}, 1031**2),
+        ({1031: 1, 1033: 1, 1039: 1}, 1031 * 1033 * 1039),
+        ({2: 5, 3: 1, 1031: 3, 1000003: 1}, 2**5 * 3 * 1031**3 * 1000003),
+        ({1000003: 1, 1000033: 1}, 1000003 * 1000033),
+        ({m31: 1, m61: 1}, m31 * m61),
+        ({m89: 1}, m89),
+    ]
+    for fac, n in cases:
+        want = [1]
+        for q, e in fac.items():
+            want = [d * q**i for d in want for i in range(e + 1)]
+        assert _divisors(n) == sorted(want), n
+
+
+def test_divisors_of_two_close_primes_is_fast():
+    n = 1000003 * 1000033
+    best = float("inf")
+    for _ in range(3):
+        t = time.perf_counter()
+        _divisors(n)
+        best = min(best, time.perf_counter() - t)
+    assert best < 0.005
+
+
+def test_is_prime_matches_a_sieve_and_rejects_pseudoprimes():
+    limit = 5000
+    composite = bytearray(limit + 1)
+    for p in range(2, isqrt(limit) + 1):
+        composite[p * p::p] = b"\1" * len(range(p * p, limit + 1, p))
+    assert [n for n in range(limit + 1) if _is_prime(n)] == [
+        n for n in range(2, limit + 1) if not composite[n]
+    ]
+    # Carmichael numbers, and the least strong pseudoprimes to the base 2,
+    # to the bases 2..7 and to the bases 2..23
+    for n in (561, 41041, 2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
 
 
 def test_factor_reassembles_and_finds_pieces():
