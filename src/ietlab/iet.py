@@ -5,15 +5,16 @@ the domain exactly; a point on a discontinuity belongs to the atom on its
 right.  Symbols are 1-based throughout, matching the usual coding
 alphabet {1..N}.
 
-Atom location.  `IET.atom_of` decides first with integers: one sign-table
-enclosure |q x - s| <= e of the point (`NumberField.enclosure`) is
-placed by one bisection among integer lower and upper bounds of q times
-the atom right endpoints, all at the field's current table precision.
-The IET rebuilds those bounds from `NumberField.enclose` whenever that
-precision has grown.  Only when [s - e, s + e] meets an endpoint bound,
-or leaves [0, total), does it compare x with the endpoints by exact
-signs, which refine the table as far as they must.  Every answer is
-exact either way.
+Cell location.  `Cells.locate` is the one locator of a point among
+cells cut at sorted exact right endpoints; an `IET` is the Cells of its
+atoms (`atom_of`, `apply`, `orbit`, so also `induce` and the lattice
+walk's exact fallback), and the Vershik coder keeps the Cells of its
+level-1 tiles.  It places one sign-table enclosure |q x - s| <= e of the
+point (`NumberField.enclosure`) by one bisection among integer bounds of
+q times the endpoints, rebuilt from `NumberField.enclose` whenever the
+table precision has grown.  Only when [s - e, s + e] meets a bound or
+leaves the cells does it bisect the endpoints with exact signs, which
+refine the table as far as they must; the answer is exact either way.
 """
 from __future__ import annotations
 
@@ -92,50 +93,30 @@ def translations_from(perm: Permutation, lengths):
     return tuple(taus)
 
 
-class IET:
-    """Exchange of N field-element intervals on [0, total)."""
+class Cells:
+    """The cells [0, r_1), [r_1, r_2), ... cut at sorted exact right
+    endpoints r_1 < ... < r_n of one field."""
 
-    __slots__ = ("perm", "lengths", "translations", "rights", "total", "field", "_bounds")
+    __slots__ = ("field", "rights", "_bounds")
 
-    def __init__(self, perm: Permutation, lengths):
-        self.perm = perm
-        self.lengths = tuple(lengths)
-        self.field = self.lengths[0].field
-        self.translations = translations_from(perm, self.lengths)
-        rights = []
-        acc = self.field.zero
-        for l in self.lengths:
-            acc = acc + l
-            rights.append(acc)
-        self.rights = tuple(rights)  # right endpoints of the atoms
-        self.total = acc
-        self._bounds = None  # (P, d, lows, highs), built by atom_of
-
-    @property
-    def N(self) -> int:
-        return self.perm.N
-
-    def atoms(self):
-        """[left_i, right_i) endpoints of the domain partition."""
-        return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
+    def __init__(self, field: NumberField, rights):
+        self.field = field
+        self.rights = tuple(rights)
+        self._bounds = None  # (P, d, lows, highs), built by locate
 
     def _endpoint_bounds(self):
         """(P, d, lows, highs): at the field's precision P and the scale
-        q = d * 2^P of `NumberField.enclose`, atom i + 1 holds every x
-        with lows[i] <= q x < highs[i]."""
+        q = d * 2^P of `NumberField.enclose`, cell i holds every x with
+        lows[i] <= q x < highs[i]."""
         q, rights = self.field.enclose(self.rights)
         P = self.field.precision
         lows = [0] + [s + e for s, e in rights[:-1]]
         highs = [s - e for s, e in rights]
         return P, q >> P, lows, highs
 
-    def atom_of(self, x) -> int:
-        """1-based index of the atom containing x (a field element, int or
-        Fraction); raises ValueError if x is outside [0, total)."""
-        return self._atom(self.field.coerce(x))
-
-    def _atom(self, x: FieldElement) -> int:
-        """atom_of for an x already coerced into the field."""
+    def locate(self, x: FieldElement) -> int:
+        """0-based index of the cell holding the field element x; raises
+        ValueError if x is outside [0, r_n)."""
         s, e = self.field.enclosure(x)
         bounds = self._bounds
         if bounds is None or bounds[0] != self.field.precision:
@@ -145,20 +126,52 @@ class IET:
         lo, hi = (s - e) * d, (s + e) * d
         if x.den != 1:
             lo, hi = lo // x.den, -(-hi // x.den)
-        # bisect_right returns N or an index with hi < highs[i], sorted or not
+        # bisect_right returns n or an index with hi < highs[i], sorted or not
         i = bisect_right(highs, hi)
         if i < len(highs) and lows[i] <= lo:
-            return i + 1
-        # the enclosure meets an endpoint bound or leaves [0, total)
+            return i
+        # the enclosure meets an endpoint bound or leaves [0, r_n)
         if x.sign() >= 0:
-            for i, right in enumerate(self.rights, start=1):
-                if (x - right).sign() < 0:
-                    return i
+            i = bisect_right(self.rights, x)
+            if i < len(self.rights):
+                return i
         raise ValueError("point outside the domain")
+
+
+class IET(Cells):
+    """Exchange of N intervals on [0, total), the Cells of its atoms."""
+
+    __slots__ = ("perm", "lengths", "translations", "total")
+
+    def __init__(self, perm: Permutation, lengths):
+        self.perm = perm
+        self.lengths = tuple(lengths)
+        field = self.lengths[0].field
+        self.translations = translations_from(perm, self.lengths)
+        rights = []
+        acc = field.zero
+        for l in self.lengths:
+            acc = acc + l
+            rights.append(acc)
+        super().__init__(field, rights)  # right endpoints of the atoms
+        self.total = acc
+
+    @property
+    def N(self) -> int:
+        return self.perm.N
+
+    def atoms(self):
+        """[left_i, right_i) endpoints of the domain partition."""
+        return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
+
+    def atom_of(self, x) -> int:
+        """1-based index of the atom containing x (a field element, int or
+        Fraction); raises ValueError if x is outside [0, total)."""
+        return self.locate(self.field.coerce(x)) + 1
 
     def apply(self, x) -> FieldElement:
         x = self.field.coerce(x)
-        return x + self.translations[self._atom(x) - 1]
+        return x + self.translations[self.locate(x)]
 
     __call__ = apply
 
@@ -167,19 +180,10 @@ class IET:
         x = self.field.coerce(x)
         word = []
         for _ in range(k):
-            i = self._atom(x)
-            word.append(i)
-            x = x + self.translations[i - 1]
+            i = self.locate(x)
+            word.append(i + 1)
+            x = x + self.translations[i]
         return tuple(word), x
-
-    def inverse(self) -> "IET":
-        """The inverse exchange: image intervals in order, with the
-        inverse rearrangement."""
-        N = self.N
-        order = sorted(range(1, N + 1), key=self.perm)  # atoms by image position
-        inv_lengths = [self.lengths[i - 1] for i in order]
-        # position of image-atom j in the inverse image = original slot of j
-        return IET(Permutation(order), inv_lengths)
 
     def to_data(self) -> dict:
         """JSON-ready data: generator, module basis and lengths, all in
@@ -219,6 +223,21 @@ class IET:
         return f"IET(perm={self.perm.images}, N={self.N})"
 
 
+def tiling_order(lefts, lengths, a, b):
+    """Indices of the pieces [lefts[i], lefts[i] + lengths[i]), positive
+    lengths, in the order of their positions; raises ValueError unless
+    they tile [a, b) exactly, with no gap and no overlap."""
+    order = sorted(range(len(lefts)), key=lefts.__getitem__)
+    cursor = a
+    for i in order:
+        if lefts[i] != cursor:
+            raise ValueError("pieces do not tile the interval")
+        cursor = cursor + lengths[i]
+    if cursor != b:
+        raise ValueError("pieces do not tile the interval")
+    return order
+
+
 def iet_from_translations(lengths, translations) -> IET:
     """Recover the IET whose atom i is translated by translations[i].
 
@@ -238,17 +257,8 @@ def iet_from_translations(lengths, translations) -> IET:
     for l in lengths:
         lefts.append(left)
         left = left + l
-    total = left
     image_lefts = [lefts[i] + translations[i] for i in range(len(lengths))]
-    order = sorted(range(len(lengths)), key=image_lefts.__getitem__)
-    # exact tiling of the image
-    cursor = field.zero
-    for i in order:
-        if image_lefts[i] != cursor:
-            raise ValueError("translated intervals do not tile the domain")
-        cursor = cursor + lengths[i]
-    if cursor != total:
-        raise ValueError("translated intervals do not tile the domain")
+    order = tiling_order(image_lefts, lengths, field.zero, left)
     images = [0] * len(lengths)
     for pos, i in enumerate(order, start=1):
         images[i] = pos
@@ -320,18 +330,10 @@ def induce(E: IET, window) -> InducedMap:
             i = E.atom_of(cur_lo)
             stack.append((lo, hi, shift + E.translations[i - 1], word + (i,)))
 
-    done.sort(key=lambda p: p[0])
-    cursor = a
-    for lo, hi, _, _ in done:
-        if lo != cursor:
-            raise RuntimeError("induced pieces do not tile the window")
-        cursor = hi
-    if cursor != b:
-        raise RuntimeError("induced pieces do not tile the window")
     lengths = [hi - lo for lo, hi, _, _ in done]
-    shifts = [shift for _, _, shift, _ in done]
-    induced = iet_from_translations(lengths, shifts)
-    words = tuple(word for _, _, _, word in done)
+    order = tiling_order([lo for lo, _, _, _ in done], lengths, a, b)
+    induced = iet_from_translations([lengths[i] for i in order], [done[i][2] for i in order])
+    words = tuple(done[i][3] for i in order)
     return InducedMap(E, (a, b), induced, words)
 
 

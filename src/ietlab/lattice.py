@@ -12,10 +12,11 @@ Integer positions: atom selection runs on one integer position per walk.
 scale q, integers s with |q x - s| <= e for the layer value, the unit
 module points nu'_k / d and the atom right endpoints.  The position
 X = s_layer + sum z_k s_k moves by an exact integer per step, so it never
-drifts, and its error is bounded for the whole walk by the largest |z_k|
-the walk can reach.  An atom is taken from X only when the enclosure
-lies inside it; otherwise the step is decided with exact field
-arithmetic.  Coordinates themselves are always exact integers.
+drifts; the largest |z_k| the walk can reach bounds its error, and a
+precision 32 bits above log2 of that reach keeps the error near 2^-32 q.
+An atom is taken from X only when the enclosure lies inside it;
+otherwise the step is decided with exact field arithmetic.  Coordinates
+themselves are always exact integers.
 """
 from __future__ import annotations
 
@@ -99,6 +100,7 @@ class LatticeModel:
         self.window_start = None
         self.R = None
         self.prefix_graph = None  # the substitution's prefix automaton
+        self._tiles = None  # level-1 tiles, filled by vershik on first use
         self._Rnu = None
         if rho is not None:
             self.rho = rho = self.field.coerce(rho)
@@ -184,11 +186,12 @@ class LatticeModel:
         holds the enclosures (s, e) of q times the atom right endpoints.
         """
         N = self.E.N
-        q, (layer, *rest) = self.enclose([self.field.element(p.layer), *self.E.rights])
-        rights, units = rest[:N], rest[N:]
-        X = layer[0] + sum(z * s for z, (s, _) in zip(p.z, units))
         # a step changes z_r by at most max_i |proj[r][i]|
         reach = [abs(z) + k * max(map(abs, row)) for z, row in zip(p.z, self.projection)]
+        bits = sum(reach).bit_length() + 32  # the rule of unit_representative
+        q, (layer, *rest) = self.enclose([self.field.element(p.layer), *self.E.rights], bits)
+        rights, units = rest[:N], rest[N:]
+        X = layer[0] + sum(z * s for z, (s, _) in zip(p.z, units))
         err = layer[1] + sum(r * e for r, (_, e) in zip(reach, units))
         moves = [sum(row[i] * s for row, (s, _) in zip(self.projection, units)) for i in range(N)]
         return q, X, err, moves, rights

@@ -41,9 +41,9 @@ numerator means x != 0, so the loop ends.  A rational generator (n = 1)
 has the exact table m_0 = 1, r = 0.  `NumberField.enclosure` hands the
 same certificate (s, e) to callers that keep a position as an integer,
 and `NumberField.enclose` hands it out for several elements at one scale
-and at a precision no lower than asked for: `IET.atom_of` brackets a
-point between integer bounds of the atom endpoints, and the lattice walk
-and `unit_representative` move and bound integer positions.
+and at a precision no lower than asked for: `iet.Cells` brackets a
+point between integer bounds of IET atom or Vershik tile endpoints, and
+the lattice walk and `unit_representative` move and bound integer positions.
 """
 from __future__ import annotations
 

@@ -281,8 +281,9 @@ def rational_roots(p: IntPoly):
     if p.coeffs and p.coeffs[0] == 0:
         roots.add(Fraction(0))
     if pp.degree >= 1 and pp.coeffs[0] != 0:
+        dens = _divisors(abs(pp.lc))
         for num in _divisors(abs(pp.coeffs[0])):
-            for den in _divisors(abs(pp.lc)):
+            for den in dens:
                 for s in (1, -1):
                     r = Fraction(s * num, den)
                     if pp(r) == 0:

@@ -1,13 +1,15 @@
 """Recursive-tiling codes for self-similar exchanges.
 
 The window W = [0, rho*total) returns to itself under the map, and the
-return words tile the whole interval: every point sits in a unique tile
-E^t(rho * atom_j) with t below the length of the j-th return word.  The
-pair (j, t) is a prefix of the substitution, and reading it off level by
-level encodes the point as a path in the prefix automaton.  Eventually
-periodic codes are exactly the points whose level-normalized orbit
-repeats, and the periodic part is the fixed point of a contraction, so
-decoding is a closed-form geometric sum in the field.
+return words tile the whole interval: every point sits in a unique
+level-1 tile E^t(rho * atom_j) = c_mu + rho * atom_j with t below the
+length of the j-th return word, and mu = (j, t) is a prefix of the
+substitution.  One `iet.Cells.locate` among the sorted tiles reads off
+mu, and (y - c_mu) / rho is the point of the next level, so the levels
+encode the point as a path in the prefix automaton.  Eventually periodic
+codes are exactly the points whose level points repeat, and the periodic
+part is the fixed point of a contraction, so decoding is a closed-form
+geometric sum in the field.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 from fractions import Fraction
 
 from .algebraic import RealAlgebraic
+from .iet import Cells, tiling_order
 from .lattice import LatticeModel
 from .matrices import charpoly, det, identity, inverse, mat_pow, mat_sub, mat_vec, solve
 from .numberfield import (
@@ -94,57 +97,51 @@ def tile_offset(model: LatticeModel, mu: Prefix) -> FieldElement:
     return c
 
 
+def _level_tiles(model: LatticeModel):
+    """(Cells of the level-1 tiles, [(mu, c_mu), ...] in position order),
+    built on first use and kept by the model.  Tile mu must lie in the
+    atom of its letter sigma(j)[t], so the tile of a point fixes its atom."""
+    if model._tiles is None:
+        E, rho = model.E, model.rho
+        states = model.prefix_graph.states
+        offsets = [tile_offset(model, mu) for mu in states]
+        atoms = E.atoms()
+        lefts = [c + rho * atoms[mu.rule - 1][0] for mu, c in zip(states, offsets)]
+        lengths = [rho * E.lengths[mu.rule - 1] for mu in states]
+        order = tiling_order(lefts, lengths, model.field.zero, E.total)
+        rights = [lefts[i] for i in order[1:]] + [E.total]
+        for i, right in zip(order, rights):
+            a = model.prefix_graph.plus(states[i])
+            if E.locate(lefts[i]) != a - 1 or E.rights[a - 1] < right:
+                raise AssertionError("tile leaves the atom of its letter")
+        model._tiles = Cells(model.field, rights), [(states[i], offsets[i]) for i in order]
+    return model._tiles
+
+
 def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     """Prefix code of a point, with eventual-periodicity detection.
 
-    Levels are peeled by walking the point backward into the window and
-    rescaling; a repeat of the exact level point closes the period.  If
-    no repeat shows up within `depth` levels the code is returned
-    undetermined (empty period).
+    Each level makes one tile location: the level point y lies in the
+    level-1 tile c_mu + rho * atom_j of the next prefix mu, and
+    (y - c_mu) / rho is the next level point.  A repeat of the exact
+    level point closes the period; with none within `depth` levels the
+    code is returned undetermined (empty period).
     """
     _require_self_similar(model)
-    E = model.E
-    x = model.field.coerce(x)
-    if x.sign() < 0 or (x - E.total).sign() >= 0:
-        raise ValueError("point outside the domain")
-    Einv = E.inverse()
-    wlo = model.window_start
-    whi = wlo + model.rho * E.total
+    cells, tiles = _level_tiles(model)
     beta = model.rho.inverse()
-    maxlen = max(len(w) for w in model.sigma.rules.values())
-    seen = {x: 0}
+    y = model.field.coerce(x)
+    seen = {}
     prefixes = []
-    y = x
-    for level in range(1, depth + 1):
-        t = 0
-        while (y - wlo).sign() < 0 or (y - whi).sign() >= 0:
-            y = Einv.apply(y)
-            t += 1
-            if t >= maxlen:
-                raise AssertionError("backward orbit missed the window")
-        y = (y - wlo) * beta
-        j = E.atom_of(y)
-        mu = Prefix(j, t)
-        if model.sigma.rules[j][t] != (prefixes[-1].rule if prefixes else E.atom_of(x)):
-            raise AssertionError("tile letter disagrees with the coding")
+    for level in range(depth):
+        seen[y] = level
+        mu, c = tiles[cells.locate(y)]
         prefixes.append(mu)
+        y = (y - c) * beta
         back = seen.get(y)
         if back is not None:
             return VershikCode(prefixes[:back], prefixes[back:])
-        seen[y] = level
     return VershikCode(prefixes, ())
-
-
-def _validate_consistency(model: LatticeModel, code: VershikCode):
-    G = model.prefix_graph
-    seq = list(code.transient + code.period)
-    for mu in seq:
-        if mu not in G.index:
-            raise ValueError("prefix outside the rule set")
-    chain = seq + ([code.period[0]] if code.period else [])
-    for a, b in zip(chain, chain[1:]):
-        if b not in G.successors[a]:
-            raise ValueError("inconsistent consecutive prefixes")
 
 
 def vershik_decode(model: LatticeModel, code: VershikCode) -> FieldElement:
@@ -152,41 +149,38 @@ def vershik_decode(model: LatticeModel, code: VershikCode) -> FieldElement:
 
     The periodic tail is the fixed point of the composed tile maps, a
     geometric sum divided by 1 - rho^T; the transient is unwound on top.
-    Raises on inconsistent codes and on codes whose tiles do not nest.
+    Raises on codes whose tiles do not nest, so also on codes whose
+    prefixes do not chain: each tile lies in the atom of its letter.
     """
     _require_self_similar(model)
     if code.T < 1:
         raise ValueError("decoding needs a periodic tail")
-    _validate_consistency(model, code)
+    cells, tiles = _level_tiles(model)
+    offset = dict(tiles)
+    if any(mu not in offset for mu in code.transient + code.period):
+        raise ValueError("prefix outside the rule set")
     K = model.field
-    E = model.E
     rho = model.rho
     acc = K.zero
     power = K.one
     for mu in code.period:
-        acc = acc + power * tile_offset(model, mu)
+        acc = acc + power * offset[mu]
         power = power * rho
     # power is now rho^T
-    x_per = acc / (K.one - power)
-    if x_per.sign() < 0 or (x_per - E.total).sign() >= 0:
-        raise ValueError("periodic point left the domain")
-    # one loop around the cycle validates the tile atoms
-    y = x_per
+    x = acc / (K.one - power)
+    # one loop around the cycle checks that each level point lies in its tile
+    beta = rho.inverse()
+    y = x
     for mu in code.period:
-        y = (y - tile_offset(model, mu)) / rho
-        if y.sign() < 0 or (y - E.total).sign() >= 0:
-            raise ValueError("code tile leaves the domain")
-        if E.atom_of(y) != mu.rule:
-            raise ValueError("code tile does not contain its fixed point")
-    if y != x_per:
+        if tiles[cells.locate(y)][0] != mu:
+            raise ValueError("code tile does not contain its level point")
+        y = (y - offset[mu]) * beta
+    if y != x:
         raise AssertionError("period failed to close")
-    x = x_per
     for mu in reversed(code.transient):
-        if E.atom_of(x) != mu.rule:
+        x = rho * x + offset[mu]
+        if tiles[cells.locate(x)][0] != mu:
             raise ValueError("transient prefix disagrees with the point")
-        x = rho * x + tile_offset(model, mu)
-    if x.sign() < 0 or (x - E.total).sign() >= 0:
-        raise ValueError("decoded point left the domain")
     xi, _ = model.layer_of(x)
     order = model.order_of(xi)
     if code.T % order != 0:

@@ -8,17 +8,19 @@ from ietlab import builders
 from ietlab.algebraic import root_in
 from ietlab.iet import (
     IET,
+    Cells,
     Permutation,
     check_self_similar,
     iet_from_translations,
     induce,
     staircase_discrepancy,
+    tiling_order,
     translations_from,
 )
 from ietlab.lattice import LatticeModel, interval_predicate, unit_representative
 from ietlab.numberfield import FieldElement, NumberField
 from ietlab.polynomials import IntPoly
-from ietlab.vershik import vershik_encode
+from ietlab.vershik import _level_tiles, vershik_encode
 
 def golden_field():
     return NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
@@ -87,16 +89,6 @@ def test_rational_rotation_periodicity():
     x = K.from_rational(Fraction(1, 10))
     word, end = E.orbit(x, 3)
     assert end == x
-
-
-def test_inverse_round_trip(quartic_iet):
-    K, _, E = quartic_iet
-    Einv = E.inverse()
-    rng = random.Random(11)
-    for _ in range(40):
-        x = K.from_rational(Fraction(rng.randrange(0, 997), 997))
-        assert Einv.apply(E.apply(x)) == x
-        assert E.apply(Einv.apply(x)) == x
 
 
 def test_staircase_discrepancy(quartic_iet):
@@ -257,16 +249,17 @@ BRACKET_MAPS = {
 
 
 def scan_atom(E, x):
-    """Reference: the atom of x by one exact comparison per endpoint, or
-    ValueError outside [0, total)."""
-    if x < 0 or not x < E.total:
+    """Reference: the 1-based cell of x by one exact comparison per
+    endpoint, or ValueError outside [0, E.rights[-1])."""
+    if x < 0 or not x < E.rights[-1]:
         return ValueError
     return next(i for i, right in enumerate(E.rights, start=1) if x < right)
 
 
 def atom_or_error(E, x):
+    """E.atom_of(x) for an IET, locate + 1 for other Cells, or ValueError."""
     try:
-        return E.atom_of(x)
+        return E.atom_of(x) if isinstance(E, IET) else E.locate(E.field.coerce(x)) + 1
     except ValueError:
         return ValueError
 
@@ -326,6 +319,47 @@ def test_atom_of_matches_the_exact_scan(name):
             if isinstance(x, FieldElement):
                 x = F.field.from_power_coords(x.power_coords)
             assert atom_or_error(F, x) == scan_atom(F, x), (refined, x)
+
+
+def test_tile_cells_match_the_exact_scan():
+    # the 85 level-1 tiles of e2*: many cells, so a point the integer
+    # bracket cannot place goes through the exact bisection
+    model = builders.e2star_model()
+    cells, _ = _level_tiles(model)
+    assert len(cells.rights) == 85
+    poly, interval = model.field.minpoly, model.E.to_data()["interval"]
+    rights = [r.power_coords for r in cells.rights]
+
+    def fresh():
+        K = NumberField(root_in(poly, *map(Fraction, interval)))
+        return Cells(K, [K.from_power_coords(r) for r in rights])
+
+    for refined, bits in ((False, 200), (True, 600)):
+        for x in bracket_points(cells, bits):
+            C = fresh()
+            if refined:
+                C.locate(C.field.zero)
+                refine_by_sign(C.field, C.field.precision)
+            if isinstance(x, FieldElement):
+                x = C.field.from_power_coords(x.power_coords)
+            assert atom_or_error(C, x) == scan_atom(C, x), (refined, x)
+
+
+def test_tiling_order_rejects_a_gap_and_an_overlap():
+    K = golden_field()
+    phi = K.generator_element()
+    a, b = phi - 1, phi + 1
+    # [a + 1, b), [a + phi/2, a + 1) and [a, a + phi/2)
+    lefts = [a + 1, a + phi / 2, a]
+    lengths = [K.one, 1 - phi / 2, phi / 2]
+    assert tiling_order(lefts, lengths, a, b) == [2, 1, 0]
+    gap = [K.one, 1 - phi / 2 - phi / 10, phi / 2]
+    overlap = [K.one, 1 - phi / 2, phi / 2 + phi / 10]
+    for bad in (gap, overlap):
+        with pytest.raises(ValueError):
+            tiling_order(lefts, bad, a, b)
+    with pytest.raises(ValueError):
+        tiling_order(lefts, lengths, a, b + phi)  # the pieces stop short of b
 
 
 @pytest.mark.parametrize("name", BRACKET_MAPS)

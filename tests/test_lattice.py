@@ -265,14 +265,16 @@ def test_density_counts_residues():
 
 
 def test_position_certificate_holds_exactly(walk_models):
-    # |q * value - X| <= err at p and after one step by any atom, |z| <= 10^6
+    # |q * value - X| <= err at p and after one step by any atom, for
+    # |z| <= 10^6 and for |z| near 2^100, where the table's first
+    # precision would leave err above 2^-30 q
     rng = random.Random(13)
     for model in walk_models.values():
         q, _, _, _, rights = model._position(LatticePoint((0,) * model.n, (0,) * model.n), 0)
         claims = [(q * x, s, e) for x, (s, e) in zip(model.E.rights, rights)]
-        for _ in range(10):
+        for bound in (10**6,) * 10 + (2**100,) * 4:
             layer = tuple(Fraction(rng.randrange(6), 6) for _ in range(model.n))
-            z = tuple(rng.randint(-(10**6), 10**6) for _ in range(model.n))
+            z = tuple(rng.randint(-bound, bound) for _ in range(model.n))
             q, X, err, moves, _ = model._position(LatticePoint(layer, z), 1)
             assert err * 2**30 < q  # the bound is far below the atom lengths
             claims.append((q * model.value_of(LatticePoint(layer, z)), X, err))
@@ -360,6 +362,21 @@ def test_psi_orbit_matches_exact_orbit(walk_models):
             assert model.value_of(end) == y
             assert counts == [word.count(i) for i in range(1, model.E.N + 1)]
             assert marks[100][0] == model.point_of(model.E.orbit(x, 100)[1]).z
+
+
+def test_walk_from_a_large_point_stays_on_integers(monkeypatch):
+    # rho^40 has |z| near 2^82; at the table's first 64 bits nearly every
+    # step of this walk fell back to an exact atom_of
+    model = builders.quartic_model()
+    x = model.rho**40
+    p = model.point_of(x)
+    assert max(map(abs, p.z)).bit_length() > 80
+    calls = []
+    atom_of = IET.atom_of
+    monkeypatch.setattr(IET, "atom_of", lambda E, x: calls.append(x) or atom_of(E, x))
+    end, _, _ = model.psi_orbit(p, 1000)
+    assert len(calls) <= 2
+    assert model.value_of(end) == model.E.orbit(x, 1000)[1]
 
 
 def test_fallbacks_do_not_grow_after_refinement(quartic_lattice, monkeypatch):

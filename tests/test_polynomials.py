@@ -122,6 +122,17 @@ def test_rational_roots():
     assert rational_roots(P(1, 0, 1)) == []
 
 
+def test_rational_roots_divides_each_end_coefficient_once(monkeypatch):
+    from ietlab import polynomials
+
+    calls = []
+    divisors = polynomials._divisors
+    monkeypatch.setattr(polynomials, "_divisors", lambda n: calls.append(n) or divisors(n))
+    p = P(-6, 1) * P(5, 12) * P(1, 0, 1)  # roots 6, -5/12
+    assert rational_roots(p) == [Fraction(-5, 12), Fraction(6)]
+    assert sorted(calls) == [12, 30]
+
+
 def test_divisors_brute_force():
     sieve = [[] for _ in range(5001)]
     for d in range(1, 5001):

@@ -1,5 +1,5 @@
 """The integer polynomial layer against sympy over the integers: `factor`,
-`is_irreducible`, `real_roots`, the pseudo-remainder routines (Sturm
+`is_irreducible`, `real_roots`, `rational_roots`, the pseudo-remainder routines (Sturm
 counts, gcd, squarefree part, exact division), `resultant` and
 `charpoly`."""
 import random
@@ -18,6 +18,7 @@ from ietlab.polynomials import (
     factor,
     is_irreducible,
     poly_gcd,
+    rational_roots,
     resultant,
     squarefree_part,
 )
@@ -135,3 +136,17 @@ def test_resultant_and_charpoly_match_sympy():
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         want = [int(c) for c in reversed(sympy.Matrix(M).charpoly(x).all_coeffs())]
         assert charpoly(M).coeffs == tuple(want), M
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(29)
+    for _ in range(60):
+        # products of linear factors b x - a and a random cofactor
+        p = IntPoly((rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            p = p * IntPoly((-rng.randint(-12, 12), rng.randint(1, 12)))
+        if not p:
+            continue
+        roots = sympy.Poly(list(reversed(p.coeffs)), x).ground_roots()
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in roots if r.is_Rational)
+        assert rational_roots(p) == want, p

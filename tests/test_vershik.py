@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab import builders
+from ietlab.iet import IET, Permutation
 from ietlab.lattice import unit_representative
 from ietlab.substitution import Prefix, PrefixGraph
 from ietlab.vershik import (
@@ -18,6 +20,74 @@ from ietlab.vershik import (
     vershik_decode,
     vershik_encode,
 )
+
+
+def reference_encode(model, x, depth):
+    """The encoder that peels each level by walking the point backward into
+    the window W = [w, w + rho*total) with the inverse map: t steps back
+    land in W, and (j, t) with j the atom of the rescaled point is the
+    prefix.  It needs no tiles, so it checks the tile locator."""
+    E = model.E
+    order = sorted(range(1, E.N + 1), key=E.perm)  # atoms by image position
+    Einv = IET(Permutation(order), [E.lengths[i - 1] for i in order])
+    wlo = model.window_start
+    whi = wlo + model.rho * E.total
+    x = model.field.coerce(x)
+    maxlen = max(map(len, model.sigma.rules.values()))
+    seen = {x: 0}
+    prefixes = []
+    y = x
+    for level in range(1, depth + 1):
+        t = 0
+        while y < wlo or not y < whi:
+            y = Einv.apply(y)
+            t += 1
+            if t >= maxlen:
+                raise AssertionError("backward orbit missed the window")
+        y = (y - wlo) / model.rho
+        prefixes.append(Prefix(E.atom_of(y), t))
+        back = seen.get(y)
+        if back is not None:
+            return VershikCode(prefixes[:back], prefixes[back:])
+        seen[y] = level
+    return VershikCode(prefixes, ())
+
+
+CENSUS = [(builders.quartic_model, 2), (builders.e2star_model, 3)]
+
+
+@pytest.mark.parametrize("build, box", CENSUS, ids=["quartic", "e2star"])
+def test_encode_matches_the_backward_walk(build, box):
+    # the census of module points with free coordinates in [-box, box]
+    model = build()
+    for zfree in itertools.product(range(-box, box + 1), repeat=model.n - 1):
+        x = unit_representative(model, zfree)
+        assert vershik_encode(model, x, depth=24) == reference_encode(model, x, 24), zfree
+
+
+def check_decoded_codes(model, seed):
+    """Encode inverts decode on 30 geometrically valid random codes, and
+    agrees with the backward walk on them."""
+    rng = random.Random(seed)
+    kept = 0
+    while kept < 30:
+        code = random_consistent_code(model, rng)
+        try:
+            x = vershik_decode(model, code)
+        except ValueError:
+            continue
+        kept += 1
+        again = vershik_encode(model, x, depth=256)
+        assert again.determined
+        assert again == reference_encode(model, x, 256)
+        assert vershik_decode(model, again) == x
+
+
+def test_encode_rejects_points_outside_the_domain(quartic_model):
+    K, r, model = quartic_model
+    for x in (-Fraction(1, 2**200), model.total, model.total + r**9, K.from_rational(2)):
+        with pytest.raises(ValueError):
+            vershik_encode(model, x)
 
 def test_encode_zero_is_fixed_empty_prefix(quartic_model):
     K, r, model = quartic_model
@@ -83,20 +153,11 @@ def test_generic_module_point_never_repeats(quartic_model):
 
 
 def test_round_trip_decoded_codes(quartic_model):
-    # encode inverts decode on every geometrically valid random code
-    K, r, model = quartic_model
-    rng = random.Random(5)
-    kept = 0
-    while kept < 30:
-        code = random_consistent_code(model, rng)
-        try:
-            x = vershik_decode(model, code)
-        except ValueError:
-            continue
-        kept += 1
-        again = vershik_encode(model, x, depth=256)
-        assert again.determined
-        assert vershik_decode(model, again) == x
+    check_decoded_codes(quartic_model[2], 5)
+
+
+def test_round_trip_decoded_codes_e2star():
+    check_decoded_codes(builders.e2star_model(), 31)
 
 
 def test_rational_points_report_undetermined(quartic_model):
@@ -110,13 +171,32 @@ def test_rational_points_report_undetermined(quartic_model):
 
 
 def test_decode_rejects_inconsistent(quartic_model):
-    _, _, model = quartic_model
+    _, r, model = quartic_model
+    # the fixed point of the tile map of (1, 1) is total, outside the domain
+    assert tile_offset(model, Prefix(1, 1)) / (1 - r) == model.total
     with pytest.raises(ValueError):
         vershik_decode(model, VershikCode((), (Prefix(1, 1),)))
     with pytest.raises(ValueError):
         vershik_decode(model, VershikCode((), (Prefix(1, 9),)))
     with pytest.raises(ValueError):
         vershik_decode(model, VershikCode((), ()))
+    # a consistent code with one prefix replaced so that the chain breaks
+    # in the prefix automaton: each tile lies in the atom of its letter,
+    # so no point has level points in the tiles of a broken chain
+    G = model.prefix_graph
+    rng = random.Random(3)
+    broken = 0
+    while broken < 40:
+        code = random_consistent_code(model, rng)
+        seq = list(code.transient + code.period)
+        seq[rng.randrange(len(seq))] = rng.choice(G.states)
+        bad = VershikCode(seq[: code.t], seq[code.t :])
+        chain = seq + [bad.period[0]]
+        if all(b in G.successors[a] for a, b in zip(chain, chain[1:])):
+            continue
+        broken += 1
+        with pytest.raises(ValueError):
+            vershik_decode(model, bad)
 
 
 def test_code_serialization():
