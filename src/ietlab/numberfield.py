@@ -541,8 +541,9 @@ def eigen_moduli_squared(p: IntPoly):
     Returns [(RealAlgebraic, mult), ...].  Real roots contribute their
     squares; a complex pair of an irreducible quadratic or cubic factor
     contributes the exact product identity |z|^2 = |c0/lc| / |real part of
-    the spectrum|.  Irreducible quartic factors with complex roots are not
-    supported (never produced by the matrices analyzed here).
+    the spectrum|.  Irreducible factors of degree >= 4 with complex roots
+    raise NotImplementedError: 4 of the 14 qualifying (4321) Rauzy cycles
+    of length <= 10 have one.
     """
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)

@@ -9,7 +9,8 @@ mu, and (y - c_mu) / rho is the point of the next level, so the levels
 encode the point as a path in the prefix automaton.  Eventually periodic
 codes are exactly the points whose level points repeat, and the periodic
 part is the fixed point of a contraction, so decoding is a closed-form
-geometric sum in the field.
+geometric sum in the field.  Depth-k tiles sum per-level terms rho^L * c_mu:
+`enumerate_tiles` adds entries of one `tile_offsets` table per level.
 """
 from __future__ import annotations
 
@@ -85,16 +86,19 @@ def _require_self_similar(model: LatticeModel):
         raise ValueError("model must carry a scaling factor and substitution")
 
 
-def tile_offset(model: LatticeModel, mu: Prefix) -> FieldElement:
-    """c_mu: window start plus the translation accumulated along the first
-    `cut` letters of the rule's word, so the tile map is y -> rho*y + c_mu."""
-    word = model.sigma.rules[mu.rule]
-    if not 0 <= mu.cut < len(word):
-        raise ValueError("prefix cut out of range")
-    c = model.window_start
-    for s in range(mu.cut):
-        c = c + model.E.translations[word[s] - 1]
-    return c
+def tile_offsets(model: LatticeModel, scale) -> dict:
+    """{mu: scale * c_mu} for every prefix mu = (j, t): c_mu, the window
+    start plus the translations of the first t letters of rule j, makes
+    y -> rho*y + c_mu the tile map of mu.  By linearity the table takes
+    N + 1 products and one prefix sum of translations per rule."""
+    start = scale * model.window_start
+    steps = [scale * t for t in model.E.translations]
+    table = {}  # the automaton's states, rule by rule; walks look them up by identity
+    for mu in model.prefix_graph.states:
+        word = model.sigma.rules[mu.rule]
+        c = start if mu.cut == 0 else c + steps[word[mu.cut - 1] - 1]
+        table[mu] = c
+    return table
 
 
 def _level_tiles(model: LatticeModel):
@@ -104,17 +108,17 @@ def _level_tiles(model: LatticeModel):
     if model._tiles is None:
         E, rho = model.E, model.rho
         states = model.prefix_graph.states
-        offsets = [tile_offset(model, mu) for mu in states]
-        atoms = E.atoms()
-        lefts = [c + rho * atoms[mu.rule - 1][0] for mu, c in zip(states, offsets)]
-        lengths = [rho * E.lengths[mu.rule - 1] for mu in states]
+        offsets = tile_offsets(model, model.field.one)
+        scaled = [(rho * lo, rho * ln) for (lo, _), ln in zip(E.atoms(), E.lengths)]
+        lefts = [offsets[mu] + scaled[mu.rule - 1][0] for mu in states]
+        lengths = [scaled[mu.rule - 1][1] for mu in states]
         order = tiling_order(lefts, lengths, model.field.zero, E.total)
         rights = [lefts[i] for i in order[1:]] + [E.total]
         for i, right in zip(order, rights):
             a = model.prefix_graph.plus(states[i])
             if E.locate(lefts[i]) != a - 1 or E.rights[a - 1] < right:
                 raise AssertionError("tile leaves the atom of its letter")
-        model._tiles = Cells(model.field, rights), [(states[i], offsets[i]) for i in order]
+        model._tiles = Cells(model.field, rights), [(states[i], offsets[states[i]]) for i in order]
     return model._tiles
 
 
@@ -192,30 +196,36 @@ def enumerate_tiles(model: LatticeModel, depth: int):
     """All depth-k tiles as (chain, left, length), exact endpoints.
 
     A chain (mu_1..mu_k) is admissible when consecutive prefixes satisfy
-    the coding constraint; its tile is an affine image of the atom of
-    the innermost rule.
+    the coding constraint; its tile is an affine image of the atom of the
+    innermost rule j.  The walk only adds: a `tile_offsets` table per level
+    and (rho^k * left_j, rho^k * length_j) per rule take all the products.
     """
     _require_self_similar(model)
     E = model.E
-    rho = model.rho
     G = model.prefix_graph
-    offsets = {mu: tile_offset(model, mu) for mu in G.states}
-    atoms = E.atoms()
+    tables = []
+    power = model.field.one
+    for _ in range(depth):
+        tables.append(tile_offsets(model, power))
+        power = power * model.rho
+    # power is now rho^depth
+    leaf = [(power * lo, power * ln) for (lo, _), ln in zip(E.atoms(), E.lengths)]
     out = []
 
-    def rec(chain, offset, power):
-        if len(chain) == depth:
-            j = chain[-1].rule
-            lo, hi = atoms[j - 1]
-            out.append((tuple(chain), offset + power * lo, power * (hi - lo)))
+    def rec(chain, offset):
+        level = len(chain)
+        if level == depth:
+            lo, ln = leaf[chain[-1].rule - 1]
+            out.append((tuple(chain), offset + lo, ln))
             return
+        table = tables[level]
         for mu in G.successors[chain[-1]]:
             chain.append(mu)
-            rec(chain, offset + power * offsets[mu], power * rho)
+            rec(chain, offset + table[mu])
             chain.pop()
 
     for mu in G.states:
-        rec([mu], offsets[mu], rho)
+        rec([mu], tables[0][mu])
     return out
 
 
@@ -308,7 +318,8 @@ def _alg_power_equals(a: RealAlgebraic, e: int, b: RealAlgebraic) -> bool:
 
 
 def _log_ratio_enclosure(u_num: RealAlgebraic, u_den: RealAlgebraic):
-    """Certified enclosure of log(u_num)/log(u_den) for arguments > 1."""
+    """Float enclosure of log(u_num)/log(u_den) for arguments > 1; not
+    certified, as `math.log` of the 2^-60 ends is not rounded outward."""
     width = Fraction(1, 2**60)
     u_num.refine_to(width)
     u_den.refine_to(width)
@@ -319,7 +330,7 @@ def _log_ratio_enclosure(u_num: RealAlgebraic, u_den: RealAlgebraic):
 
 def exponent_report(model: LatticeModel) -> ExponentReport:
     """Growth exponents: beta, the second eigenvalue modulus, sr(R), and
-    v = log sr(R) / log beta with a certified enclosure.
+    v = log sr(R) / log beta with an uncertified float enclosure.
 
     The flag records the exact algebraic identity sr(R)^(n-1) = beta.
     All modulus comparisons run on squared moduli, which stay inside
@@ -352,9 +363,10 @@ def escape_bound_check(model: LatticeModel, code: VershikCode):
     """Prop-9-style bound: the integer part z of the point that the
     eventually periodic code decodes to satisfies ||z|| <= C * sr(R)^(t+T).
 
-    C follows the proof's chain: a uniform power bound c1 on ||R^k||/sr^k,
-    a uniform resolvent bound c2 on ||(I-R^T')^-1||, and the largest
-    prefix offset W.  Returns (passed, achieved_ratio, C).
+    C follows the proof's chain with empirical constants: c1 is a finite
+    max of ||R^k||/sr^k over k <= max(t+T, 2n), not a proven uniform bound,
+    c2 the max of ||(I-R^T')^-1|| over T' <= T, W the largest prefix offset,
+    plus a fixed, underived 2.0.  Returns (passed, achieved_ratio, C).
     """
     _require_self_similar(model)
     _, z = model.layer_of(vershik_decode(model, code))

@@ -286,6 +286,34 @@ def test_position_certificate_holds_exactly(walk_models):
             assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
 
 
+@pytest.mark.parametrize("build, m", [(builders.quartic_model, 40), (builders.e2star_model, 15)],
+                         ids=["quartic", "e2star"])
+def test_walk_matches_the_exact_orbit_at_every_step(build, m):
+    # a start c +- rho^m beside an inner atom endpoint c has |z| near
+    # 2^82 (quartic) or 2^28 (e2*), so on a fresh sign table, at 128 and
+    # 64 bits, err exceeds q * rho^m: the walk passes within err of an
+    # endpoint, where only the exact fallback may choose the atom.  Each
+    # start takes a fresh model, because that fallback refines the table
+    # and a finer table shrinks err.
+    k = 30
+    for i in range(build().E.N - 1):
+        for sign in (1, -1):
+            model = build()
+            E = model.E
+            x = E.rights[i] + sign * model.rho**m
+            p = model.point_of(x)
+            q, _, err, _, _ = model._position(p, k)
+            end, counts, marks = model.psi_orbit(p, k, checkpoints=range(1, k + 1))
+            y = x
+            for t in range(1, k + 1):
+                y = E.apply(y)
+                assert marks[t][0] == model.point_of(y).z, (i, sign, t)
+            word, y = E.orbit(x, k)
+            assert counts == [word.count(j) for j in range(1, E.N + 1)]
+            assert model.value_of(end) == y
+            assert q * float(model.rho**m) < err  # the start is that close
+
+
 def test_signs_after_each_scaled_position_stay_fast():
     # a sign check on a 2^P-scaled position needs more than P bits, so
     # taking a new position after each check doubles the table every

@@ -7,7 +7,8 @@ import pytest
 from ietlab import builders
 from ietlab.iet import IET, Permutation
 from ietlab.lattice import unit_representative
-from ietlab.substitution import Prefix, PrefixGraph
+from ietlab.numberfield import NumberField
+from ietlab.substitution import Prefix
 from ietlab.vershik import (
     VershikCode,
     affine_closed_form,
@@ -15,8 +16,8 @@ from ietlab.vershik import (
     enumerate_tiles,
     escape_bound_check,
     exponent_report,
-    tile_offset,
     random_consistent_code,
+    tile_offsets,
     vershik_decode,
     vershik_encode,
 )
@@ -53,7 +54,40 @@ def reference_encode(model, x, depth):
     return VershikCode(prefixes, ())
 
 
+def reference_tiles(model, depth):
+    """Depth-k tiles by the per-node recursion: every node forms its own
+    offset + rho^L * c_mu and rho^(L+1), and every leaf its own products,
+    with c_mu summed from the rule word per prefix.  It shares no table
+    with `enumerate_tiles`, so it checks the per-level offset tables."""
+    E, rho, G = model.E, model.rho, model.prefix_graph
+
+    def offset_of(mu):
+        c = model.window_start
+        for letter in model.sigma.rules[mu.rule][: mu.cut]:
+            c = c + E.translations[letter - 1]
+        return c
+
+    offsets = {mu: offset_of(mu) for mu in G.states}
+    atoms = E.atoms()
+    out = []
+
+    def rec(chain, offset, power):
+        if len(chain) == depth:
+            lo, hi = atoms[chain[-1].rule - 1]
+            out.append((tuple(chain), offset + power * lo, power * (hi - lo)))
+            return
+        for mu in G.successors[chain[-1]]:
+            chain.append(mu)
+            rec(chain, offset + power * offsets[mu], power * rho)
+            chain.pop()
+
+    for mu in G.states:
+        rec([mu], offsets[mu], rho)
+    return out
+
+
 CENSUS = [(builders.quartic_model, 2), (builders.e2star_model, 3)]
+TILE_DEPTHS = [(builders.quartic_model, (1, 2, 3, 4)), (builders.e2star_model, (1, 2, 3))]
 
 
 @pytest.mark.parametrize("build, box", CENSUS, ids=["quartic", "e2star"])
@@ -173,7 +207,7 @@ def test_rational_points_report_undetermined(quartic_model):
 def test_decode_rejects_inconsistent(quartic_model):
     _, r, model = quartic_model
     # the fixed point of the tile map of (1, 1) is total, outside the domain
-    assert tile_offset(model, Prefix(1, 1)) / (1 - r) == model.total
+    assert tile_offsets(model, model.field.one)[Prefix(1, 1)] / (1 - r) == model.total
     with pytest.raises(ValueError):
         vershik_decode(model, VershikCode((), (Prefix(1, 1),)))
     with pytest.raises(ValueError):
@@ -206,19 +240,27 @@ def test_code_serialization():
     assert repr(code) == "VershikCode" + line
 
 
-def test_tile_partition_exact(quartic_model):
-    K, r, model = quartic_model
-    G = PrefixGraph(model.sigma)
-    for depth in (1, 2, 3, 4):
-        tiles = enumerate_tiles(model, depth)
-        if depth > 1:
+def test_tile_partition_exact():
+    for build, depths in TILE_DEPTHS:
+        model = build()
+        K, G = model.field, model.prefix_graph
+        for depth in depths:
+            tiles = enumerate_tiles(model, depth)
             assert len(tiles) == G.count_paths(depth - 1)
-        tiles.sort(key=lambda rec: float(rec[1]))
-        cursor = K.zero
-        for _, lo, ln in tiles:
-            assert lo == cursor
-            cursor = cursor + ln
-        assert cursor == model.total
+            tiles.sort(key=lambda rec: float(rec[1]))
+            cursor = K.zero
+            for _, lo, ln in tiles:
+                assert lo == cursor
+                cursor = cursor + ln
+            assert cursor == model.total
+
+
+@pytest.mark.parametrize("build, depths", TILE_DEPTHS, ids=["quartic", "e2star"])
+def test_tiles_match_the_per_node_recursion(build, depths):
+    # same chains in the same order, same exact lefts and lengths
+    model = build()
+    for depth in depths:
+        assert enumerate_tiles(model, depth) == reference_tiles(model, depth), depth
 
 
 def test_coding_compatibility(quartic_model):
@@ -315,10 +357,24 @@ def test_affine_closed_form_matches_iteration():
         ]
 
 
+def test_enumerate_tiles_multiplies_per_level_and_rule_only(monkeypatch):
+    # depth tables of N + 1 products, depth powers of rho and two products
+    # per rule at the leaves; the recursion itself only adds
+    model = builders.e2star_model()
+    N = model.E.N
+    calls = []
+    mul = NumberField._mul
+    monkeypatch.setattr(NumberField, "_mul", lambda K, a, b: calls.append(1) or mul(K, a, b))
+    for depth in (1, 2, 3):
+        calls.clear()
+        enumerate_tiles(model, depth)
+        assert len(calls) == depth * (N + 2) + 2 * N
+
+
 def test_tile_offsets_are_translation_sums(quartic_model):
     K, r, model = quartic_model
     mu = Prefix(2, 2)  # first two letters of rule 2 = "14..."
     w = model.sigma.rules[2]
     expect = model.E.translations[w[0] - 1] + model.E.translations[w[1] - 1]
-    assert tile_offset(model, mu) == expect
-    assert tile_offset(model, Prefix(2, 0)) == K.zero
+    assert tile_offsets(model, K.one)[mu] == expect
+    assert tile_offsets(model, K.one)[Prefix(2, 0)] == K.zero
