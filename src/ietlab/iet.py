@@ -300,7 +300,9 @@ def induce(E: IET, window) -> InducedMap:
     Pieces of the window are pushed forward until they re-enter it,
     splitting at atom and window boundaries, so every returned piece
     carries a single itinerary word.  A return time above
-    RETURN_TIME_CAP raises RuntimeError.
+    RETURN_TIME_CAP raises RuntimeError.  A first-return map whose
+    permutation is reducible raises ValueError ("reducible permutation"),
+    although it exists: a Permutation is irreducible by definition.
     """
     field = E.field
     a, b = map(field.coerce, window)

@@ -1,20 +1,21 @@
-"""Exact linear algebra over the integers, the rationals and number fields.
+"""Exact linear algebra over the integers and the rationals.
 
 Matrices are lists of row lists.  Sizes here are tiny (dimension at most
-8 or so), so the algorithms favour exactness and clarity.  One
-Gauss-Jordan elimination (`eliminate`) works over any exact field, so
-Fractions and number field elements alike; inverses, solutions and
-kernel vectors are read off its reduced rows.  Integer matrices use
-fraction-free Bareiss elimination instead, which gives determinants
-(rational rows are scaled to integers first) and integer solutions up to
-one denominator.  Characteristic polynomials come from Newton's
-identities, and a column-style Hermite normal form that also returns the
-unimodular transform is what the lattice routines build on.
+8 or so), so the algorithms favour exactness and clarity.  There is one
+elimination: fraction-free Bareiss on integer rows, in which every
+division is exact.  A rational row is first scaled to integers by the
+lcm of its denominators, so determinants, inverses and solutions all
+come from integer elimination, the last two as integer solutions over
+one denominator (`solve_fraction_free`).  Products and powers work over
+any ring, number field elements included.  Characteristic polynomials
+come from Newton's identities, and a column-style Hermite normal form
+that also returns the unimodular transform is what the lattice routines
+build on.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .polynomials import IntPoly
 
@@ -88,113 +89,73 @@ def _bareiss(M, n: int) -> int:
     return sign
 
 
-def det(A):
-    """Exact determinant: an int when every row is integral, else a Fraction.
-
-    Each row is scaled to integers by the lcm of its denominators, so
-    Bareiss elimination runs on integers and the scale divides out."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = []
-    scale = 1
+def _integer_rows(A):
+    """(M, scales): row i of the int/Fraction matrix A times scales[i],
+    the lcm of its denominators, is the integer row M[i]."""
+    M, scales = [], []
     for row in A:
         den = lcm(*(x.denominator for x in row))
         M.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    d = _bareiss(M, n) * M[-1][-1]
+        scales.append(den)
+    return M, scales
+
+
+def det(A):
+    """Exact determinant: an int when every row is integral, else a Fraction."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M, scales = _integer_rows(A)
+    d, scale = _bareiss(M, n) * M[-1][-1], prod(scales)
     return d if scale == 1 else Fraction(d, scale)
 
 
-def eliminate(M, ncols: int):
-    """Gauss-Jordan elimination of the first ncols columns of M, in place,
-    over any exact field (Fraction or FieldElement entries).
+def solve_fraction_free(A, cols):
+    """Integer solutions of A x = b for integer A and each integer column
+    b in cols, up to one denominator: (X, d) with A X[j] = d cols[j] and
+    d = +-det(A).
 
-    Each pivot row is scaled to a leading 1 and its pivot column is
-    cleared in every other row.  Returns the pivot columns; row k of M
-    afterwards holds the k-th pivot, and the rows below the last pivot
-    vanish in the first ncols columns.
+    [A | cols] is eliminated once; each back substitution divides exactly
+    because X[j] = +-adj(A) cols[j].  Raises on singular A.
     """
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        pr = M[r] = [x * inv for x in M[r]]
-        for i, row in enumerate(M):
-            f = row[c]
-            if i != r and f:
-                M[i] = [a - f * b for a, b in zip(row, pr)]
-        pivots.append(c)
-    return pivots
+    n = len(A)
+    M = [list(row) + [b[i] for b in cols] for i, row in enumerate(A)]
+    if not _bareiss(M, n):
+        raise ValueError("singular matrix")
+    d = M[-1][n - 1]
+    X = []
+    for c in range(n, n + len(cols)):
+        x = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = M[k]
+            x[k] = (d * row[c] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
+        X.append(x)
+    return X, d
 
 
 def inverse(A):
-    """Inverse as a Fraction matrix; raises on singular input."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    if len(eliminate(M, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n:] for row in M]
+    """Inverse as a Fraction matrix; raises on singular input.  With the
+    rows scaled to integers, column j solves (scaled A) x = s_j e_j."""
+    M, scales = _integer_rows(A)
+    n = len(M)
+    X, d = solve_fraction_free(M, [[s * (i == j) for i in range(n)] for j, s in enumerate(scales)])
+    return [[Fraction(x[i], d) for x in X] for i in range(n)]
 
 
 def inverse_int(A):
     """Inverse of a unimodular integer matrix, as integers."""
-    inv = inverse(A)
-    if any(x.denominator != 1 for row in inv for x in row):
+    n = len(A)
+    X, d = solve_fraction_free(A, identity(n))
+    if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return [[d * x[i] for x in X] for i in range(n)]
 
 
 def solve(A, b):
     """Solve A x = b exactly; returns Fraction list, raises on singular A."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    if len(eliminate(M, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n] for row in M]
-
-
-def kernel_vector(A):
-    """The kernel vector of a square matrix over an exact field (Fraction
-    or FieldElement entries) whose kernel is one-dimensional, scaled to 1
-    in its free coordinate; raises ValueError for any other kernel
-    dimension."""
-    n = len(A)
-    M = [row[:] for row in A]
-    pivots = eliminate(M, n)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension {len(free)}, expected 1")
-    c0 = free[0]
-    v = [None] * n
-    v[c0] = M[0][c0] ** 0  # the field's one
-    for r, c in enumerate(pivots):
-        v[c] = -M[r][c0]
-    return v
-
-
-def solve_fraction_free(A, b):
-    """Integer solution of A x = b up to one denominator: (X, d) with
-    A X = d b and d = +-det(A), for integer A and b.
-
-    Bareiss elimination keeps every entry an integer, and the back
-    substitution divides exactly because X = +-adj(A) b.  Raises on
-    singular A.
-    """
-    n = len(A)
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
-    if not _bareiss(M, n):
-        raise ValueError("singular matrix")
-    d = M[-1][n - 1]
-    X = [0] * n
-    for k in range(n - 1, -1, -1):
-        s = d * M[k][n] - sum(M[k][j] * X[j] for j in range(k + 1, n))
-        X[k] = s // M[k][k]
-    return X, d
+    M, _ = _integer_rows([list(row) + [y] for row, y in zip(A, b)])
+    (x,), d = solve_fraction_free([row[:-1] for row in M], [[row[-1] for row in M]])
+    return [Fraction(v, d) for v in x]
 
 
 def charpoly(A) -> IntPoly:

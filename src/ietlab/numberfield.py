@@ -53,7 +53,7 @@ from functools import total_ordering
 from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
-from .matrices import charpoly, inverse, is_primitive, kernel_vector, mat_vec, solve_fraction_free
+from .matrices import charpoly, inverse, is_primitive, mat_vec, solve_fraction_free
 from .polynomials import IntPoly, factor
 
 _START_BITS = 64
@@ -360,10 +360,10 @@ class FieldElement:
             raise ZeroDivisionError("division by zero field element")
         # the inverse is the solution y of (Mi / s) y = e_0
         Mi, s = self._times_matrix()
-        X, d = solve_fraction_free(Mi, [1] + [0] * (len(Mi) - 1))
+        (x,), d = solve_fraction_free(Mi, [[1] + [0] * (len(Mi) - 1)])
         if d < 0:
             s, d = -s, -d
-        return _reduced(self.field, [s * x for x in X], d)
+        return _reduced(self.field, [s * c for c in x], d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -497,6 +497,14 @@ def perron_pair(M):
     Returns (beta, v): beta the spectral radius as a RealAlgebraic and v
     the exact eigenvector in Q(beta)^n, strictly positive, normalized to
     sum 1, with M v = beta v verified exactly.
+
+    No field matrix is eliminated.  Synthetic division splits the
+    characteristic polynomial as p(x) = (x - beta) q(x), with q over
+    Q(beta).  The Perron root is simple, so q(M) kills every other
+    generalized eigenspace and acts as q(beta) on the Perron line:
+    q(M) = q(beta) P with P the Perron projection, positive for
+    primitive M.  Hence v is a positive multiple of
+    q(M) e_1 = sum_k q_k M^k e_1, built on the integer vectors M^k e_1.
     """
     if not is_primitive(M):
         raise ValueError("matrix is not primitive")
@@ -504,15 +512,19 @@ def perron_pair(M):
     beta = spectral_radius(M)
     K = NumberField(beta)
     b = K.generator_element()
-    rows = [
-        [K.from_rational(M[i][j]) - (b if i == j else K.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    v = kernel_vector(rows)
+    p = charpoly(M).coeffs
+    q = [K.one]  # q_{n-1}, ..., q_0 by q_{k-1} = p_k + beta q_k
+    for c in p[n - 1:0:-1]:
+        q.append(b * q[-1] + c)
+    w, v = [int(i == 0) for i in range(n)], [K.zero] * n
+    for qk in reversed(q):
+        v = [x + qk * y if y else x for x, y in zip(v, w)]
+        w = mat_vec(M, w)
     total = sum(v, K.zero)
     if not total:
         raise AssertionError("eigenvector sums to zero")
-    v = [x / total for x in v]
+    t = total.inverse()
+    v = [x * t for x in v]
     if any(x.sign() <= 0 for x in v):
         raise AssertionError("Perron eigenvector not strictly positive")
     if any(lhs != b * x for lhs, x in zip(mat_vec(M, v), v)):

@@ -126,6 +126,15 @@ def test_induce_full_window_is_identity_data():
     assert im.return_words == ((1,), (2,))
 
 
+def test_induce_refuses_a_reducible_first_return_map():
+    # rotation by 2 on [0, 4): every point of [1, 3) first returns to
+    # itself after two steps, so the first-return map is the identity
+    K = golden_field()
+    E = IET(Permutation([2, 1]), [K.from_rational(2), K.from_rational(2)])
+    with pytest.raises(ValueError, match="reducible permutation"):
+        induce(E, (1, 3))
+
+
 def test_quartic_induction_on_first_atom(quartic_iet):
     K, r, E = quartic_iet
     im = induce(E, (K.zero, r))

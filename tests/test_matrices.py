@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab.algebraic import root_in
+from ietlab.builders import SEVEN_PRODUCT
 from ietlab.matrices import (
     charpoly,
     det,
@@ -14,7 +14,6 @@ from ietlab.matrices import (
     inverse_int,
     is_primitive,
     kernel_int,
-    kernel_vector,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -23,12 +22,79 @@ from ietlab.matrices import (
     transpose,
     unimodular_completion,
 )
-from ietlab.numberfield import NumberField
+from ietlab.numberfield import perron_pair
 from ietlab.polynomials import IntPoly
+from ietlab.rauzy import class_of, enumerate_cycles
 
 
 def rand_mat(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def rand_rational_mat(rng, n):
+    """Rows with denominators drawn from 1, 2, 3 and 6, so that the row
+    scaling of the rational routines has work to do."""
+    return [[Fraction(x, rng.choice((1, 2, 3, 6))) for x in row] for row in rand_mat(rng, n, n)]
+
+
+def reference_eliminate(M, ncols: int):
+    """Gauss-Jordan elimination of the first ncols columns of M, in place,
+    over any exact field (Fraction or FieldElement entries): each pivot
+    row is scaled to a leading 1 and its pivot column is cleared in every
+    other row.  Returns the pivot columns.  The oracle for the Bareiss
+    routines of `matrices`."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        pr = M[r] = [x * inv for x in M[r]]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i != r and f:
+                M[i] = [a - f * b for a, b in zip(row, pr)]
+        pivots.append(c)
+    return pivots
+
+
+def reference_solve_columns(A, cols):
+    """The Fraction solutions x of A x = b for each column b in cols, by
+    Gauss-Jordan; raises ValueError on singular A."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in cols] for i, row in enumerate(A)]
+    if len(reference_eliminate(M, n)) < n:
+        raise ValueError("singular matrix")
+    return [[row[n + j] for row in M] for j in range(len(cols))]
+
+
+def reference_inverse(A):
+    return transpose(reference_solve_columns(A, identity(len(A))))
+
+
+def reference_perron_vector(M, beta):
+    """The kernel of M - beta I over Q(beta) by Gauss-Jordan, checked to be
+    a line and normalized to sum 1."""
+    n = len(M)
+    K = beta.field
+    rows = [[K.coerce(M[i][j]) - (beta if i == j else K.zero) for j in range(n)] for i in range(n)]
+    pivots = reference_eliminate(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1
+    v = [K.one if c == free[0] else K.zero for c in range(n)]
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][free[0]]
+    total = sum(v, K.zero)
+    return [x / total for x in v]
+
+
+def assert_perron_vector_matches_the_oracle(M):
+    beta, v = perron_pair(M)
+    b = v[0].field.generator_element()
+    assert v[0].field.generator is beta
+    assert v == reference_perron_vector(M, b)
 
 
 def test_mat_mul_and_identity():
@@ -76,42 +142,77 @@ def test_det_matches_expansion_randomized():
 
 def test_inverse_and_solve():
     rng = random.Random(11)
-    for _ in range(25):
+    for t in range(60):
         n = rng.randint(1, 5)
-        A = rand_mat(rng, n, n)
+        A = rand_rational_mat(rng, n) if t % 2 else rand_mat(rng, n, n)
         if det(A) == 0:
             continue
         Ainv = inverse(A)
+        assert Ainv == reference_inverse(A)
         assert mat_mul(A, Ainv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        b = [rng.randint(-9, 9) for _ in range(n)]
+        b = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(n)]
         x = solve(A, b)
-        assert mat_vec(A, x) == [Fraction(v) for v in b]
+        assert x == reference_solve_columns(A, [b])[0]
+        assert mat_vec(A, x) == b
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse([[1, 2], [2, 4]])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    singular = (
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 0]],
+        [[half, third], [3, 2]],  # row 2 is 6 * row 1
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    )
+    for A in singular:
+        assert det(A) == 0
+        with pytest.raises(ValueError):
+            inverse(A)
+        with pytest.raises(ValueError):
+            solve(A, [1] * len(A))
 
 
-def test_kernel_vector_over_fractions_and_a_number_field():
-    A = [[Fraction(x) for x in row] for row in ([1, 2, 3], [4, 5, 6], [7, 8, 9])]
-    assert kernel_vector(A) == [1, -2, 1]
-    for B in ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], identity(3)):
-        with pytest.raises(ValueError):  # kernel dimension 2, then 0
-            kernel_vector([[Fraction(x) for x in row] for row in B])
-    K = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
-    phi = K.generator_element()
-    A = [[phi, -K.one], [phi * phi, -phi]]
-    v = kernel_vector(A)
-    assert v == [1 / phi, K.one]
-    assert mat_vec(A, v) == [0, 0]
+def test_perron_vector_matches_the_oracle_on_the_census_and_e2star():
+    hits = [c for c in enumerate_cycles(class_of((4, 3, 2, 1)), 10) if c.is_qualifying()]
+    assert len(hits) == 14
+    for cyc in hits:
+        assert_perron_vector_matches_the_oracle(cyc.product)
+    # the charpoly of SEVEN_PRODUCT has a factor x - 1 beside the minimal
+    # polynomial of beta, and q(M) must kill that eigenvector too
+    M = [list(row) for row in SEVEN_PRODUCT]
+    assert charpoly(M)(1) == 0
+    assert_perron_vector_matches_the_oracle(M)
+
+
+def test_perron_vector_matches_the_oracle_on_random_primitive_matrices():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    square = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(square)
+    def check(M):
+        assume(is_primitive(M))
+        assert_perron_vector_matches_the_oracle(M)
+
+    check()
 
 
 def test_inverse_int_unimodular():
     U = [[2, 1], [1, 1]]
     assert inverse_int(U) == [[1, -1], [-1, 2]]
-    with pytest.raises(ValueError):
-        inverse_int([[2, 0], [0, 1]])
+    rng = random.Random(29)
+    for _ in range(20):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        _, U = hnf_column(rand_mat(rng, m, n))
+        assert inverse_int(U) == reference_inverse(U)
+    for A in ([[2, 0], [0, 1]], [[1, 1], [-1, 1]], [[1, 2], [2, 4]]):  # det 2, 2, 0
+        with pytest.raises(ValueError):
+            inverse_int(A)
 
 
 def test_charpoly_companion():
@@ -145,15 +246,15 @@ def test_solve_fraction_free_matches_solve():
     for _ in range(30):
         n = rng.randint(1, 5)
         A = rand_mat(rng, n, n)
-        b = [rng.randint(-5, 5) for _ in range(n)]
+        cols = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         if det(A) == 0:
             with pytest.raises(ValueError):
-                solve_fraction_free(A, b)
+                solve_fraction_free(A, cols)
             continue
-        X, d = solve_fraction_free(A, b)
+        X, d = solve_fraction_free(A, cols)
         assert abs(d) == abs(det(A))
-        assert all(isinstance(x, int) for x in X)
-        assert [Fraction(x, d) for x in X] == solve(A, b)
+        assert all(isinstance(x, int) for col in X for x in col)
+        assert [[Fraction(x, d) for x in col] for col in X] == reference_solve_columns(A, cols)
 
 
 def test_extgcd():
