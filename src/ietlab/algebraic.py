@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import prod
 
 from .polynomials import (
     IntPoly,
     count_roots,
     factor,
-    is_irreducible,
     root_bound,
     sign_variations,
     squarefree_part,
@@ -241,56 +239,3 @@ def root_in(p: IntPoly, lo, hi) -> "RealAlgebraic":
         if r._cmp_fraction(lo) > 0 and r._cmp_fraction(hi) < 0:
             return r
     raise ValueError("no root in the interval")
-
-
-def is_pisot(p: IntPoly) -> bool:
-    """Whether the largest real root of irreducible monic p is a Pisot number:
-    an algebraic integer > 1 with every conjugate of modulus < 1.
-
-    Exact for degree <= 4: real conjugates are compared through Sturm
-    isolation, and the single possible complex pair has squared modulus
-    |c0| / |product of real roots|, decided by interval refinement.  A
-    self-reciprocal polynomial of degree > 2 puts the pair on the unit
-    circle, so it is rejected outright.
-    """
-    p = p.primitive_part()
-    if not p or p.lc != 1:
-        return False
-    n = p.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return p.coeffs[0] <= -2
-    if n > 4:
-        raise ValueError("exact Pisot test supported up to degree 4")
-    if not is_irreducible(p):
-        raise ValueError("Pisot test expects an irreducible polynomial")
-    roots = real_roots(p)
-    if not roots:
-        return False
-    alpha = roots[-1]
-    if not alpha > 1:
-        return False
-    if not all(-1 < r < 1 for r in roots[:-1]):
-        return False
-    n_complex = n - len(roots)
-    if n_complex == 0:
-        return True
-    # exactly one conjugate pair remains; |z|^2 * prod|real| = |c0|
-    if p.is_self_reciprocal():
-        return False
-    return _abs_product_exceeds(roots, abs(p.coeffs[0]))
-
-
-def _abs_product_exceeds(roots, c: int) -> bool:
-    """Decide prod |r| > c by refining isolating intervals; the caller
-    guarantees equality cannot occur.  A unit interval [m, m + 1] / 2^k
-    never has 0 inside, so |r| lies between the endpoints' moduli."""
-    while True:
-        ends = [sorted((abs(r.lo), abs(r.hi))) for r in roots]
-        if prod(lo for lo, _ in ends) > c:
-            return True
-        if prod(hi for _, hi in ends) < c:
-            return False
-        for r in roots:
-            r.refine()

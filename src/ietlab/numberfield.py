@@ -54,7 +54,7 @@ from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
 from .matrices import charpoly, inverse, is_primitive, mat_vec, solve_fraction_free
-from .polynomials import IntPoly, factor
+from .polynomials import IntPoly, factor, is_irreducible
 
 _START_BITS = 64
 _FLOAT_BITS = 96  # __float__ also wants a relative error below 2^-64
@@ -550,12 +550,14 @@ def to_real_algebraic(x: FieldElement) -> RealAlgebraic:
 def eigen_moduli_squared(p: IntPoly):
     """Squared moduli of the roots of p with multiplicities, sorted descending.
 
-    Returns [(RealAlgebraic, mult), ...].  Real roots contribute their
-    squares; a complex pair of an irreducible quadratic or cubic factor
-    contributes the exact product identity |z|^2 = |c0/lc| / |real part of
-    the spectrum|.  Irreducible factors of degree >= 4 with complex roots
-    raise NotImplementedError: 4 of the 14 qualifying (4321) Rauzy cycles
-    of length <= 10 have one.
+    Returns [(RealAlgebraic, mult), ...] with equal moduli merged.  A real
+    root r of an irreducible factor contributes r^2.  A factor with exactly
+    one complex pair z, z-bar contributes |z|^2, twice, from one exact path
+    at every degree (`_pair_modulus_squared`).  That path factors a
+    polynomial of degree n(n-1)/2 for a factor of degree n, so
+    FACTOR_DEGREE_LIMIT = 8 caps it at n <= 4 and factoring raises
+    ValueError above.  A factor with two or more complex pairs raises
+    NotImplementedError.
     """
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
@@ -564,24 +566,10 @@ def eigen_moduli_squared(p: IntPoly):
         for r in rroots:
             entries.append((to_real_algebraic(NumberField(r).generator_element() ** 2), mult))
         n_complex = q.degree - len(rroots)
-        if n_complex == 0:
-            continue
-        if n_complex != 2:
-            raise NotImplementedError(
-                "modulus of complex roots supported only for a single conjugate pair"
-            )
-        c_ratio = Fraction(abs(q.coeffs[0]), abs(q.lc))
-        if q.degree == 2:
-            entries.append((RealAlgebraic.from_rational(c_ratio), 2))
-        elif q.degree == 3:
-            r = rroots[0]
-            K = NumberField(r)
-            u = K.from_rational(c_ratio) / abs(K.generator_element())
-            entries.append((to_real_algebraic(u), 2))
-        else:
-            raise NotImplementedError(
-                "complex pair modulus for irreducible quartic factors is not supported"
-            )
+        if n_complex > 2:
+            raise NotImplementedError("modulus supported only for one complex pair per factor")
+        if n_complex:
+            entries.append((_pair_modulus_squared(q, rroots), 2 * mult))
     # exact descending sort, merging equal moduli
     entries.sort(key=lambda entry: entry[0], reverse=True)
     merged = []
@@ -591,6 +579,60 @@ def eigen_moduli_squared(p: IntPoly):
         else:
             merged.append((usq, mult))
     return merged
+
+
+def _pair_modulus_squared(q: IntPoly, rroots) -> RealAlgebraic:
+    """|z|^2 for the one complex pair z, z-bar of the irreducible q, whose
+    real roots are rroots.
+
+    With a = lc(q) and C the companion matrix of q, the integer matrix a C
+    has the eigenvalues a x over the roots x of q.  Its second compound
+    (the 2 x 2 minors, rows and columns indexed by pairs i < j) has the
+    eigenvalues a^2 x y over pairs of roots, so chi(a^2 x), with chi its
+    integer characteristic polynomial, has the roots x y and |z|^2 among
+    the real ones.  As the intervals of the real roots shrink, the bound
+    |z|^2 = |q(0)| / (a prod |r|) leaves only that candidate: every
+    interval here only ever narrows.
+    """
+    n, a, c = q.degree, q.lc, q.coeffs
+    aC = [[a * (i == k + 1) for k in range(n - 1)] + [-c[i]] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    compound = [[aC[i][k] * aC[j][l] - aC[i][l] * aC[j][k] for k, l in pairs] for i, j in pairs]
+    chi = charpoly(compound)
+    cands = real_roots(IntPoly(e * a ** (2 * k) for k, e in enumerate(chi.coeffs)))
+    target, bits = abs(c[0]), 16
+    while True:
+        lo = hi = a  # a prod |r| lies in [lo, hi]: no unit interval has 0 inside
+        for r in rroots:
+            ends = abs(r.lo), abs(r.hi)
+            lo, hi = lo * min(ends), hi * max(ends)
+        cands = [u for u in cands if u.lo * lo <= target <= u.hi * hi]
+        if len(cands) == 1:
+            return cands[0]
+        bits *= 2
+        for r in rroots + cands:
+            r.refine_to(Fraction(1, 1 << bits))
+
+
+def is_pisot(p: IntPoly) -> bool:
+    """Whether the largest real root of the irreducible monic p is a Pisot
+    number: an algebraic integer > 1 with every conjugate of modulus < 1.
+
+    A reading of `eigen_moduli_squared`, exact and within its limits (at
+    most one complex pair, and none above degree 4): the largest real root
+    is > 1, the top squared modulus is simple and the next one is < 1.  A
+    non-monic p is not Pisot; a reducible p raises ValueError.
+    """
+    p = p.primitive_part()
+    if not p or p.degree < 1 or p.lc != 1:
+        return False
+    if not is_irreducible(p):
+        raise ValueError("Pisot test expects an irreducible polynomial")
+    roots = real_roots(p)
+    if not roots or not roots[-1] > 1:
+        return False
+    mods = eigen_moduli_squared(p)
+    return mods[0][1] == 1 and (len(mods) == 1 or mods[1][0] < 1)
 
 
 def mult_matrix(zeta: FieldElement):

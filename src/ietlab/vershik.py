@@ -59,6 +59,8 @@ class VershikCode:
 
     def prefix(self, k: int) -> Prefix:
         """1-based k-th prefix of the infinite sequence."""
+        if k < 1:
+            raise IndexError("prefixes are numbered from 1")
         if k <= self.t:
             return self.transient[k - 1]
         if not self.period:
@@ -333,8 +335,11 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     v = log sr(R) / log beta with an uncertified float enclosure.
 
     The flag records the exact algebraic identity sr(R)^(n-1) = beta.
-    All modulus comparisons run on squared moduli, which stay inside
-    real fields even for complex eigenvalue pairs.
+    All modulus comparisons run on the exact squared moduli of
+    `eigen_moduli_squared`, which are real even for a complex eigenvalue
+    pair.  That covers every charpoly factor of degree <= 4 with at most
+    one pair, the Salem-type (4321) loops included; a factor with two
+    pairs raises NotImplementedError.
     """
     _require_self_similar(model)
     M = model.sigma.incidence()

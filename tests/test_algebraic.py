@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ietlab import builders
-from ietlab.algebraic import RealAlgebraic, is_pisot, real_roots, root_in
+from ietlab.algebraic import RealAlgebraic, real_roots, root_in
 from ietlab.matrices import charpoly
+from ietlab.numberfield import is_pisot
 from ietlab.polynomials import IntPoly
 
 
@@ -166,6 +167,32 @@ def test_is_pisot_known_numbers():
 
 def test_is_pisot_rejects_nonmonic():
     assert not is_pisot(P(-1, 2))  # 1/2
+
+
+def test_is_pisot_matches_mpmath():
+    mp = pytest.importorskip("mpmath").mp
+    from ietlab.polynomials import is_irreducible
+
+    rng = random.Random(20070508)
+    seen = {True: 0, False: 0}
+    tol = 10**-40
+    with mp.workdps(80):
+        while sum(seen.values()) < 120:
+            n = rng.randint(1, 4)
+            p = P(*[rng.randint(-4, 4) for _ in range(n)], 1)
+            if not p.coeffs[0] or not is_irreducible(p):
+                continue
+            roots = mp.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=300)
+            reals = [x.real for x in roots if abs(x.imag) < tol]
+            top = max(reals, default=None)
+            others = list(roots)
+            if top is not None:
+                others.pop(min(range(n), key=lambda i: abs(roots[i] - top)))
+            # a conjugate on the unit circle has modulus within tol of 1
+            expected = top is not None and top > 1 and all(abs(x) < 1 - tol for x in others)
+            assert is_pisot(p) == expected, p
+            seen[expected] += 1
+    assert min(seen.values()) >= 10
 
 
 def test_cycle_product_expansion_constant():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab.algebraic import is_pisot
 from ietlab.builders import (
     SEVEN_PRODUCT,
     e2star_model,
@@ -14,7 +13,7 @@ from ietlab.builders import (
 from ietlab.iet import IET
 from ietlab.lattice import LatticeModel
 from ietlab.matrices import charpoly, mat_mul
-from ietlab.numberfield import to_real_algebraic
+from ietlab.numberfield import is_pisot, to_real_algebraic
 from ietlab.polynomials import IntPoly, factor, is_irreducible
 from ietlab.vershik import d_T
 

@@ -275,6 +275,85 @@ def test_spectral_radius_squared_companion():
     assert float(u) == pytest.approx(((1 + math.sqrt(5)) / 2) ** 2)
 
 
+@pytest.mark.parametrize("coeffs", [(1, -7, 11, -7, 1), (1, -8, 12, -8, 1)])
+def test_eigen_moduli_salem_census_charpolys(coeffs):
+    from ietlab.numberfield import eigen_moduli_squared, to_real_algebraic
+
+    # Salem-type (4321) loops: real roots beta and 1/beta, a pair on the circle
+    p = IntPoly(coeffs)
+    mods = eigen_moduli_squared(p)
+    b = NumberField(real_roots(p)[-1]).generator_element()
+    assert [m for _, m in mods] == [1, 2, 1]
+    assert mods[0][0] == to_real_algebraic(b**2)
+    assert mods[1][0] == 1 and mods[1][0].poly == IntPoly((-1, 1))
+    assert mods[2][0] == to_real_algebraic(b**-2)
+
+
+def test_eigen_moduli_repeated_factor_and_two_pairs():
+    from ietlab.numberfield import eigen_moduli_squared
+
+    q = IntPoly((-1, 10, -6, 1))
+    assert [m for _, m in eigen_moduli_squared(q * q)] == [4, 2]
+    assert [u for u, _ in eigen_moduli_squared(q * q)] == [u for u, _ in eigen_moduli_squared(q)]
+    with pytest.raises(NotImplementedError):
+        eigen_moduli_squared(IntPoly((1, 0, 0, 0, 1)))  # x^4 + 1: two pairs
+
+
+def test_eigen_moduli_non_monic_pair():
+    from ietlab.numberfield import eigen_moduli_squared, to_real_algebraic
+
+    (u, m), = eigen_moduli_squared(IntPoly((5, 1, 2)))  # 2x^2 + x + 5
+    assert (u, m) == (Fraction(5, 2), 2)
+    # 3x^3 - 6x^2 + 10x - 1: |z|^2 = 1 / (3 r) is a root of 9x^3 - 30x^2 + 6x - 1
+    (u, m), _ = eigen_moduli_squared(IntPoly((-1, 10, -6, 3)))
+    assert (u.poly, m) == (IntPoly((-1, 6, -30, 9)), 2)
+    r = real_roots(IntPoly((-1, 10, -6, 3)))[0]
+    assert u == to_real_algebraic(1 / (3 * NumberField(r).generator_element()))
+
+
+def mp_moduli_squared(mp, p: IntPoly):
+    """Squared root moduli of p from mpmath, merged within 1e-40 and
+    sorted descending, as [[value, multiplicity], ...]."""
+    roots = mp.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=300)
+    out = []
+    for m in sorted((abs(x) ** 2 for x in roots), reverse=True):
+        if out and out[-1][0] - m < mp.mpf("1e-40"):
+            out[-1][1] += 1
+        else:
+            out.append([m, 1])
+    return out
+
+
+def test_eigen_moduli_match_mpmath_on_one_complex_pair():
+    mp = pytest.importorskip("mpmath").mp
+    from ietlab.numberfield import eigen_moduli_squared
+    from ietlab.polynomials import is_irreducible
+
+    rng = random.Random(20070508)
+    cases = []
+    for n in (2, 3, 4):
+        for a in (1, 2, 3):
+            found = 0
+            while found < 3:
+                p = IntPoly([rng.choice([-1, 1]) * rng.randint(1, 6)]
+                            + [rng.randint(-6, 6) for _ in range(n - 1)] + [a])
+                if is_irreducible(p) and len(real_roots(p)) == n - 2:
+                    cases.append(p)
+                    found += 1
+    tol = Fraction(1, 10**45)
+    with mp.workdps(80):
+        for p in cases:
+            mods = eigen_moduli_squared(p)
+            oracle = mp_moduli_squared(mp, p)
+            assert [m for _, m in mods] == [m for _, m in oracle], p
+            assert 2 in [m for _, m in mods], p
+            for (u, _), (v, _) in zip(mods, oracle):
+                u.refine_to(Fraction(1, 2**160))
+                lo, hi = u.lo - tol, u.hi + tol
+                assert mp.mpf(lo.numerator) / lo.denominator <= v, p
+                assert v <= mp.mpf(hi.numerator) / hi.denominator, p
+
+
 def test_cross_generator_equality_is_false():
     K = golden_field()
     Kq = quartic_field()

@@ -240,6 +240,21 @@ def test_code_serialization():
     assert repr(code) == "VershikCode" + line
 
 
+def test_prefix_is_numbered_from_one():
+    first, second = Prefix(1, 0), Prefix(2, 1)
+    code = VershikCode((first, second), ())
+    assert (code.prefix(1), code.prefix(2)) == (first, second)
+    for k in (0, -1, -2):
+        with pytest.raises(IndexError, match="numbered from 1"):
+            code.prefix(k)
+    with pytest.raises(IndexError, match="undetermined"):
+        code.prefix(3)
+    periodic = VershikCode((first,), (second,))
+    assert [periodic.prefix(k) for k in (1, 2, 5)] == [first, second, second]
+    with pytest.raises(IndexError):
+        periodic.prefix(0)
+
+
 def test_tile_partition_exact():
     for build, depths in TILE_DEPTHS:
         model = build()
