@@ -3,15 +3,16 @@
 Three constructions are packaged here: a four-interval map with nonzero
 drift whose scaling constant is a degree-four unit, a one-parameter family
 of seven-interval maps with zero drift over half-integer modules of cubic
-fields, and the self-similar seven-interval companion of the k = 2 family
-member.
+fields with the self-similar first-return maps on their leading
+intervals, and the self-similar seven-interval companion of the k = 2
+family member.
 """
 
 from fractions import Fraction
 
 from .algebraic import real_roots, root_in
 from .iet import IET, Permutation, iet_from_translations
-from .lattice import LatticeModel
+from .lattice import LatticeModel, first_return_model
 from .numberfield import NumberField, perron_pair
 from .polynomials import IntPoly
 
@@ -74,11 +75,13 @@ def family_poly(k: int) -> IntPoly:
 def ek_model(k: int) -> LatticeModel:
     """Seven-interval zero-drift map over the half-integer module.
 
-    The map itself is not self-similar (its induced map on the leading
-    interval is), so the model carries no scaling factor; it is the right
-    object for drift checks and lattice iteration.  The permutation is
-    recovered from the closed-form lengths and translations, which must
-    tile the domain and agree with the translations it implies.
+    The map itself is not self-similar, so the model carries no scaling
+    factor; it is the right object for drift checks and lattice iteration.
+    Its first return to the leading interval (atom 1) is self-similar with
+    the factor lambda (`ek_first_return`); the model declares that window
+    and factor, so long walks jump through the towers.  The permutation
+    is recovered from the closed-form lengths and translations, which
+    must tile the domain and agree with the translations it implies.
     """
     f = family_poly(k)
     base = NumberField(real_roots(f)[0])
@@ -106,4 +109,10 @@ def ek_model(k: int) -> LatticeModel:
         (lam - 3) * half,
     ]
     E = iet_from_translations(lengths, taus)
-    return LatticeModel(E, name=f"ek{k}")
+    return LatticeModel(E, name=f"ek{k}", first_return=(E.atoms()[0], lam))
+
+
+def ek_first_return(k: int) -> LatticeModel:
+    """The first-return map of E_k on its leading interval, self-similar
+    with the factor lambda, as a model over E_k's module."""
+    return first_return_model(ek_model(k))[0]

@@ -7,6 +7,26 @@ translation and the atom i is selected by the real position of the point.
 Layers xi + M (rational torsion residues) are invariant, so a model pins
 one layer and walks Z^n.
 
+Walks.  `psi_orbit` cuts a walk at its checkpoints, and each segment
+either jumps through the towers or steps; z_k = z_0 + projection * counts
+either way, and the coordinates are always exact integers.
+
+Jumps.  A model renormalizes when it carries a scaling factor rho, or
+declares a window whose first-return map is self-similar (E_k's leading
+interval).  Its domain is then cut into Kakutani-Rokhlin towers: the
+level-1 tiles are the floors of the towers over the renormalized atoms,
+and the map's own level-1 tiles cut every higher level.  The level-l
+tower over letter j spans h_l(j) = |sigma_1 ... sigma_l (j)| steps, so
+E^k(x) follows the expansion of k in these heights (Dumont and Thomas'
+numeration by substitutions).  A segment of k >= 2 steps climbs, one
+exact tile location per level, to the highest level L whose smallest
+tower is at most k; it takes whole level-L steps of the self-similar map
+while a tower fits, then descends by heights alone, and the symbol counts
+are the per-level letter counts pushed down through the substitutions.
+Its cost grows like log k.  A segment shorter than every level-1 tower,
+a one-step segment and every segment of a model without renormalization
+step one atom at a time, as below.
+
 Integer positions: atom selection runs on one integer position per walk.
 `NumberField.enclose` gives, at one sign-table precision and a common
 scale q, integers s with |q x - s| <= e for the layer value, the unit
@@ -15,8 +35,7 @@ X = s_layer + sum z_k s_k moves by an exact integer per step, so it never
 drifts; the largest |z_k| the walk can reach bounds its error, and a
 precision 32 bits above log2 of that reach keeps the error near 2^-32 q.
 An atom is taken from X only when the enclosure lies inside it;
-otherwise the step is decided with exact field arithmetic.  Coordinates
-themselves are always exact integers.
+otherwise the step is decided with exact field arithmetic.
 """
 from __future__ import annotations
 
@@ -25,12 +44,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
-from .iet import IET, check_self_similar
+from .iet import IET, Cells, check_self_similar, induce, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
 from .numberfield import FieldElement, mult_matrix
 from .polynomials import IntPoly
-from .substitution import PrefixGraph
+from .substitution import Prefix, PrefixGraph
 
 
 class LatticePoint:
@@ -79,9 +98,16 @@ class LatticeModel:
     decides that and supplies the substitution sigma, and the model gains
     the scaling matrix R and the prefix automaton.  Without rho the model
     carries the lattice walk and the drift only.
+
+    first_return, a pair (window, factor), declares instead that the
+    first-return map on the window (a, b) is self-similar with that
+    factor; it is only data until a walk jumps through the towers, which
+    `first_return_model` builds from it.  A model with neither walks step
+    by step.
     """
 
-    def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left"):
+    def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left",
+                 first_return=None):
         self.E = E
         self.name = name
         self.field = E.field
@@ -100,8 +126,12 @@ class LatticeModel:
         self.window_start = None
         self.R = None
         self.prefix_graph = None  # the substitution's prefix automaton
-        self._tiles = None  # level-1 tiles, filled by vershik on first use
+        self._tiles = None  # level-1 tiles, built by level_tiles on first use
         self._Rnu = None
+        if rho is not None and first_return is not None:
+            raise ValueError("a model renormalizes by rho or by a first return, not both")
+        self.first_return = first_return
+        self._towers = None  # built by the first walk that may jump
         if rho is not None:
             self.rho = rho = self.field.coerce(rho)
             if not self.module.in_order(rho):
@@ -125,6 +155,19 @@ class LatticeModel:
         rhs = mat_mul(self.projection, M)
         if lhs != rhs:
             raise AssertionError("lattice/substitution commutation failed")
+
+    def level_tiles(self):
+        """(Cells of the level-1 tiles c_mu + rho * atom_j, [(mu, c_mu), ...]
+        in position order), built on first use and kept by the model; the
+        tile of a point fixes its atom, the letter sigma(j)[t] of mu."""
+        if self._tiles is None:
+            if self.rho is None:
+                raise ValueError("model has no scaling factor")
+            rho = self.rho
+            bases = [(rho * lo, rho * ln) for (lo, _), ln in zip(self.E.atoms(), self.E.lengths)]
+            offsets = tile_offsets(self, self.field.one)
+            self._tiles = _tower_tiles(self.E, self.sigma.rules, offsets, bases)
+        return self._tiles
 
     # -- exact geometry ------------------------------------------------
 
@@ -201,33 +244,202 @@ class LatticeModel:
     def psi_orbit(self, p: LatticePoint, k: int, checkpoints=()):
         """Walk k steps; returns (final point, symbol counts, checkpoint map).
 
-        checkpoints: iterable of step indices at which to record
+        checkpoints: step indices in 1..k at which to record
         (step, z, max-norm); the identity z_k - z_0 = projection * counts
-        holds exactly and is the caller's Eq.-style ledger.
+        holds exactly and is the caller's Eq.-style ledger.  The
+        checkpoints cut the walk into segments.  A segment of two or more
+        steps of a model that renormalizes jumps through its towers (built
+        at the first such segment) when it reaches the smallest level-1
+        tower; every other segment steps one atom at a time on the integer
+        position.  Both give the same counts.
         """
-        marks = {}
+        if k < 0:
+            raise ValueError("k must be >= 0")
         want = set(checkpoints)
+        if any(not 1 <= s <= k for s in want):
+            raise ValueError("checkpoints must lie in 1..k")
+        marks = {}
+        counts = [0] * self.E.N
+        z, done = p.z, 0
+        for stop in sorted(want | {k}):
+            part = self._segment(LatticePoint(p.layer, z), stop - done)
+            counts = [a + b for a, b in zip(counts, part)]
+            z = tuple(c + sum(map(mul, row, part)) for c, row in zip(z, self.projection))
+            done = stop
+            if stop in want:
+                marks[stop] = (z, max(map(abs, z)))
+        return LatticePoint(p.layer, z), counts, marks
+
+    def _segment(self, p: LatticePoint, k: int):
+        """Symbol counts of k steps from p: through the towers when the
+        model renormalizes and k reaches a level-1 tower (one step needs
+        none), otherwise step by step."""
+        if k > 1 and (self.rho is not None or self.first_return is not None):
+            if self._towers is None:
+                self._towers = Towers(self)
+            counts = self._towers.counts(self.value_of(p), k)
+            if counts is not None:
+                return counts
+        return self._step(p, k)
+
+    def _step(self, p: LatticePoint, k: int):
+        """Symbol counts of k single steps from p on the integer position."""
         N = self.E.N
         counts = [0] * N
         _, X, err, moves, rights = self._position(p, k)
         # atom i + 1 is certain for X in [lows[i], highs[i])
         lows = [err] + [s + e + err for s, e in rights[:-1]]
         highs = [s - e - err for s, e in rights]
-
-        def z_now():
-            return [z + sum(map(mul, row, counts)) for z, row in zip(p.z, self.projection)]
-
-        for step in range(1, k + 1):
+        for _ in range(k):
             # bisect_right returns N or an index with X < highs[i], sorted or not
             i = bisect_right(highs, X)
             if i == N or X < lows[i]:
-                i = self.E.atom_of(self.value_of(LatticePoint(p.layer, z_now()))) - 1
+                z = [c + sum(map(mul, row, counts)) for c, row in zip(p.z, self.projection)]
+                i = self.E.atom_of(self.value_of(LatticePoint(p.layer, z))) - 1
             counts[i] += 1
             X += moves[i]
-            if step in want:
-                z = z_now()
-                marks[step] = (tuple(z), max(map(abs, z)))
-        return LatticePoint(p.layer, z_now()), counts, marks
+        return counts
+
+
+def tile_offsets(model: LatticeModel, scale) -> dict:
+    """{mu: scale * c_mu} for every prefix mu = (j, t): c_mu, the window
+    start plus the translations of the first t letters of rule j, makes
+    y -> rho*y + c_mu the tile map of mu.  By linearity the table takes
+    N + 1 products and one prefix sum of translations per rule."""
+    start = scale * model.window_start
+    steps = [scale * t for t in model.E.translations]
+    return _offsets(model.prefix_graph.states, model.sigma.rules, start, steps)
+
+
+def _offsets(states, rules, start, steps) -> dict:
+    """{mu: start + the steps of the first t letters of rules[j]} for the
+    prefixes mu = (j, t), listed rule by rule."""
+    table = {}  # keyed by the given state objects; walks look them up by identity
+    for mu in states:
+        c = start if mu.cut == 0 else c + steps[rules[mu.rule][mu.cut - 1] - 1]
+        table[mu] = c
+    return table
+
+
+def _tower_tiles(E: IET, rules, offsets: dict, bases):
+    """(Cells of the tiles c_mu + base_j, [(mu, c_mu), ...] in position
+    order) for the prefixes mu = (j, t) of `offsets`, base_j = bases[j - 1]
+    a (left, length) pair.  The tiles must tile E's domain, and tile mu
+    must lie in the atom of its letter rules[j][t]."""
+    states = list(offsets)
+    lefts = [offsets[mu] + bases[mu.rule - 1][0] for mu in states]
+    lengths = [bases[mu.rule - 1][1] for mu in states]
+    order = tiling_order(lefts, lengths, E.field.zero, E.total)
+    rights = [lefts[i] for i in order[1:]] + [E.total]
+    for i, right in zip(order, rights):
+        mu = states[i]
+        a = rules[mu.rule][mu.cut]
+        if E.locate(lefts[i]) != a - 1 or E.rights[a - 1] < right:
+            raise AssertionError("tile leaves the atom of its letter")
+    return Cells(E.field, rights), [(states[i], offsets[states[i]]) for i in order]
+
+
+def first_return_model(model: LatticeModel):
+    """(the self-similar LatticeModel of the first-return map on the
+    declared window (a, b), its return words).  The first-return map acts
+    on [0, b - a); its atom j returns after the word w_j."""
+    window, factor = model.first_return
+    im = induce(model.E, window)
+    return LatticeModel(im.induced, factor, name=f"{model.name} first return"), im.return_words
+
+
+class Towers:
+    """Kakutani-Rokhlin towers of a model that renormalizes.
+
+    `top` is the self-similar map of the higher levels: the model itself,
+    or its first-return model.  Stage 1 cuts the model's domain into
+    level-1 tiles: top's tiles c_mu + rho * atom_j, or the floors
+    E^t(a + atom_j of top), t < |w_j|, of the first return's towers.
+    Stage 2 cuts top's domain by top's level-1 tiles, at every higher
+    level.  A stage is (cells, [(mu, c_mu)] in position order, rules,
+    beta): a level point y in the tile mu = (j, t) is t steps above the
+    base of its tower, whose point one level up is (y - c_mu) * beta
+    (beta = 1/rho, or 1 for the first return, given as None), in atom j.
+    heights[l][j - 1] is h_l(j), the steps of E that the level-l tower
+    over letter j spans.
+    """
+
+    __slots__ = ("top", "stages", "heights")
+
+    def __init__(self, model: LatticeModel):
+        if model.rho is None:
+            top, words = first_return_model(model)
+            rules = dict(enumerate(words, start=1))
+            states = [Prefix(j, t) for j, w in rules.items() for t in range(len(w))]
+            start = model.field.coerce(model.first_return[0][0])
+            offsets = _offsets(states, rules, start, model.E.translations)
+            bases = [(lo, ln) for (lo, _), ln in zip(top.E.atoms(), top.E.lengths)]
+            first = (*_tower_tiles(model.E, rules, offsets, bases), rules, None)
+        else:
+            top, first = model, None
+        inner = (*top.level_tiles(), top.sigma.rules, top.rho.inverse())
+        self.top = top
+        self.stages = (first or inner, inner)
+        self.heights = [[1] * model.E.N]
+
+    def height(self, level: int):
+        """[h_level(j) for each letter j], computed on first use."""
+        while len(self.heights) <= level:
+            below = self.heights[-1]
+            rules = self.stages[len(self.heights) > 1][2]
+            self.heights.append([sum(below[s - 1] for s in rules[j]) for j in sorted(rules)])
+        return self.heights[level]
+
+    def counts(self, x: FieldElement, k: int):
+        """Symbol counts of k steps of the model's map from x, or None when
+        k is below every level-1 tower."""
+        L = 0
+        while min(self.height(L + 1)) <= k:
+            L += 1
+        if L == 0:
+            return None
+        # climb: r counts k plus the steps from the base of x's level-L tower
+        r = k
+        path = []
+        for level in range(1, L + 1):
+            cells, tiles, rules, beta = self.stages[level > 1]
+            mu, c = tiles[cells.locate(x)]
+            x = x - c if beta is None else (x - c) * beta
+            below = self.heights[level - 1]
+            r += sum(below[s - 1] for s in rules[mu.rule][: mu.cut])
+            path.append(mu)
+        # whole level-L steps while a tower fits; a bounded number, as the
+        # smallest level-(L + 1) tower exceeds k
+        E, h = self.top.E, self.heights[L]
+        j = path[-1].rule - 1
+        counts = [0] * len(h)
+        while r >= h[j]:
+            r -= h[j]
+            counts[j] += 1
+            x = x + E.translations[j]
+            j = E.locate(x)
+        # descend by heights: at each level the counts move one alphabet
+        # down (Horner in the incidence matrices), plus the letters taken
+        # minus the letters the climb found already used
+        for level in range(L, 0, -1):
+            rules = self.stages[level > 1][2]
+            below = self.heights[level - 1]
+            down = [0] * len(below)
+            for i, v in enumerate(counts):
+                if v:
+                    for s in rules[i + 1]:
+                        down[s - 1] += v
+            mu = path[level - 1]
+            for s in rules[mu.rule][: mu.cut]:
+                down[s - 1] -= 1
+            for s in rules[j + 1]:
+                if below[s - 1] > r:
+                    break
+                r -= below[s - 1]
+                down[s - 1] += 1
+            j = s - 1
+            counts = down
+        return counts
 
 
 def drift_vector(model: LatticeModel):

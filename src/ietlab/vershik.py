@@ -9,8 +9,10 @@ mu, and (y - c_mu) / rho is the point of the next level, so the levels
 encode the point as a path in the prefix automaton.  Eventually periodic
 codes are exactly the points whose level points repeat, and the periodic
 part is the fixed point of a contraction, so decoding is a closed-form
-geometric sum in the field.  Depth-k tiles sum per-level terms rho^L * c_mu:
-`enumerate_tiles` adds entries of one `tile_offsets` table per level.
+geometric sum in the field.  The level-1 tiles are the model's own
+(`LatticeModel.level_tiles`, which the lattice walk's jumps share).
+Depth-k tiles sum per-level terms rho^L * c_mu: `enumerate_tiles` adds
+entries of one `lattice.tile_offsets` table per level.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ import math
 from fractions import Fraction
 
 from .algebraic import RealAlgebraic
-from .iet import Cells, tiling_order
-from .lattice import LatticeModel
+from .lattice import LatticeModel, tile_offsets
 from .matrices import charpoly, det, identity, inverse, mat_pow, mat_sub, mat_vec, solve
 from .numberfield import (
     FieldElement,
@@ -88,42 +89,6 @@ def _require_self_similar(model: LatticeModel):
         raise ValueError("model must carry a scaling factor and substitution")
 
 
-def tile_offsets(model: LatticeModel, scale) -> dict:
-    """{mu: scale * c_mu} for every prefix mu = (j, t): c_mu, the window
-    start plus the translations of the first t letters of rule j, makes
-    y -> rho*y + c_mu the tile map of mu.  By linearity the table takes
-    N + 1 products and one prefix sum of translations per rule."""
-    start = scale * model.window_start
-    steps = [scale * t for t in model.E.translations]
-    table = {}  # the automaton's states, rule by rule; walks look them up by identity
-    for mu in model.prefix_graph.states:
-        word = model.sigma.rules[mu.rule]
-        c = start if mu.cut == 0 else c + steps[word[mu.cut - 1] - 1]
-        table[mu] = c
-    return table
-
-
-def _level_tiles(model: LatticeModel):
-    """(Cells of the level-1 tiles, [(mu, c_mu), ...] in position order),
-    built on first use and kept by the model.  Tile mu must lie in the
-    atom of its letter sigma(j)[t], so the tile of a point fixes its atom."""
-    if model._tiles is None:
-        E, rho = model.E, model.rho
-        states = model.prefix_graph.states
-        offsets = tile_offsets(model, model.field.one)
-        scaled = [(rho * lo, rho * ln) for (lo, _), ln in zip(E.atoms(), E.lengths)]
-        lefts = [offsets[mu] + scaled[mu.rule - 1][0] for mu in states]
-        lengths = [scaled[mu.rule - 1][1] for mu in states]
-        order = tiling_order(lefts, lengths, model.field.zero, E.total)
-        rights = [lefts[i] for i in order[1:]] + [E.total]
-        for i, right in zip(order, rights):
-            a = model.prefix_graph.plus(states[i])
-            if E.locate(lefts[i]) != a - 1 or E.rights[a - 1] < right:
-                raise AssertionError("tile leaves the atom of its letter")
-        model._tiles = Cells(model.field, rights), [(states[i], offsets[states[i]]) for i in order]
-    return model._tiles
-
-
 def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     """Prefix code of a point, with eventual-periodicity detection.
 
@@ -134,7 +99,7 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     code is returned undetermined (empty period).
     """
     _require_self_similar(model)
-    cells, tiles = _level_tiles(model)
+    cells, tiles = model.level_tiles()
     beta = model.rho.inverse()
     y = model.field.coerce(x)
     seen = {}
@@ -161,7 +126,7 @@ def vershik_decode(model: LatticeModel, code: VershikCode) -> FieldElement:
     _require_self_similar(model)
     if code.T < 1:
         raise ValueError("decoding needs a periodic tail")
-    cells, tiles = _level_tiles(model)
+    cells, tiles = model.level_tiles()
     offset = dict(tiles)
     if any(mu not in offset for mu in code.transient + code.period):
         raise ValueError("prefix outside the rule set")

@@ -6,12 +6,13 @@ import pytest
 from ietlab.builders import (
     SEVEN_PRODUCT,
     e2star_model,
+    ek_first_return,
     ek_model,
     family_poly,
     quartic_model,
 )
 from ietlab.iet import IET
-from ietlab.lattice import LatticeModel
+from ietlab.lattice import LatticeModel, spectrum_check
 from ietlab.matrices import charpoly, mat_mul
 from ietlab.numberfield import is_pisot, to_real_algebraic
 from ietlab.polynomials import IntPoly, factor, is_irreducible
@@ -87,6 +88,8 @@ def test_family_member(k):
     assert (model.module.d, model.module.j, model.module.b) == (2, 1, 2)
     for l in model.E.lengths:
         assert l.sign() > 0
+    # the window and factor of the self-similar first return, as data
+    assert model.first_return == (model.E.atoms()[0], lam)
 
 
 def test_family_polys():
@@ -116,3 +119,14 @@ def test_serialized_iet_rebuilds_its_lattice_model(make):
     )
     assert again.R == model.R
     assert list(again.drift) == list(model.drift)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ek_first_return(k):
+    model = ek_first_return(k)
+    assert model.rho == model.field.generator_element()
+    assert (model.module.d, model.module.j, model.module.b) == (2, 1, 2)
+    assert model.drift.is_zero
+    assert spectrum_check(model) == (False, True, True)
+    d = [d_T(model, T) for T in (1, 2, 3)]
+    assert d == [2 * k, 4 * k * (2 * k + 5), 2 * k * (13 * k * k + 48 * k + 48)]

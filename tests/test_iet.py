@@ -20,7 +20,7 @@ from ietlab.iet import (
 from ietlab.lattice import LatticeModel, interval_predicate, unit_representative
 from ietlab.numberfield import FieldElement, NumberField
 from ietlab.polynomials import IntPoly
-from ietlab.vershik import _level_tiles, vershik_encode
+from ietlab.vershik import vershik_encode
 
 def golden_field():
     return NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
@@ -334,7 +334,7 @@ def test_tile_cells_match_the_exact_scan():
     # the 85 level-1 tiles of e2*: many cells, so a point the integer
     # bracket cannot place goes through the exact bisection
     model = builders.e2star_model()
-    cells, _ = _level_tiles(model)
+    cells, _ = model.level_tiles()
     assert len(cells.rights) == 85
     poly, interval = model.field.minpoly, model.E.to_data()["interval"]
     rights = [r.power_coords for r in cells.rights]

@@ -3,8 +3,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietlab import builders
 from ietlab.algebraic import root_in
@@ -25,13 +28,34 @@ from ietlab.polynomials import IntPoly
 
 @pytest.fixture
 def walk_models(quartic_lattice, golden_model):
-    """Fresh quartic, e2*, E_1 (b = 2) and golden models by name."""
+    """Fresh quartic, e2*, E_1 (b = 2) and golden models by name, without
+    a renormalization, so that their walks step one atom at a time."""
     return {
         "quartic": quartic_lattice[2],
-        "e2star": builders.e2star_model(),
-        "ek1": builders.ek_model(1),
-        "golden": golden_model[2],
+        "e2star": LatticeModel(builders.e2star_model().E, name="e2star"),
+        "ek1": LatticeModel(builders.ek_model(1).E, name="ek1"),
+        "golden": LatticeModel(golden_model[2].E),
     }
+
+
+# the models whose walks jump through their towers
+JUMP_MODELS = {
+    "quartic": builders.quartic_model,
+    "e2star": builders.e2star_model,
+    "ek1": lambda: builders.ek_model(1),
+    "ek2": lambda: builders.ek_model(2),
+}
+
+
+@pytest.fixture(scope="module")
+def jump_models():
+    """One model of each JUMP_MODELS entry, shared by a module's tests."""
+    return {name: build() for name, build in JUMP_MODELS.items()}
+
+
+def ledger(model, p, counts):
+    """z_0 + projection * counts."""
+    return tuple(z + sum(map(mul, row, counts)) for z, row in zip(p.z, model.projection))
 
 
 def test_quartic_projection_columns(quartic_lattice):
@@ -394,9 +418,11 @@ def test_psi_orbit_matches_exact_orbit(walk_models):
 
 def test_walk_from_a_large_point_stays_on_integers(monkeypatch):
     # rho^40 has |z| near 2^82; at the table's first 64 bits nearly every
-    # step of this walk fell back to an exact atom_of
-    model = builders.quartic_model()
-    x = model.rho**40
+    # step of this walk fell back to an exact atom_of.  The model has no
+    # scaling factor, so the walk steps.
+    scaled = builders.quartic_model()
+    model = LatticeModel(scaled.E)
+    x = scaled.rho**40
     p = model.point_of(x)
     assert max(map(abs, p.z)).bit_length() > 80
     calls = []
@@ -461,3 +487,103 @@ def test_interval_predicate_matches_exact_membership(walk_models):
                 for r in range(model.module.b):
                     want = exact_member(model, lo, hi, (r,) + rest)
                     assert member((r,) + rest) == want, (name, lo, hi, r, rest)
+
+
+def test_psi_orbit_rejects_negative_lengths_and_stray_checkpoints(quartic_lattice):
+    _, _, model = quartic_lattice
+    p = LatticePoint((0,) * 4, (0,) * 4)
+    with pytest.raises(ValueError):
+        model.psi_orbit(p, -5)
+    for stops in ((0, 5), (0,), (4,), (1, 4)):
+        with pytest.raises(ValueError):
+            model.psi_orbit(p, 3, checkpoints=stops)
+    assert set(model.psi_orbit(p, 3, checkpoints=(1, 3))[2]) == {1, 3}
+    assert model.psi_orbit(p, 0) == (p, [0] * 4, {})
+
+
+def test_building_and_one_step_build_no_towers(monkeypatch):
+    # paper_report builds E_k models that never walk, and bench setup
+    # walks one step: neither may pay for towers or first-return models
+    import ietlab.lattice
+
+    def refuse(*args):
+        raise AssertionError("first-return map built")
+
+    monkeypatch.setattr(ietlab.lattice, "induce", refuse)
+    models = [builders.quartic_model(), builders.e2star_model()]
+    models += [builders.ek_model(k) for k in (1, 2, 4)]
+    for model in models:
+        assert model._towers is None and model._tiles is None
+        model.psi_orbit(model.point_of(model.field.zero), 1)
+        assert model._towers is None and model._tiles is None
+
+
+JUMP_LENGTHS = (2, 3, 5, 17, 64, 250, 1111, 2500)
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_jumps_match_the_exact_orbit(name, monkeypatch):
+    model = JUMP_MODELS[name]()
+    E = model.E
+    stepped = []
+    step = LatticeModel._step
+    monkeypatch.setattr(LatticeModel, "_step", lambda m, p, k: stepped.append(k) or step(m, p, k))
+    stops = (1, 7, 100, 1234, 2499)
+    needed = set(JUMP_LENGTHS) | set(stops)
+    for x in walk_starts(model):
+        p = model.point_of(x)
+        word, y = E.orbit(x, JUMP_LENGTHS[-1])
+        prefix = {}  # the letter counts of the word's prefixes that the checks need
+        counts = [0] * E.N
+        for t, s in enumerate(word, start=1):
+            counts[s - 1] += 1
+            if t in needed:
+                prefix[t] = counts[:]
+        for k in JUMP_LENGTHS:
+            marked = stops if k == JUMP_LENGTHS[-1] else ()
+            end, got, marks = model.psi_orbit(p, k, checkpoints=marked)
+            assert got == prefix[k], (x, k)
+            assert end.layer == p.layer and end.z == ledger(model, p, prefix[k]), (x, k)
+        assert model.value_of(end) == y
+        want = {t: ledger(model, p, prefix[t]) for t in stops}
+        assert {t: z for t, (z, _) in marks.items()} == want
+    # every segment that reaches a level-1 tower jumped, and the longest
+    # walks climbed at least three levels
+    assert stepped and max(stepped) < min(model._towers.height(1))
+    assert max(JUMP_LENGTHS) >= min(model._towers.height(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(JUMP_MODELS)),
+    zfree=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    third=st.booleans(),
+    a=st.one_of(st.integers(0, 40), st.integers(0, 2**45)),
+    b=st.one_of(st.integers(0, 40), st.integers(0, 2**45)),
+)
+def test_walks_compose(jump_models, name, zfree, third, a, b):
+    model = jump_models[name]
+    x = unit_representative(model, zfree[: model.n - 1])
+    if third:
+        x = x * Fraction(1, 3)  # a rational layer xi != 0
+    p = model.point_of(x)
+    mid, first, _ = model.psi_orbit(p, a)
+    end, second, _ = model.psi_orbit(mid, b)
+    whole, counts, _ = model.psi_orbit(p, a + b)
+    assert whole == end
+    assert counts == [u + v for u, v in zip(first, second)]
+    assert end.z == ledger(model, p, counts)
+
+
+@pytest.mark.parametrize("name", ["quartic", "e2star", "ek2"])
+def test_a_2_40_step_walk_takes_under_a_second(name):
+    model = JUMP_MODELS[name]()
+    p = model.point_of(model.E.rights[1] / 3)
+    k = 2**40
+    start = time.perf_counter()
+    end, counts, _ = model.psi_orbit(p, k)
+    assert time.perf_counter() - start < 1.0
+    assert sum(counts) == k
+    assert end.z == ledger(model, p, counts)
+    x = model.value_of(end)
+    assert x.sign() >= 0 and (x - model.total).sign() < 0
