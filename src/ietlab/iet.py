@@ -7,21 +7,30 @@ alphabet {1..N}.
 
 Cell location.  `Cells.locate` is the one locator of a point among
 cells cut at sorted exact right endpoints; an `IET` is the Cells of its
-atoms (`atom_of`, `apply`, `orbit`, so also `induce` and the lattice
-walk's exact fallback), and the Vershik coder keeps the Cells of its
-level-1 tiles.  It places one sign-table enclosure |q x - s| <= e of the
-point (`NumberField.enclosure`) by one bisection among integer bounds of
-q times the endpoints, rebuilt from `NumberField.enclose` whenever the
-table precision has grown.  Only when [s - e, s + e] meets a bound or
-leaves the cells does it bisect the endpoints with exact signs, which
-refine the table as far as they must; the answer is exact either way.
+atoms (`atom_of`, `apply`, so also `induce`), and the Vershik coder keeps
+the Cells of its level-1 tiles.  It places one sign-table enclosure
+|q x - s| <= e of the point (`NumberField.enclosure`) by one bisection
+among integer bounds of q times the endpoints, rebuilt from
+`NumberField.enclose` whenever the table precision has grown.  Only when
+[s - e, s + e] meets a bound or leaves the cells does it bisect the
+endpoints with exact signs, which refine the table as far as they must;
+the answer is exact either way.
+
+Integer walks.  `orbit` and the lattice walk's stepped segments run on
+one integer position.  Beside its endpoint bounds an IET keeps integers
+m_i with |q tau_i - m_i| <= e_tau.  A walk of k steps from x encloses q x
+once, as X within e_x, at a precision 32 bits above the bit lengths of
+x's largest power coordinate and of k; a step by atom i adds m_i, so X
+stays within e_x + k max e_tau of q times the point.  An atom is taken
+from X only while that band lies inside it; otherwise x + sum c_i tau_i
+(c the atom counts so far) is formed exactly, as one `numberfield.Span`
+combination, and located by `atom_of`.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, Span
 
 
 def is_irreducible_perm(images) -> bool:
@@ -102,17 +111,19 @@ class Cells:
     def __init__(self, field: NumberField, rights):
         self.field = field
         self.rights = tuple(rights)
-        self._bounds = None  # (P, d, lows, highs), built by locate
+        self._bounds = None  # the _endpoint_bounds of the table's precision
 
-    def _endpoint_bounds(self):
-        """(P, d, lows, highs): at the field's precision P and the scale
-        q = d * 2^P of `NumberField.enclose`, cell i holds every x with
-        lows[i] <= q x < highs[i]."""
-        q, rights = self.field.enclose(self.rights)
-        P = self.field.precision
+    def _endpoint_bounds(self, steps=()):
+        """(P, d, lows, highs, moves, e): at the field's precision P and
+        the scale q = d * 2^P of `NumberField.enclose`, cell i holds every
+        x with lows[i] <= q x < highs[i], and |q steps[i] - moves[i]| <= e.
+        The steps' denominators must divide the endpoints' lcm."""
+        q, encs = self.field.enclose(self.rights + steps)
+        P, n = self.field.precision, len(self.rights)
+        rights, steps = encs[:n], encs[n:]
         lows = [0] + [s + e for s, e in rights[:-1]]
         highs = [s - e for s, e in rights]
-        return P, q >> P, lows, highs
+        return P, q >> P, lows, highs, [s for s, _ in steps], max((e for _, e in steps), default=0)
 
     def locate(self, x: FieldElement) -> int:
         """0-based index of the cell holding the field element x; raises
@@ -121,7 +132,7 @@ class Cells:
         bounds = self._bounds
         if bounds is None or bounds[0] != self.field.precision:
             bounds = self._bounds = self._endpoint_bounds()
-        _, d, lows, highs = bounds
+        _, d, lows, highs, _, _ = bounds
         # [lo, hi] encloses q x: rescale from x.den * 2^P to d * 2^P
         lo, hi = (s - e) * d, (s + e) * d
         if x.den != 1:
@@ -141,13 +152,14 @@ class Cells:
 class IET(Cells):
     """Exchange of N intervals on [0, total), the Cells of its atoms."""
 
-    __slots__ = ("perm", "lengths", "translations", "total")
+    __slots__ = ("perm", "lengths", "translations", "total", "_span")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
         self.lengths = tuple(lengths)
         field = self.lengths[0].field
         self.translations = translations_from(perm, self.lengths)
+        self._span = Span(self.translations)  # forms x + sum c_i tau_i
         rights = []
         acc = field.zero
         for l in self.lengths:
@@ -159,6 +171,10 @@ class IET(Cells):
     @property
     def N(self) -> int:
         return self.perm.N
+
+    def _endpoint_bounds(self):
+        # a translation is a difference of endpoints
+        return super()._endpoint_bounds(self.translations)
 
     def atoms(self):
         """[left_i, right_i) endpoints of the domain partition."""
@@ -176,14 +192,47 @@ class IET(Cells):
     __call__ = apply
 
     def orbit(self, x, k: int):
-        """(coding word of length k, E^k x)."""
+        """(coding word of length k, E^k x) by the integer walk; E^k x is
+        x + sum c_i tau_i, formed once from the atom counts c."""
         x = self.field.coerce(x)
-        word = []
+        counts = [0] * self.N
+        word = tuple(self._walk(x, k, counts))
+        return word, self._span.combine(counts, x)
+
+    def _certificate(self, x: FieldElement, k: int):
+        """(q, X, err, lows, highs, moves): |q E^t x - X_t| <= err for
+        t <= k, where X_t is X plus moves[i] for each atom i + 1 passed,
+        and cell i holds every y with lows[i] <= q y < highs[i]."""
+        bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
+        _, ((s, e),) = self.field.enclose([x], bits)
+        bounds = self._bounds
+        if bounds is None or bounds[0] != self.field.precision:
+            bounds = self._bounds = self._endpoint_bounds()
+        P, d, lows, highs, moves, e_tau = bounds
+        # rescale |x.den 2^P x - s| <= e to q = d 2^P
+        X, r = divmod(s * d, x.den)
+        err = -(-e * d // x.den) + (r > 0) + k * e_tau
+        return d << P, X, err, lows, highs, moves
+
+    def _walk(self, x: FieldElement, k: int, counts):
+        """Yield the atoms (1-based) of k steps of E from x, adding each
+        step to counts (all 0 at the start); raises ValueError for k < 0
+        or when the orbit leaves the domain."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        _, X, err, lows, highs, moves = self._certificate(x, k)
+        N = self.N
+        # atom i + 1 is certain for X in [lows[i], highs[i])
+        lows = [b + err for b in lows]
+        highs = [b - err for b in highs]
         for _ in range(k):
-            i = self.locate(x)
-            word.append(i + 1)
-            x = x + self.translations[i]
-        return tuple(word), x
+            # bisect_right returns N or an index with X < highs[i], sorted or not
+            i = bisect_right(highs, X)
+            if i == N or X < lows[i]:
+                i = self.atom_of(self._span.combine(counts, x)) - 1
+            counts[i] += 1
+            X += moves[i]
+            yield i + 1
 
     def to_data(self) -> dict:
         """JSON-ready data: generator, module basis and lengths, all in

@@ -25,29 +25,18 @@ while a tower fits, then descends by heights alone, and the symbol counts
 are the per-level letter counts pushed down through the substitutions.
 Its cost grows like log k.  A segment shorter than every level-1 tower,
 a one-step segment and every segment of a model without renormalization
-step one atom at a time, as below.
-
-Integer positions: atom selection runs on one integer position per walk.
-`NumberField.enclose` gives, at one sign-table precision and a common
-scale q, integers s with |q x - s| <= e for the layer value, the unit
-module points nu'_k / d and the atom right endpoints.  The position
-X = s_layer + sum z_k s_k moves by an exact integer per step, so it never
-drifts; the largest |z_k| the walk can reach bounds its error, and a
-precision 32 bits above log2 of that reach keeps the error near 2^-32 q.
-An atom is taken from X only when the enclosure lies inside it;
-otherwise the step is decided with exact field arithmetic.
+step one atom at a time, on the integer walk of the IET (`iet`).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
 from .iet import IET, Cells, check_self_similar, induce, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
-from .numberfield import FieldElement, mult_matrix
+from .numberfield import FieldElement, Span, mult_matrix
 from .polynomials import IntPoly
 from .substitution import Prefix, PrefixGraph
 
@@ -147,6 +136,7 @@ class LatticeModel:
             self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
         self._units = [nu / self.module.d for nu in self.module.nu_prime]
+        self._span = Span(self.field.basis + self._units)  # forms value_of
 
     def _verify_commutation(self):
         """R * projection = projection * M_sigma, column by column."""
@@ -172,10 +162,8 @@ class LatticeModel:
     # -- exact geometry ------------------------------------------------
 
     def value_of(self, p: LatticePoint) -> FieldElement:
-        """The field point xi + (1/d) sum z_k nu'_k."""
-        K = self.field
-        x = K.element(list(p.layer))
-        return x + self.module.from_m_coords(p.z)
+        """The field point xi + (1/d) sum z_k nu'_k, one integer combination."""
+        return self._span.combine([*p.layer, *p.z])
 
     def point_of(self, x) -> LatticePoint:
         """Lattice coordinates of a field point."""
@@ -221,24 +209,6 @@ class LatticeModel:
         least `bits`."""
         return self.field.enclose([*xs, *self._units], bits)
 
-    def _position(self, p: LatticePoint, k: int):
-        """(q, X, err, moves, rights): the integer position of a walk.
-
-        |q * value - X| <= err holds at p and at every point within k
-        steps of it, where a step by atom i adds moves[i] to X; rights
-        holds the enclosures (s, e) of q times the atom right endpoints.
-        """
-        N = self.E.N
-        # a step changes z_r by at most max_i |proj[r][i]|
-        reach = [abs(z) + k * max(map(abs, row)) for z, row in zip(p.z, self.projection)]
-        bits = sum(reach).bit_length() + 32  # the rule of unit_representative
-        q, (layer, *rest) = self.enclose([self.field.element(p.layer), *self.E.rights], bits)
-        rights, units = rest[:N], rest[N:]
-        X = layer[0] + sum(z * s for z, (s, _) in zip(p.z, units))
-        err = layer[1] + sum(r * e for r, (_, e) in zip(reach, units))
-        moves = [sum(row[i] * s for row, (s, _) in zip(self.projection, units)) for i in range(N)]
-        return q, X, err, moves, rights
-
     # -- dynamics --------------------------------------------------------
 
     def psi_orbit(self, p: LatticePoint, k: int, checkpoints=()):
@@ -250,8 +220,8 @@ class LatticeModel:
         checkpoints cut the walk into segments.  A segment of two or more
         steps of a model that renormalizes jumps through its towers (built
         at the first such segment) when it reaches the smallest level-1
-        tower; every other segment steps one atom at a time on the integer
-        position.  Both give the same counts.
+        tower; every other segment steps one atom at a time on the IET's
+        integer walk.  Both give the same counts.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -283,21 +253,10 @@ class LatticeModel:
         return self._step(p, k)
 
     def _step(self, p: LatticePoint, k: int):
-        """Symbol counts of k single steps from p on the integer position."""
-        N = self.E.N
-        counts = [0] * N
-        _, X, err, moves, rights = self._position(p, k)
-        # atom i + 1 is certain for X in [lows[i], highs[i])
-        lows = [err] + [s + e + err for s, e in rights[:-1]]
-        highs = [s - e - err for s, e in rights]
-        for _ in range(k):
-            # bisect_right returns N or an index with X < highs[i], sorted or not
-            i = bisect_right(highs, X)
-            if i == N or X < lows[i]:
-                z = [c + sum(map(mul, row, counts)) for c, row in zip(p.z, self.projection)]
-                i = self.E.atom_of(self.value_of(LatticePoint(p.layer, z))) - 1
-            counts[i] += 1
-            X += moves[i]
+        """Symbol counts of k single steps from p: the IET's integer walk."""
+        counts = [0] * self.E.N
+        for _ in self.E._walk(self.value_of(p), k, counts):
+            pass
         return counts
 
 

@@ -12,7 +12,8 @@ integer minimal polynomial p through a table of theta^k mod p for
 n <= k <= 2n-2, scaled by lc(p)^(n-1), so a non-monic p only enlarges the
 denominator.  An inverse solves the integer multiplication matrix by
 fraction-free elimination.  The value does not depend on a basis, so
-+, -, *, / never touch a matrix.
++, -, *, / never touch a matrix.  A `Span` forms a rational combination
+of fixed elements over their integer numerators with one reduction.
 
 Module bases.  A NumberField also carries a module basis nu_1..nu_n of K
 over Q.  The default is the power basis (1, theta, ..., theta^{n-1});
@@ -43,7 +44,7 @@ same certificate (s, e) to callers that keep a position as an integer,
 and `NumberField.enclose` hands it out for several elements at one scale
 and at a precision no lower than asked for: `iet.Cells` brackets a
 point between integer bounds of IET atom or Vershik tile endpoints, and
-the lattice walk and `unit_representative` move and bound integer positions.
+the IET walk and `unit_representative` move and bound integer positions.
 """
 from __future__ import annotations
 
@@ -276,6 +277,31 @@ def _combine(field, a, da, b, db, op):
         num = tuple(map(op, a, b))
         return FieldElement(field, num, 1) if da == 1 else _reduced(field, num, da)
     return _reduced(field, [op(x * db, y * da) for x, y in zip(a, b)], da * db)
+
+
+class Span:
+    """Rational combinations of fixed elements e_1..e_m of one field,
+    formed over integer numerators and reduced once."""
+
+    __slots__ = ("field", "den", "rows")
+
+    def __init__(self, elements):
+        self.field = elements[0].field
+        self.den = D = math.lcm(*(u.den for u in elements))
+        # row r holds power coordinate r of each e_i, times den
+        self.rows = [[u.num[r] * (D // u.den) for u in elements] for r in range(self.field.n)]
+
+    def combine(self, coeffs, base=None) -> "FieldElement":
+        """base + sum coeffs[i] e_i for int or Fraction coeffs."""
+        L = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (L // c.denominator) for c in coeffs]
+        D = self.den * L
+        num = [sum(map(mul, coeffs, row)) for row in self.rows]
+        if base is not None:
+            L = math.lcm(base.den, D)
+            a, b = L // base.den, L // D
+            num, D = [a * v + b * w for v, w in zip(base.num, num)], L
+        return _reduced(self.field, num, D)
 
 
 @total_ordering

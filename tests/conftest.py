@@ -55,6 +55,25 @@ def golden_model():
     return K, phi, LatticeModel(E, rho=2 - phi)
 
 
+def _apply_steps(E, x, k):
+    """(word, E^k x) by k single exact steps, each a `locate` and a sum
+    with the atom's translation: an oracle for `IET.orbit` and the
+    lattice walk that shares none of their integer walk."""
+    x = E.field.coerce(x)
+    word = []
+    for _ in range(k):
+        i = E.locate(x)
+        word.append(i + 1)
+        x = x + E.translations[i]
+    return tuple(word), x
+
+
+@pytest.fixture(scope="session")
+def apply_steps():
+    """The step-by-step exact orbit, as a function of (E, x, k)."""
+    return _apply_steps
+
+
 def _rauzy_graph(N: int):
     """Rauzy classes: the connected components of the induction graph on
     all N! permutations, a brute-force oracle for `class_of`.

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietlab import builders
 from ietlab.algebraic import root_in
@@ -103,6 +105,16 @@ def test_staircase_discrepancy(quartic_iet):
     k = 25
     s, _ = staircase_discrepancy(E, K.from_rational(Fraction(1, 3)), k)
     assert sum(s) == k
+
+
+def test_orbit_and_staircase_reject_negative_lengths(quartic_iet):
+    K, _, E = quartic_iet
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            E.orbit(K.zero, k)
+        with pytest.raises(ValueError):
+            staircase_discrepancy(E, K.zero, k)
+    assert E.orbit(K.zero, 0) == ((), K.zero)
 
 
 def test_iet_from_translations_round_trip():
@@ -396,8 +408,31 @@ def test_box_orbit_takes_no_exact_fallback(build, monkeypatch):
     word, _ = E.orbit(x, 48)
     # the walk runs again after the table has moved past the bounds' precision
     refine_by_sign(K, K.precision)
-    signs = []
+    signs, arithmetic = [], []
     sign = FieldElement.sign
     monkeypatch.setattr(FieldElement, "sign", lambda self: signs.append(self) or sign(self))
+    for op in ("__add__", "__sub__", "__mul__"):
+        f = getattr(FieldElement, op)
+        monkeypatch.setattr(FieldElement, op, lambda a, b, f=f: arithmetic.append(a) or f(a, b))
     assert E.orbit(x, 48)[0] == word
-    assert signs == []
+    # the walk moves one integer position: no sign, and the end point is
+    # one integer combination, not a chain of field sums
+    assert signs == [] and arithmetic == []
+
+
+@pytest.fixture(scope="module")
+def scaled_maps():
+    """{name: (data of the map, rho)} of the quartic and e2* models."""
+    return {m.name: (m.E.to_data(), m.rho) for m in (builders.quartic_model(), builders.e2star_model())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(pick=st.data(), m=st.integers(2, 40), k=st.integers(0, 64), sign=st.sampled_from((1, -1)))
+def test_orbit_is_k_steps_beside_an_endpoint(scaled_maps, apply_steps, pick, m, k, sign):
+    # c +- rho^m beside an inner atom endpoint c, on a map with a fresh
+    # sign table: for large m the walk's band meets the endpoint, and the
+    # exact fallback chooses the atom
+    data, rho = scaled_maps[pick.draw(st.sampled_from(sorted(scaled_maps)))]
+    E = IET.from_data(data)
+    x = E.rights[pick.draw(st.integers(0, E.N - 2))] + sign * rho**m
+    assert E.orbit(x, k) == apply_steps(E, x, k)

@@ -118,6 +118,18 @@ def test_induced_pieces_tile_the_window(data, pick):
 
 @settings(max_examples=40, deadline=None)
 @given(rational_iets(), st.data())
+def test_orbit_is_k_steps_of_apply(data, pick):
+    E, D = data
+    x = pick.draw(st.sampled_from(grid(E, D)))  # atom endpoints included
+    y, word = x, []
+    for _ in range(pick.draw(st.integers(0, 40))):
+        word.append(E.atom_of(y))
+        y = E.apply(y)
+    assert E.orbit(x, len(word)) == (tuple(word), y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_iets(), st.data())
 def test_tiling_order_rejects_a_moved_length(data, pick):
     E, D = data
     lefts = [lo + t for (lo, _), t in zip(E.atoms(), E.translations)]

@@ -291,64 +291,76 @@ def test_density_counts_residues():
 def test_position_certificate_holds_exactly(walk_models):
     # |q * value - X| <= err at p and after one step by any atom, for
     # |z| <= 10^6 and for |z| near 2^100, where the table's first
-    # precision would leave err above 2^-30 q
+    # precision would leave err above 2^-30 q; the cell bounds at the
+    # same q bracket q times each atom endpoint
     rng = random.Random(13)
     for model in walk_models.values():
-        q, _, _, _, rights = model._position(LatticePoint((0,) * model.n, (0,) * model.n), 0)
-        claims = [(q * x, s, e) for x, (s, e) in zip(model.E.rights, rights)]
+        E = model.E
+        claims = []  # (q * value, lo, hi) with lo <= q * value <= hi claimed
         for bound in (10**6,) * 10 + (2**100,) * 4:
             layer = tuple(Fraction(rng.randrange(6), 6) for _ in range(model.n))
             z = tuple(rng.randint(-bound, bound) for _ in range(model.n))
-            q, X, err, moves, _ = model._position(LatticePoint(layer, z), 1)
+            q, X, err, lows, highs, moves = E._certificate(model.value_of(LatticePoint(layer, z)), 1)
             assert err * 2**30 < q  # the bound is far below the atom lengths
-            claims.append((q * model.value_of(LatticePoint(layer, z)), X, err))
-            for i in range(model.E.N):
+            assert lows[0] == 0
+            claims += [(q * r, hi, lo) for r, hi, lo in zip(E.rights, highs, lows[1:])]
+            claims.append((q * E.rights[-1], highs[-1], q * E.rights[-1]))
+            claims.append((q * model.value_of(LatticePoint(layer, z)), X - err, X + err))
+            for i in range(E.N):
                 zi = tuple(c + row[i] for c, row in zip(z, model.projection))
-                claims.append((q * model.value_of(LatticePoint(layer, zi)), X + moves[i], err))
-        # signs last: they refine the sign table, which later positions would use
-        for qv, X, err in claims:
-            assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
+                X1 = X + moves[i]
+                claims.append((q * model.value_of(LatticePoint(layer, zi)), X1 - err, X1 + err))
+        # signs last: they refine the sign table, which later certificates would use
+        for qv, lo, hi in claims:
+            assert (qv - lo).sign() >= 0 >= (qv - hi).sign()
 
 
 @pytest.mark.parametrize("build, m", [(builders.quartic_model, 40), (builders.e2star_model, 15)],
                          ids=["quartic", "e2star"])
-def test_walk_matches_the_exact_orbit_at_every_step(build, m):
-    # a start c +- rho^m beside an inner atom endpoint c has |z| near
-    # 2^82 (quartic) or 2^28 (e2*), so on a fresh sign table, at 128 and
-    # 64 bits, err exceeds q * rho^m: the walk passes within err of an
-    # endpoint, where only the exact fallback may choose the atom.  Each
-    # start takes a fresh model, because that fallback refines the table
-    # and a finer table shrinks err.
+def test_walk_matches_the_exact_orbit_at_every_step(build, m, monkeypatch):
+    # a start c +- rho^m beside an inner atom endpoint c has power
+    # coordinates near 2^82 (quartic) or 2^28 (e2*), so on a fresh sign
+    # table, at 128 and 64 bits, the err of a one-step walk exceeds
+    # q * rho^m: the walk passes within err of an endpoint, where only
+    # the exact fallback may choose the atom.  Each start takes a fresh
+    # model, because that fallback refines the table and a finer table
+    # shrinks err.  The checkpoints cut the walk into one-step segments.
     k = 30
+    calls = []
+    atom_of = IET.atom_of
+    monkeypatch.setattr(IET, "atom_of", lambda E, x: calls.append(x) or atom_of(E, x))
     for i in range(build().E.N - 1):
         for sign in (1, -1):
             model = build()
             E = model.E
             x = E.rights[i] + sign * model.rho**m
             p = model.point_of(x)
-            q, _, err, _, _ = model._position(p, k)
+            q, _, err, *_ = E._certificate(model.value_of(p), 1)
+            calls.clear()
             end, counts, marks = model.psi_orbit(p, k, checkpoints=range(1, k + 1))
-            y = x
+            assert calls  # the fallback chose an atom
+            y, word = x, []
             for t in range(1, k + 1):
+                word.append(E.locate(y) + 1)
                 y = E.apply(y)
                 assert marks[t][0] == model.point_of(y).z, (i, sign, t)
-            word, y = E.orbit(x, k)
             assert counts == [word.count(j) for j in range(1, E.N + 1)]
             assert model.value_of(end) == y
+            assert E.orbit(x, k) == (tuple(word), y)
             assert q * float(model.rho**m) < err  # the start is that close
 
 
 def test_signs_after_each_scaled_position_stay_fast():
-    # a sign check on a 2^P-scaled position needs more than P bits, so
-    # taking a new position after each check doubles the table every
-    # time, here to 2^16 bits; the generator refines quadratically
+    # a sign check on a 2^P-scaled walk position needs more than P bits,
+    # so taking a new certificate after each check doubles the table
+    # every time, here to 2^16 bits; the generator refines quadratically
     model = builders.quartic_model()
     rng = random.Random(17)
     start = time.perf_counter()
     for _ in range(10):
         z = tuple(rng.randint(-(10**6), 10**6) for _ in range(model.n))
         p = LatticePoint((0,) * model.n, z)
-        q, X, err, _, _ = model._position(p, 0)
+        q, X, err, *_ = model.E._certificate(model.value_of(p), 0)
         qv = q * model.value_of(p)
         assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
     assert time.perf_counter() - start < 2.0
@@ -405,18 +417,33 @@ def walk_starts(model):
     return starts
 
 
-def test_psi_orbit_matches_exact_orbit(walk_models):
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_value_of_is_the_module_sum(name):
+    # one integer combination equals the layer element plus the module point
+    model = JUMP_MODELS[name]()
+    for x in walk_starts(model):
+        p = model.point_of(x)
+        for z in (p.z, tuple(3 * c - 7 for c in p.z)):
+            q = LatticePoint(p.layer, z)
+            want = model.field.element(list(p.layer)) + model.module.from_m_coords(z)
+            assert model.value_of(q) == want
+        assert model.value_of(p) == x
+
+
+def test_psi_orbit_matches_exact_orbit(walk_models, apply_steps):
     for model in walk_models.values():
         for x in walk_starts(model):
             p = model.point_of(x)
             end, counts, marks = model.psi_orbit(p, 300, checkpoints=(100,))
-            word, y = model.E.orbit(x, 300)
+            head, mid = apply_steps(model.E, x, 100)
+            tail, y = apply_steps(model.E, mid, 200)
+            word = head + tail
             assert model.value_of(end) == y
             assert counts == [word.count(i) for i in range(1, model.E.N + 1)]
-            assert marks[100][0] == model.point_of(model.E.orbit(x, 100)[1]).z
+            assert marks[100][0] == model.point_of(mid).z
 
 
-def test_walk_from_a_large_point_stays_on_integers(monkeypatch):
+def test_walk_from_a_large_point_stays_on_integers(apply_steps, monkeypatch):
     # rho^40 has |z| near 2^82; at the table's first 64 bits nearly every
     # step of this walk fell back to an exact atom_of.  The model has no
     # scaling factor, so the walk steps.
@@ -430,7 +457,7 @@ def test_walk_from_a_large_point_stays_on_integers(monkeypatch):
     monkeypatch.setattr(IET, "atom_of", lambda E, x: calls.append(x) or atom_of(E, x))
     end, _, _ = model.psi_orbit(p, 1000)
     assert len(calls) <= 2
-    assert model.value_of(end) == model.E.orbit(x, 1000)[1]
+    assert model.value_of(end) == apply_steps(model.E, x, 1000)[1]
 
 
 def test_fallbacks_do_not_grow_after_refinement(quartic_lattice, monkeypatch):
@@ -522,7 +549,7 @@ JUMP_LENGTHS = (2, 3, 5, 17, 64, 250, 1111, 2500)
 
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
-def test_jumps_match_the_exact_orbit(name, monkeypatch):
+def test_jumps_match_the_exact_orbit(name, apply_steps, monkeypatch):
     model = JUMP_MODELS[name]()
     E = model.E
     stepped = []
@@ -532,7 +559,7 @@ def test_jumps_match_the_exact_orbit(name, monkeypatch):
     needed = set(JUMP_LENGTHS) | set(stops)
     for x in walk_starts(model):
         p = model.point_of(x)
-        word, y = E.orbit(x, JUMP_LENGTHS[-1])
+        word, y = apply_steps(E, x, JUMP_LENGTHS[-1])
         prefix = {}  # the letter counts of the word's prefixes that the checks need
         counts = [0] * E.N
         for t, s in enumerate(word, start=1):

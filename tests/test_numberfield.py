@@ -9,6 +9,7 @@ from ietlab.builders import e2star_model
 from ietlab.matrices import mat_vec
 from ietlab.numberfield import (
     NumberField,
+    Span,
     mult_matrix,
     perron_pair,
     spectral_radius,
@@ -33,6 +34,29 @@ def test_field_basics():
     phi = K.generator_element()
     assert phi * phi == phi + 1  # phi^2 = phi + 1
     assert float(phi) == pytest.approx((1 + math.sqrt(5)) / 2)
+
+
+def test_span_combination_is_the_field_sum():
+    # integer and Fraction coefficients, with and without a base point,
+    # give the sum of field products, in lowest terms
+    K = quartic_field()
+    rng = random.Random(23)
+
+    def element():
+        return K.from_power_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(K.n)])
+
+    for _ in range(30):
+        elements = [element() for _ in range(rng.randint(1, 5))]
+        span = Span(elements)
+        for coeffs in ([rng.randint(-50, 50) for _ in elements],
+                       [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in elements]):
+            want = K.zero
+            for c, u in zip(coeffs, elements):
+                want = want + c * u
+            base = element()
+            for got, expected in ((span.combine(coeffs), want), (span.combine(coeffs, base), base + want)):
+                assert got == expected
+                assert math.gcd(*got.num, got.den) == 1
 
 
 def test_arithmetic_field_axioms_randomized():
