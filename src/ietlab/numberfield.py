@@ -580,10 +580,9 @@ def eigen_moduli_squared(p: IntPoly):
     root r of an irreducible factor contributes r^2.  A factor with exactly
     one complex pair z, z-bar contributes |z|^2, twice, from one exact path
     at every degree (`_pair_modulus_squared`).  That path factors a
-    polynomial of degree n(n-1)/2 for a factor of degree n, so
-    FACTOR_DEGREE_LIMIT = 8 caps it at n <= 4 and factoring raises
-    ValueError above.  A factor with two or more complex pairs raises
-    NotImplementedError.
+    polynomial of degree n(n-1)/2 for a factor of degree n (15 at n = 6);
+    `factor` has no degree limit.  A factor with two or more complex pairs
+    raises NotImplementedError.
     """
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
@@ -644,8 +643,8 @@ def is_pisot(p: IntPoly) -> bool:
     """Whether the largest real root of the irreducible monic p is a Pisot
     number: an algebraic integer > 1 with every conjugate of modulus < 1.
 
-    A reading of `eigen_moduli_squared`, exact and within its limits (at
-    most one complex pair, and none above degree 4): the largest real root
+    A reading of `eigen_moduli_squared`, exact and within its limit (at
+    most one complex pair, at any degree): the largest real root
     is > 1, the top squared modulus is simple and the next one is < 1.  A
     non-monic p is not Pisot; a reducible p raises ValueError.
     """

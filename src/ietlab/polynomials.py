@@ -9,26 +9,25 @@ pseudo-remainder sequences made primitive at each step (Knuth, TAOCP
 vol. 2, 4.6.1), with Sturm remainders scaled by positive constants only;
 exact division by a primitive divisor is integer long division (Gauss's
 lemma).  Gcds are returned as primitive integer polynomials.
-Factorization is a deterministic search: rational roots, then Kronecker
-interpolation.  The interpolation is fraction-free: an integer
-Lagrange basis scaled by a common denominator D is built once per factor
-degree, and a candidate must have coefficients divisible by D, fit the
-Mignotte bound and pass integer divisibility tests at the leading coefficient
-and at a spare sample point before any exact division.  ``factor`` and
-``is_irreducible`` accept degree up to FACTOR_DEGREE_LIMIT (8) and raise
-ValueError above it; Kronecker factors are searched up to degree
-KRONECKER_DEGREE_LIMIT (4), which covers every split of degree 8.
+Factorization is Zassenhaus's algorithm (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 14-15), at any degree.  A primitive
+squarefree p of degree n is reduced mod the first odd prime q that keeps
+its degree and squarefreeness.  Distinct-degree and then Cantor-Zassenhaus
+equal-degree splitting (a random.Random with a fixed seed, so runs repeat)
+give its monic factors mod q; a single one means p is irreducible.
+Otherwise they are Hensel-lifted quadratically along a binary factor tree
+to q^(2^j) > 2 |lc(p)| B, B the Mignotte bound 2^(n-1) |p|_2 at degree
+n - 1, since a subset of at most half the modular factors can still have
+degree above n/2.  Subsets of the lifted factors, times lc(p), are tried
+smallest first in symmetric residues; exact integer division decides each.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import product
-from math import gcd, isqrt, lcm
+from itertools import combinations, zip_longest
+from math import gcd, isqrt
 from operator import ne
-
-FACTOR_DEGREE_LIMIT = 8
-KRONECKER_DEGREE_LIMIT = 4
-_SAMPLE_POINTS = (0, 1, -1, 2, -2, 3)  # KRONECKER_DEGREE_LIMIT + 1 nodes, one spare
 
 
 class IntPoly:
@@ -269,204 +268,180 @@ def root_bound(p: IntPoly) -> int:
 
 
 def rational_roots(p: IntPoly):
-    """All rational roots (with the divisor-pair search), sorted."""
-    pp = p.primitive_part()
-    if not pp or pp.degree == 0:
+    """All rational roots, sorted: the roots of the linear factors."""
+    if p.degree < 1:
         return []
-    while pp.coeffs[0] == 0:
-        pp = IntPoly(pp.coeffs[1:])  # factor out x
-        if pp.degree == 0:
-            break
-    roots = set()
-    if p.coeffs and p.coeffs[0] == 0:
-        roots.add(Fraction(0))
-    if pp.degree >= 1 and pp.coeffs[0] != 0:
-        dens = _divisors(abs(pp.lc))
-        for num in _divisors(abs(pp.coeffs[0])):
-            for den in dens:
-                for s in (1, -1):
-                    r = Fraction(s * num, den)
-                    if pp(r) == 0:
-                        roots.add(r)
-    return sorted(roots)
+    return sorted(Fraction(-q.coeffs[0], q.coeffs[1]) for q, _ in factor(p)[1] if q.degree == 1)
 
 
-_TRIAL_LIMIT = 1 << 10  # primes below this come out by trial division
-# Miller-Rabin with these bases decides primality for every n below
-# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+def _mod(cs, m):
+    """The coefficient list cs mod m, trailing zeros dropped: polynomials
+    mod a prime, and mod its powers in the Hensel lift, are such lists."""
+    cs = [c % m for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases _MR_BASES: deterministic below
-    3.3 * 10^24, a strong probable-prime test above."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _add_mod(a, b, m, k=1):
+    """a + k b mod m."""
+    return _mod([x + k * y for x, y in zip_longest(a, b, fillvalue=0)], m)
 
 
-def _brent_factor(n: int) -> int:
-    """A nontrivial factor of an odd composite n: Brent's variant of
-    Pollard's rho on y -> y^2 + c, with gcds batched over 128 steps."""
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch took in every factor: redo it step by step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ValueError(f"{n} is prime")
+def _mul_mod(a, b, m):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mod(out, m)
 
 
-def _divisors(n: int):
-    """Sorted positive divisors of n >= 1.
+def _divmod_mod(a, b, m):
+    """(q, r) with a = q b + r mod m and deg r < deg b; lc(b) is a unit mod m."""
+    inv, nb = pow(b[-1], -1, m), len(b)
+    r = [c % m for c in a]
+    q = [0] * max(len(r) - nb + 1, 0)
+    for s in range(len(r) - nb, -1, -1):
+        c = q[s] = r[s + nb - 1] * inv % m
+        if c:
+            for i, y in enumerate(b):
+                r[s + i] = (r[s + i] - c * y) % m
+    return _mod(q, m), _mod(r[: nb - 1], m)
 
-    Primes below _TRIAL_LIMIT come out by trial division, which takes each
-    prime out of n as it is found (2^74 costs 75 divisions).  Pollard-Brent
-    splits what is left and Miller-Rabin (`_is_prime`) says when a piece is
-    prime, so the cost is about sqrt(q2) modular squarings for the second
-    largest prime factor q2: two primes near 10^6 take about a millisecond,
-    two near 2^40 about 2^20 squarings.
-    """
+
+def _monic_mod(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """The monic gcd mod the prime p of a nonzero a and b."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _xgcd_mod(g, h, p):
+    """(s, t) with s g + t h = 1 mod the prime p, deg s < deg h and
+    deg t < deg g, for coprime g and h of positive degree."""
+    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _add_mod(s0, _mul_mod(q, s1, p), p, -1)
+        t0, t1 = t1, _add_mod(t0, _mul_mod(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    return _mod([c * inv for c in s0], p), _mod([c * inv for c in t0], p)
+
+
+def _pow_mod(a, e, f, p):
+    """a^e mod f, mod the prime p."""
     out = [1]
-    p = 2
-    while p < _TRIAL_LIMIT and p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
+        e >>= 1
         if e:
-            out = [d * p**i for d in out for i in range(e + 1)]
-        p += 1
-    # what is left has no prime factor below p: 1, a prime below p^2, or a
-    # product of larger primes, which Pollard-Brent splits
-    primes = [n] if 1 < n < p * p else []
-    stack = [n] if n >= p * p else []
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            primes.append(m)
-        else:
-            f = _brent_factor(m)
-            stack += [f, m // f]
-    last = None
-    for q in sorted(primes):
-        # a repeated prime multiplies only the divisors its last copy added
-        new = [d * q for d in (new if q == last else out)]
-        out += new
-        last = q
-    return sorted(out)
+            a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+    return out
 
 
-def _mignotte_bound(p: IntPoly, d: int) -> int:
-    # any degree-d factor has sup-norm at most 2^d * |p|_2
-    norm2 = isqrt(sum(c * c for c in p.coeffs)) + 1
-    return (1 << d) * norm2
+def _modular_factors(f, p, rng):
+    """The monic irreducible factors mod the odd prime p of the monic
+    squarefree f: distinct-degree splitting, then Cantor-Zassenhaus
+    equal-degree splitting of each part with random elements from rng."""
+    parts, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, f, p)  # x^(p^d) mod f
+        g = _gcd_mod(f, _add_mod(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            parts.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        parts.append((f, len(f) - 1))
+    out = []
+    while parts:
+        g, d = parts.pop()
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        # a^((p^d - 1)/2) - 1 vanishes at about half the roots in GF(p^d)
+        a = _mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        u = _gcd_mod(g, _add_mod(_pow_mod(a, (p**d - 1) // 2, g, p), [1], p, -1), p)
+        parts += [(u, d), (_divmod_mod(g, u, p)[0], d)] if 1 < len(u) < len(g) else [(g, d)]
+    return out
 
 
-def _lagrange_rows(d: int):
-    """(D, rows) for the nodes x_0..x_d = _SAMPLE_POINTS[:d + 1]: rows[i] holds
-    the integer coefficients of D*L_i, where L_i(x_j) = delta_ij and D is the
-    lcm of the denominators prod_{j != i} (x_i - x_j)."""
-    pts = _SAMPLE_POINTS[: d + 1]
-    nums, dens = [], []
-    for i, xi in enumerate(pts):
-        num, den = IntPoly((1,)), 1
-        for xj in pts[:i] + pts[i + 1:]:
-            num, den = num * IntPoly((-xj, 1)), den * (xi - xj)
-        nums.append(num.coeffs)
-        dens.append(den)
-    D = lcm(*dens)
-    return D, [[c * (D // den) for c in num] for num, den in zip(nums, dens)]
-
-
-def _kronecker_factor(p: IntPoly, d: int):
-    """Deterministic degree-d factor search by divisor interpolation.
-
-    A candidate takes a divisor of p(x_i) at each node; its numerator
-    sum y_i * D*L_i is a polynomial iff every coefficient is 0 mod D, so the
-    last node's choices are looked up by their residues mod D.  Integer tests
-    (Mignotte bound, lc(cand) | lc(p), cand(s) | p(s) at the spare point s)
-    run before the exact division."""
-    pts = _SAMPLE_POINTS[: d + 2]
-    vals = [p(x) for x in pts]
-    if 0 in vals:
-        # a rational integer root slipped through; caller handles roots first
-        raise ValueError("sample point is a root")
-    D, rows = _lagrange_rows(d)
-    bound, s, ps = _mignotte_bound(p, d), pts[-1], vals[-1]
-    scaled = []
-    for i, (v, row) in enumerate(zip(vals, rows)):
-        ys = _divisors(abs(v)) if i == 0 else [t * x for x in _divisors(abs(v)) for t in (1, -1)]
-        scaled.append([[y * c for c in row] for y in ys])
-    tails = {}
-    for tail in scaled.pop():
-        tails.setdefault(tuple(c % D for c in tail), []).append(tail)
-    for combo in product(*scaled):
-        head = [sum(col) for col in zip(*combo)]
-        for tail in tails.get(tuple(-c % D for c in head), ()):
-            cand = IntPoly((a + b) // D for a, b in zip(head, tail))
-            if cand.degree != d or max(map(abs, cand.coeffs)) > bound or p.lc % cand.lc:
-                continue
-            cs = cand(s)
-            if cs and not ps % cs and divides(cand, p):
-                return cand
-    return None
+def _hensel_lift(f, fs, p, m):
+    """Monic lifts mod m = p^(2^j) of the monic factors fs mod p of the
+    coefficient list f, where f = lc(f) prod fs mod p.  The factors split
+    in two halves g, h with s g + t h = 1, and quadratic Hensel steps lift
+    all four from p to p^2, p^4, ..., m (von zur Gathen and Gerhard,
+    Algorithm 15.10); each half is then lifted the same way."""
+    if len(fs) == 1:
+        return [_monic_mod(f, m)]
+    k = len(fs) // 2
+    g, h = [f[-1] % p], [1]
+    for u in fs[:k]:
+        g = _mul_mod(g, u, p)
+    for u in fs[k:]:
+        h = _mul_mod(h, u, p)
+    s, t = _xgcd_mod(g, h, p)
+    M = p
+    while M < m:
+        M *= M
+        e = _add_mod(f, _mul_mod(g, h, M), M, -1)
+        q, r = _divmod_mod(_mul_mod(s, e, M), h, M)
+        g = _add_mod(_add_mod(g, _mul_mod(t, e, M), M), _mul_mod(q, g, M), M)
+        h = _add_mod(h, r, M)
+        if M == m:
+            break  # the halves are lifted; s and t are not needed again
+        b = _add_mod(_add_mod(_mul_mod(s, g, M), _mul_mod(t, h, M), M), [1], M, -1)
+        c, d = _divmod_mod(_mul_mod(s, b, M), h, M)
+        s = _add_mod(s, d, M, -1)
+        t = _add_mod(_add_mod(t, _mul_mod(t, b, M), M, -1), _mul_mod(c, g, M), M, -1)
+    return _hensel_lift(g, fs[:k], p, m) + _hensel_lift(h, fs[k:], p, m)
 
 
 def _factor_squarefree(p: IntPoly):
-    """Irreducible factors of a primitive squarefree polynomial."""
-    out = []
-    work = p
-    for r in rational_roots(work):
-        lin = IntPoly((-r.numerator, r.denominator))
-        while divides(lin, work):
-            out.append(lin)
-            work = exact_quotient(work, lin)
-    d = 2
-    while work.degree >= 2 * d and d <= KRONECKER_DEGREE_LIMIT:
-        fac = _kronecker_factor(work, d)
-        if fac is None:
-            d += 1
-            continue
-        if fac.lc < 0:
-            fac = fac * IntPoly((-1,))
-        out.append(fac)
-        work = exact_quotient(work, fac)
-    if work.degree >= 1:
-        out.append(work)
-    return out
+    """Irreducible factors of a primitive squarefree polynomial with
+    positive leading coefficient, by Zassenhaus's algorithm."""
+    n, lc, f = p.degree, p.lc, list(p.coeffs)
+    if n <= 1:
+        return [p] if n == 1 else []
+    q = 3
+    while True:  # the first odd prime keeping the degree and squarefreeness
+        if lc % q and all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            fq = _monic_mod(f, q)
+            if len(_gcd_mod(fq, _mod([k * c for k, c in enumerate(fq)][1:], q), q)) == 1:
+                break
+        q += 2
+    fs = _modular_factors(fq, q, random.Random(2007))
+    if len(fs) == 1:
+        return [p]
+    # 2 |lc| times the Mignotte bound 2^(n-1) |p|_2 on the coefficients of
+    # a factor of degree n - 1, which up to half the modular factors can make
+    m, bound = q, (2 * abs(lc) << (n - 1)) * (isqrt(sum(c * c for c in f)) + 1)
+    while m <= bound:
+        m *= m
+    fs = _hensel_lift(f, fs, q, m)
+    out, size = [], 1
+    while 2 * size <= len(fs):
+        for pick in combinations(range(len(fs)), size):
+            cand = [p.lc]
+            for i in pick:
+                cand = _mul_mod(cand, fs[i], m)
+            cand = IntPoly(c - m if 2 * c > m else c for c in cand).primitive_part()
+            if divides(cand, p):
+                out.append(cand)
+                p = exact_quotient(p, cand)
+                fs = [u for i, u in enumerate(fs) if i not in pick]
+                break
+        else:
+            size += 1
+    return out + [p]
 
 
 def factor(p: IntPoly):
@@ -477,8 +452,6 @@ def factor(p: IntPoly):
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree > FACTOR_DEGREE_LIMIT:
-        raise ValueError(f"factorization supported up to degree {FACTOR_DEGREE_LIMIT}")
     content = p.content()
     pp = p.primitive_part()
     if pp.degree == 0:
@@ -510,7 +483,8 @@ def factor(p: IntPoly):
 
 
 def is_irreducible(p: IntPoly) -> bool:
-    """Irreducibility over the rationals (of the primitive part)."""
+    """Irreducibility over the rationals (of the primitive part); settled
+    without lifting when p has one factor mod the prime."""
     pp = p.primitive_part()
     if pp.degree < 1:
         return False
@@ -518,8 +492,6 @@ def is_irreducible(p: IntPoly) -> bool:
         return True
     if pp.coeffs[0] == 0:
         return False
-    if pp.degree > FACTOR_DEGREE_LIMIT:
-        raise ValueError(f"irreducibility supported up to degree {FACTOR_DEGREE_LIMIT}")
     if poly_gcd(pp, pp.derivative()).degree > 0:
         return False
     return len(_factor_squarefree(pp)) == 1

@@ -12,9 +12,7 @@ contraction is rho = 1/beta.
 Cost.  A step matrix is the identity with one column changed, so a
 product P * A is one column sum (and for type 1 a column shift), O(N)
 work per step.  `enumerate_cycles` walks from each base only through
-vertices listed at or after it (Johnson's least-vertex rule).  A cycle's
-characteristic polynomial has degree N, inside the factoring limit of
-`polynomials` (FACTOR_DEGREE_LIMIT = 8).
+vertices listed at or after it (Johnson's least-vertex rule).
 """
 from __future__ import annotations
 

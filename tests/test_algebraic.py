@@ -92,7 +92,7 @@ def test_refinement_separates_close_roots():
 
 
 def test_real_roots_of_large_power_of_two_coefficients():
-    # listing the divisors of 2^74 by trial division up to 2^37 never ended
+    # end coefficients 2 and 2^48 or 2^74: factoring cost must not follow their size
     for s in (24, 37):
         p = P(2, -(1 << (s + 2)), 1 << (2 * s))
         start = time.perf_counter()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietlab import builders
+from ietlab import builders, numberfield
 from ietlab.algebraic import root_in
 from ietlab.iet import (
     IET,
@@ -418,6 +418,23 @@ def test_box_orbit_takes_no_exact_fallback(build, monkeypatch):
     # the walk moves one integer position: no sign, and the end point is
     # one integer combination, not a chain of field sums
     assert signs == [] and arithmetic == []
+
+
+@pytest.mark.parametrize("build", [builders.quartic_model, builders.e2star_model])
+def test_walk_certificate_covers_the_drift_of_long_walks(build, monkeypatch, apply_steps):
+    # with 16-bit sign tables and no precision floor, the k e_tau term of
+    # the walk's certificate is what keeps 3,000 steps on the exact orbit:
+    # without it the walks from 0 leave it at step 664 (quartic) and
+    # 1,296 (e2*)
+    data = build().E.to_data()
+    monkeypatch.setattr(numberfield, "_START_BITS", 16)
+    enclose = NumberField.enclose
+    monkeypatch.setattr(NumberField, "enclose", lambda self, xs, bits=0: enclose(self, xs))
+    E = IET.from_data(data)
+    assert E.field.precision == 16
+    for x in (E.field.zero, E.total / 3):
+        walk = tuple(E._walk(x, 3000, [0] * E.N))
+        assert walk == apply_steps(E, x, 3000)[0]
 
 
 @pytest.fixture(scope="module")

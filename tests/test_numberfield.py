@@ -378,6 +378,25 @@ def test_eigen_moduli_match_mpmath_on_one_complex_pair():
                 assert v <= mp.mpf(hi.numerator) / hi.denominator, p
 
 
+@pytest.mark.parametrize("coeffs", [(2, -4, 0, 0, 0, 1), (1, 1, 0, 0, -8, 0, 1)])
+def test_eigen_moduli_past_degree_four_match_sympy(coeffs):
+    # x^5 - 4x + 2 and x^6 - 8x^4 + x + 1: one complex pair, whose modulus
+    # comes from a second-compound charpoly of degree 10 and 15
+    sympy = pytest.importorskip("sympy")
+    from ietlab.numberfield import eigen_moduli_squared
+
+    x = sympy.symbols("x")
+    roots = sympy.Poly(list(reversed(coeffs)), x).nroots(n=30)
+    want = sorted((Fraction(str(abs(r) ** 2)) for r in roots), reverse=True)
+    mods = eigen_moduli_squared(IntPoly(coeffs))
+    assert 2 in [m for _, m in mods]
+    got = [u for u, m in mods for _ in range(m)]
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        u.refine_to(Fraction(1, 10**30))
+        assert u.lo - Fraction(1, 10**25) <= v <= u.hi + Fraction(1, 10**25)
+
+
 def test_cross_generator_equality_is_false():
     K = golden_field()
     Kq = quartic_field()

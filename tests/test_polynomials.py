@@ -1,16 +1,9 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
-
-import pytest
 
 from ietlab.polynomials import (
-    _SAMPLE_POINTS,
     IntPoly,
-    _divisors,
-    _is_prime,
-    _lagrange_rows,
     count_roots,
     factor,
     is_irreducible,
@@ -120,72 +113,21 @@ def test_rational_roots():
     assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
     assert rational_roots(P(0, 0, 1)) == [Fraction(0)]
     assert rational_roots(P(1, 0, 1)) == []
+    assert rational_roots(P(-6, 1) * P(5, 12) * P(1, 0, 1)) == [Fraction(-5, 12), Fraction(6)]
 
 
 def test_rational_roots_divides_each_end_coefficient_once(monkeypatch):
+    # the roots -5/12 and 6 come from a single factorization; no search
+    # over the divisors of the end coefficients 30 and 12 is made
     from ietlab import polynomials
 
     calls = []
-    divisors = polynomials._divisors
-    monkeypatch.setattr(polynomials, "_divisors", lambda n: calls.append(n) or divisors(n))
-    p = P(-6, 1) * P(5, 12) * P(1, 0, 1)  # roots 6, -5/12
+    factor = polynomials.factor
+    monkeypatch.setattr(polynomials, "factor", lambda q: calls.append(q) or factor(q))
+    p = P(-6, 1) * P(5, 12) * P(1, 0, 1)
     assert rational_roots(p) == [Fraction(-5, 12), Fraction(6)]
-    assert sorted(calls) == [12, 30]
-
-
-def test_divisors_brute_force():
-    sieve = [[] for _ in range(5001)]
-    for d in range(1, 5001):
-        for n in range(d, 5001, d):
-            sieve[n].append(d)
-    for n in range(1, 5001):
-        assert _divisors(n) == sieve[n]
-    assert _divisors(2**74) == [2**i for i in range(75)]
-    assert _divisors(2**40 * 1000003) == sorted(2**i * q for i in range(41) for q in (1, 1000003))
-
-
-def test_divisors_split_large_cofactors():
-    # cofactors past the trial bound: prime powers, products of close
-    # primes, Mersenne primes and a product of two of them
-    m31, m61, m89 = 2**31 - 1, 2**61 - 1, 2**89 - 1
-    cases = [
-        ({1031: 2}, 1031**2),
-        ({1031: 1, 1033: 1, 1039: 1}, 1031 * 1033 * 1039),
-        ({2: 5, 3: 1, 1031: 3, 1000003: 1}, 2**5 * 3 * 1031**3 * 1000003),
-        ({1000003: 1, 1000033: 1}, 1000003 * 1000033),
-        ({m31: 1, m61: 1}, m31 * m61),
-        ({m89: 1}, m89),
-    ]
-    for fac, n in cases:
-        want = [1]
-        for q, e in fac.items():
-            want = [d * q**i for d in want for i in range(e + 1)]
-        assert _divisors(n) == sorted(want), n
-
-
-def test_divisors_of_two_close_primes_is_fast():
-    n = 1000003 * 1000033
-    best = float("inf")
-    for _ in range(3):
-        t = time.perf_counter()
-        _divisors(n)
-        best = min(best, time.perf_counter() - t)
-    assert best < 0.005
-
-
-def test_is_prime_matches_a_sieve_and_rejects_pseudoprimes():
-    limit = 5000
-    composite = bytearray(limit + 1)
-    for p in range(2, isqrt(limit) + 1):
-        composite[p * p::p] = b"\1" * len(range(p * p, limit + 1, p))
-    assert [n for n in range(limit + 1) if _is_prime(n)] == [
-        n for n in range(2, limit + 1) if not composite[n]
-    ]
-    # Carmichael numbers, and the least strong pseudoprimes to the base 2,
-    # to the bases 2..7 and to the bases 2..23
-    for n in (561, 41041, 2047, 3215031751, 3825123056546413051):
-        assert not _is_prime(n)
-    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
+    assert calls == [p]
+    assert not hasattr(polynomials, "_divisors")
 
 
 def test_factor_reassembles_and_finds_pieces():
@@ -235,16 +177,34 @@ def test_is_irreducible_quartic_with_quadratic_split():
 
 
 def test_factor_degree_limit():
-    with pytest.raises(ValueError):
-        factor(IntPoly([1] + [0] * 8 + [1]))
-    with pytest.raises(ValueError):
-        is_irreducible(IntPoly([1] + [0] * 8 + [1]))
+    # no degree limit: cyclotomic splits of degree 9 and 15
+    assert factor(IntPoly([1] + [0] * 8 + [1])) == (1, [
+        (P(1, 1), 1),
+        (P(1, -1, 1), 1),
+        (P(1, 0, 0, -1, 0, 0, 1), 1),
+    ])
+    assert factor(IntPoly([-1] + [0] * 14 + [1])) == (1, [
+        (P(-1, 1), 1),
+        (P(1, 1, 1), 1),
+        (P(1, 1, 1, 1, 1), 1),
+        (P(1, -1, 0, 1, -1, 1, 0, -1, 1), 1),
+    ])
+    assert not is_irreducible(IntPoly([1] + [0] * 8 + [1]))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_lagrange_rows_are_scaled_basis(d):
-    D, rows = _lagrange_rows(d)
-    pts = _SAMPLE_POINTS[: d + 1]
-    assert len(rows) == d + 1
-    for i, row in enumerate(rows):
-        assert [IntPoly(row)(x) for x in pts] == [D if j == i else 0 for j in range(d + 1)]
+def test_swinnerton_dyer_is_irreducible():
+    # the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5 splits into linear
+    # and quadratic factors mod every prime: every subset of up to half the
+    # modular factors is a candidate that must fail
+    sd = P(576, 0, -960, 0, 352, 0, -40, 0, 1)
+    assert is_irreducible(sd)
+    assert factor(sd) == (1, [(sd, 1)])
+    assert not is_irreducible(sd * P(-2, 0, 1))
+
+
+def test_degree_six_irreducibility_is_fast():
+    # the compound charpoly that eigen_moduli_squared factors for the
+    # quartic x^4 + 6x^3 + 2x^2 - 3x + 4
+    t = time.perf_counter()
+    assert is_irreducible(P(64, -32, -88, -137, -22, -2, 1))
+    assert time.perf_counter() - t < 0.2

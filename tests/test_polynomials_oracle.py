@@ -10,7 +10,6 @@ import pytest
 from ietlab.algebraic import real_roots
 from ietlab.matrices import charpoly
 from ietlab.polynomials import (
-    FACTOR_DEGREE_LIMIT,
     IntPoly,
     count_roots,
     divides,
@@ -43,8 +42,8 @@ def normalized(q) -> IntPoly:
 
 
 def random_product(rng):
-    """A product of one to four random factors of degree 1..4, total degree <= 8."""
-    p, room = IntPoly((1,)), FACTOR_DEGREE_LIMIT
+    """A product of one to four random factors of degree 1..4, total degree <= 15."""
+    p, room = IntPoly((1,)), 15
     for _ in range(rng.randint(1, 4)):
         d = rng.randint(1, min(4, room))
         p = p * IntPoly([rng.randint(-3, 3) for _ in range(d)] + [rng.choice((1, 2, 3, -1))])
