@@ -125,14 +125,18 @@ class Cells:
         highs = [s - e for s, e in rights]
         return P, q >> P, lows, highs, [s for s, _ in steps], max((e for _, e in steps), default=0)
 
+    def _current_bounds(self):
+        """The _endpoint_bounds at the field's current precision."""
+        bounds = self._bounds
+        if bounds is None or bounds[0] != self.field.precision:
+            bounds = self._bounds = self._endpoint_bounds()
+        return bounds
+
     def locate(self, x: FieldElement) -> int:
         """0-based index of the cell holding the field element x; raises
         ValueError if x is outside [0, r_n)."""
         s, e = self.field.enclosure(x)
-        bounds = self._bounds
-        if bounds is None or bounds[0] != self.field.precision:
-            bounds = self._bounds = self._endpoint_bounds()
-        _, d, lows, highs, _, _ = bounds
+        _, d, lows, highs, _, _ = self._current_bounds()
         # [lo, hi] encloses q x: rescale from x.den * 2^P to d * 2^P
         lo, hi = (s - e) * d, (s + e) * d
         if x.den != 1:
@@ -205,10 +209,7 @@ class IET(Cells):
         and cell i holds every y with lows[i] <= q y < highs[i]."""
         bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
         _, ((s, e),) = self.field.enclose([x], bits)
-        bounds = self._bounds
-        if bounds is None or bounds[0] != self.field.precision:
-            bounds = self._bounds = self._endpoint_bounds()
-        P, d, lows, highs, moves, e_tau = bounds
+        P, d, lows, highs, moves, e_tau = self._current_bounds()
         # rescale |x.den 2^P x - s| <= e to q = d 2^P
         X, r = divmod(s * d, x.den)
         err = -(-e * d // x.den) + (r > 0) + k * e_tau

@@ -18,11 +18,13 @@ level-1 tiles are the floors of the towers over the renormalized atoms,
 and the map's own level-1 tiles cut every higher level.  The level-l
 tower over letter j spans h_l(j) = |sigma_1 ... sigma_l (j)| steps, so
 E^k(x) follows the expansion of k in these heights (Dumont and Thomas'
-numeration by substitutions).  A segment of k >= 2 steps climbs, one
-exact tile location per level, to the highest level L whose smallest
-tower is at most k; it takes whole level-L steps of the self-similar map
-while a tower fits, then descends by heights alone, and the symbol counts
-are the per-level letter counts pushed down through the substitutions.
+numeration by substitutions).  `Towers` owns the tiles, and its
+`climb` is the one loop that locates a point level by level; Vershik
+coding (`vershik`) climbs through it too.  A segment of k >= 2 steps
+climbs to the highest level L whose smallest tower is at most k; it
+takes whole level-L steps of the self-similar map while a tower fits,
+then descends by heights alone, and the symbol counts are the per-level
+letter counts pushed down through the substitutions.
 Its cost grows like log k.  A segment shorter than every level-1 tower,
 a one-step segment and every segment of a model without renormalization
 step one atom at a time, on the integer walk of the IET (`iet`).
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import mul
 
 from .iet import IET, Cells, check_self_similar, induce, tiling_order
@@ -90,9 +93,9 @@ class LatticeModel:
 
     first_return, a pair (window, factor), declares instead that the
     first-return map on the window (a, b) is self-similar with that
-    factor; it is only data until a walk jumps through the towers, which
-    `first_return_model` builds from it.  A model with neither walks step
-    by step.
+    factor; it is only data until a jump or a code needs the towers,
+    which `first_return_model` builds from it.  A model with neither walks
+    step by step.
     """
 
     def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left",
@@ -115,12 +118,11 @@ class LatticeModel:
         self.window_start = None
         self.R = None
         self.prefix_graph = None  # the substitution's prefix automaton
-        self._tiles = None  # level-1 tiles, built by level_tiles on first use
         self._Rnu = None
         if rho is not None and first_return is not None:
             raise ValueError("a model renormalizes by rho or by a first return, not both")
         self.first_return = first_return
-        self._towers = None  # built by the first walk that may jump
+        self._towers = None  # built by towers() on first use
         if rho is not None:
             self.rho = rho = self.field.coerce(rho)
             if not self.module.in_order(rho):
@@ -145,19 +147,6 @@ class LatticeModel:
         rhs = mat_mul(self.projection, M)
         if lhs != rhs:
             raise AssertionError("lattice/substitution commutation failed")
-
-    def level_tiles(self):
-        """(Cells of the level-1 tiles c_mu + rho * atom_j, [(mu, c_mu), ...]
-        in position order), built on first use and kept by the model; the
-        tile of a point fixes its atom, the letter sigma(j)[t] of mu."""
-        if self._tiles is None:
-            if self.rho is None:
-                raise ValueError("model has no scaling factor")
-            rho = self.rho
-            bases = [(rho * lo, rho * ln) for (lo, _), ln in zip(self.E.atoms(), self.E.lengths)]
-            offsets = tile_offsets(self, self.field.one)
-            self._tiles = _tower_tiles(self.E, self.sigma.rules, offsets, bases)
-        return self._tiles
 
     # -- exact geometry ------------------------------------------------
 
@@ -245,12 +234,19 @@ class LatticeModel:
         model renormalizes and k reaches a level-1 tower (one step needs
         none), otherwise step by step."""
         if k > 1 and (self.rho is not None or self.first_return is not None):
-            if self._towers is None:
-                self._towers = Towers(self)
-            counts = self._towers.counts(self.value_of(p), k)
+            counts = self.towers().counts(self.value_of(p), k)
             if counts is not None:
                 return counts
         return self._step(p, k)
+
+    def towers(self):
+        """The model's Towers, built on first use; raises ValueError for a
+        model without renormalization."""
+        if self._towers is None:
+            if self.rho is None and self.first_return is None:
+                raise ValueError("model has neither a scaling factor nor a first return")
+            self._towers = Towers(self)
+        return self._towers
 
     def _step(self, p: LatticePoint, k: int):
         """Symbol counts of k single steps from p: the IET's integer walk."""
@@ -308,7 +304,8 @@ def first_return_model(model: LatticeModel):
 
 
 class Towers:
-    """Kakutani-Rokhlin towers of a model that renormalizes.
+    """Kakutani-Rokhlin towers of a model that renormalizes, the one owner
+    of its tile tables.
 
     `top` is the self-similar map of the higher levels: the model itself,
     or its first-return model.  Stage 1 cuts the model's domain into
@@ -319,11 +316,13 @@ class Towers:
     beta): a level point y in the tile mu = (j, t) is t steps above the
     base of its tower, whose point one level up is (y - c_mu) * beta
     (beta = 1/rho, or 1 for the first return, given as None), in atom j.
+    offsets[s] is stage s + 1's table {mu: c_mu}.  `climb` is the one
+    loop that locates level points in these tiles.
     heights[l][j - 1] is h_l(j), the steps of E that the level-l tower
     over letter j spans.
     """
 
-    __slots__ = ("top", "stages", "heights")
+    __slots__ = ("top", "stages", "offsets", "heights")
 
     def __init__(self, model: LatticeModel):
         if model.rho is None:
@@ -332,13 +331,15 @@ class Towers:
             states = [Prefix(j, t) for j, w in rules.items() for t in range(len(w))]
             start = model.field.coerce(model.first_return[0][0])
             offsets = _offsets(states, rules, start, model.E.translations)
-            bases = [(lo, ln) for (lo, _), ln in zip(top.E.atoms(), top.E.lengths)]
-            first = (*_tower_tiles(model.E, rules, offsets, bases), rules, None)
+            scale, beta = model.field.one, None
         else:
-            top, first = model, None
-        inner = (*top.level_tiles(), top.sigma.rules, top.rho.inverse())
+            top, rules, offsets = model, model.sigma.rules, tile_offsets(model, model.field.one)
+            scale, beta = model.rho, model.rho.inverse()
+        bases = [(scale * lo, scale * ln) for (lo, _), ln in zip(top.E.atoms(), top.E.lengths)]
+        first = (*_tower_tiles(model.E, rules, offsets, bases), rules, beta)
         self.top = top
-        self.stages = (first or inner, inner)
+        self.stages = (first, first if top is model else top.towers().stages[1])
+        self.offsets = [dict(tiles) for _, tiles, _, _ in self.stages]
         self.heights = [[1] * model.E.N]
 
     def height(self, level: int):
@@ -348,6 +349,15 @@ class Towers:
             rules = self.stages[len(self.heights) > 1][2]
             self.heights.append([sum(below[s - 1] for s in rules[j]) for j in sorted(rules)])
         return self.heights[level]
+
+    def climb(self, x: FieldElement):
+        """Yield (mu, y) per level from x: mu is the tile of the level
+        point and y the point one level up, by stage 1 at level 1 and
+        stage 2 above; raises ValueError when a point leaves the domain."""
+        for cells, tiles, _, beta in chain(self.stages[:1], repeat(self.stages[1])):
+            mu, c = tiles[cells.locate(x)]
+            x = x - c if beta is None else (x - c) * beta
+            yield mu, x
 
     def counts(self, x: FieldElement, k: int):
         """Symbol counts of k steps of the model's map from x, or None when
@@ -360,10 +370,8 @@ class Towers:
         # climb: r counts k plus the steps from the base of x's level-L tower
         r = k
         path = []
-        for level in range(1, L + 1):
-            cells, tiles, rules, beta = self.stages[level > 1]
-            mu, c = tiles[cells.locate(x)]
-            x = x - c if beta is None else (x - c) * beta
+        for level, (mu, x) in zip(range(1, L + 1), self.climb(x)):
+            rules = self.stages[level > 1][2]
             below = self.heights[level - 1]
             r += sum(below[s - 1] for s in rules[mu.rule][: mu.cut])
             path.append(mu)

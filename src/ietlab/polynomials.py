@@ -267,13 +267,6 @@ def root_bound(p: IntPoly) -> int:
     return 1 << (top.bit_length() - abs(p.lc).bit_length() + 1)
 
 
-def rational_roots(p: IntPoly):
-    """All rational roots, sorted: the roots of the linear factors."""
-    if p.degree < 1:
-        return []
-    return sorted(Fraction(-q.coeffs[0], q.coeffs[1]) for q, _ in factor(p)[1] if q.degree == 1)
-
-
 def _mod(cs, m):
     """The coefficient list cs mod m, trailing zeros dropped: polynomials
     mod a prime, and mod its powers in the Hensel lift, are such lists."""

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from .algebraic import RealAlgebraic
 from .matrices import charpoly, is_primitive, mat_pow
-from .numberfield import NumberField
-from .polynomials import count_roots, root_bound, squarefree_part, sturm_chain
+from .polynomials import count_roots, divides, root_bound, squarefree_part, sturm_chain
 
 
 class Substitution:
@@ -149,7 +148,7 @@ class PrefixGraph:
         if not is_primitive(self.adjacency):
             return False
         p = charpoly(self.adjacency)
-        if p(NumberField(beta).generator_element()):
+        if not divides(beta.poly, p):  # beta's polynomial is its minimal one
             return False
         chain = sturm_chain(squarefree_part(p))
         while count_roots(p, beta.lo, beta.hi, chain) > 1:

@@ -4,15 +4,15 @@ The window W = [0, rho*total) returns to itself under the map, and the
 return words tile the whole interval: every point sits in a unique
 level-1 tile E^t(rho * atom_j) = c_mu + rho * atom_j with t below the
 length of the j-th return word, and mu = (j, t) is a prefix of the
-substitution.  One `iet.Cells.locate` among the sorted tiles reads off
-mu, and (y - c_mu) / rho is the point of the next level, so the levels
-encode the point as a path in the prefix automaton.  Eventually periodic
-codes are exactly the points whose level points repeat, and the periodic
-part is the fixed point of a contraction, so decoding is a closed-form
-geometric sum in the field.  The level-1 tiles are the model's own
-(`LatticeModel.level_tiles`, which the lattice walk's jumps share).
-Depth-k tiles sum per-level terms rho^L * c_mu: `enumerate_tiles` adds
-entries of one `lattice.tile_offsets` table per level.
+substitution.  The tile of the level point y reads off mu, and
+(y - c_mu) / rho is the point of the next level, so the levels encode the
+point as a path in the prefix automaton: `lattice.Towers.climb`, shared
+with the lattice walk's jumps.  A model with a self-similar first return
+(E_k) codes its floor first.  Eventually periodic codes are exactly the
+points whose level points repeat, and the periodic part is the fixed
+point of a contraction, so decoding is a closed-form geometric sum in the
+field.  Depth-k tiles sum per-level terms rho^L * c_mu: `enumerate_tiles`
+adds entries of one `lattice.tile_offsets` table per level.
 """
 from __future__ import annotations
 
@@ -36,7 +36,9 @@ class VershikCode:
     """An eventually periodic (or truncated) prefix sequence.
 
     transient: the first t prefixes; period: the repeating block, empty
-    when the encoder hit its depth cap without finding a repeat.
+    when the encoder hit its depth cap without finding a repeat.  With a
+    first return the first prefix is a floor (j, t), t steps above a point
+    of the return map's atom j that the other prefixes code.
     `to_line` is a display form for messages and repr; nothing parses it.
     """
 
@@ -92,69 +94,63 @@ def _require_self_similar(model: LatticeModel):
 def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     """Prefix code of a point, with eventual-periodicity detection.
 
-    Each level makes one tile location: the level point y lies in the
-    level-1 tile c_mu + rho * atom_j of the next prefix mu, and
-    (y - c_mu) / rho is the next level point.  A repeat of the exact
-    level point closes the period; with none within `depth` levels the
-    code is returned undetermined (empty period).
+    The prefixes are the tiles that `Towers.climb` finds level by level.
+    A repeat of the exact level point closes the period; with none within
+    `depth` levels the code is returned undetermined (empty period).
     """
-    _require_self_similar(model)
-    cells, tiles = model.level_tiles()
-    beta = model.rho.inverse()
+    towers = model.towers()
     y = model.field.coerce(x)
-    seen = {}
+    # a first-return model's start lies in the model's coordinates, and
+    # every later level point in the first-return map's
+    seen = {y: 0} if towers.top is model else {}
     prefixes = []
-    for level in range(depth):
-        seen[y] = level
-        mu, c = tiles[cells.locate(y)]
+    for level, (mu, y) in zip(range(1, depth + 1), towers.climb(y)):
         prefixes.append(mu)
-        y = (y - c) * beta
         back = seen.get(y)
         if back is not None:
             return VershikCode(prefixes[:back], prefixes[back:])
+        seen[y] = level
     return VershikCode(prefixes, ())
 
 
 def vershik_decode(model: LatticeModel, code: VershikCode) -> FieldElement:
     """Exact point with the given eventually periodic code.
 
-    The periodic tail is the fixed point of the composed tile maps, a
-    geometric sum divided by 1 - rho^T; the transient is unwound on top.
-    Raises on codes whose tiles do not nest, so also on codes whose
-    prefixes do not chain: each tile lies in the atom of its letter.
+    The periodic tail is the fixed point of the composed tile maps of the
+    towers' top, a geometric sum divided by 1 - rho^T; the transient is
+    unwound on top as y -> rho * y + c_mu, and a first-return model's
+    floor prefix last as y -> y + c_mu.  Climbing the point back checks
+    the code, so raises ValueError on codes whose tiles do not nest, and
+    also on codes whose prefixes do not chain: each tile lies in the atom
+    of its letter.
     """
-    _require_self_similar(model)
+    towers = model.towers()
     if code.T < 1:
         raise ValueError("decoding needs a periodic tail")
-    cells, tiles = model.level_tiles()
-    offset = dict(tiles)
-    if any(mu not in offset for mu in code.transient + code.period):
+    top = towers.top
+    floor = top is not model  # the first prefix is a floor of the first return
+    if floor and code.t < 1:
+        raise ValueError("a first-return code starts with a floor prefix")
+    tables = towers.offsets
+    if any(mu not in tables[k > 0] for k, mu in enumerate(code.transient + code.period)):
         raise ValueError("prefix outside the rule set")
-    K = model.field
-    rho = model.rho
-    acc = K.zero
-    power = K.one
+    K, rho, offset = model.field, top.rho, tables[1]
+    acc, power = K.zero, K.one
     for mu in code.period:
         acc = acc + power * offset[mu]
         power = power * rho
     # power is now rho^T
-    x = acc / (K.one - power)
-    # one loop around the cycle checks that each level point lies in its tile
-    beta = rho.inverse()
-    y = x
-    for mu in code.period:
-        if tiles[cells.locate(y)][0] != mu:
+    periodic = y = acc / (K.one - power)
+    for mu in reversed(code.transient[floor:]):
+        y = rho * y + offset[mu]
+    x = y + tables[0][code.transient[0]] if floor else y
+    for k, (mu, level_point) in zip(range(1, code.t + code.T + 1), towers.climb(x)):
+        if mu != code.prefix(k):
             raise ValueError("code tile does not contain its level point")
-        y = (y - offset[mu]) * beta
-    if y != x:
+    if level_point != periodic:
         raise AssertionError("period failed to close")
-    for mu in reversed(code.transient):
-        x = rho * x + offset[mu]
-        if tiles[cells.locate(x)][0] != mu:
-            raise ValueError("transient prefix disagrees with the point")
-    xi, _ = model.layer_of(x)
-    order = model.order_of(xi)
-    if code.T % order != 0:
+    xi, _ = top.layer_of(y)
+    if code.T % top.order_of(xi) != 0:
         raise AssertionError("period is not a multiple of the layer order")
     return x
 

@@ -346,7 +346,7 @@ def test_tile_cells_match_the_exact_scan():
     # the 85 level-1 tiles of e2*: many cells, so a point the integer
     # bracket cannot place goes through the exact bisection
     model = builders.e2star_model()
-    cells, _ = model.level_tiles()
+    cells = model.towers().stages[0][0]
     assert len(cells.rights) == 85
     poly, interval = model.field.minpoly, model.E.to_data()["interval"]
     rights = [r.power_coords for r in cells.rights]

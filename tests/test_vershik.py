@@ -6,8 +6,8 @@ import pytest
 
 from ietlab import builders
 from ietlab.iet import IET, Permutation
-from ietlab.lattice import unit_representative
-from ietlab.numberfield import NumberField
+from ietlab.lattice import LatticeModel, first_return_model, unit_representative
+from ietlab.numberfield import FieldElement, NumberField
 from ietlab.substitution import Prefix
 from ietlab.vershik import (
     VershikCode,
@@ -393,3 +393,60 @@ def test_tile_offsets_are_translation_sums(quartic_model):
     expect = model.E.translations[w[0] - 1] + model.E.translations[w[1] - 1]
     assert tile_offsets(model, K.one)[mu] == expect
     assert tile_offsets(model, K.one)[Prefix(2, 0)] == K.zero
+
+
+@pytest.mark.parametrize("k", (1, 2, 4))
+def test_ek_box_codes_through_the_first_return_floor(k):
+    # every box point of E_k's whole domain codes as (floor, code of the
+    # floor's base under the first return F) and decodes back exactly
+    model = builders.ek_model(k)
+    top = builders.ek_first_return(k)
+    E, (_, words) = model.E, first_return_model(model)
+    for zfree in itertools.product(range(-12, 13), repeat=model.n - 1):
+        x = unit_representative(model, zfree)
+        code = vershik_encode(model, x)
+        assert code.determined and code.T == 1 and code.t <= 5, zfree
+        floor = code.prefix(1)
+        word = words[floor.rule - 1]
+        assert floor.cut < len(word), zfree
+        # the floor's base lies in F's atom of its word, which leads to x
+        base = x - sum((E.translations[s - 1] for s in word[: floor.cut]), model.field.zero)
+        assert top.E.atom_of(base) == floor.rule
+        assert E.orbit(base, floor.cut) == (tuple(word[: floor.cut]), x)
+        assert vershik_encode(top, base) == VershikCode(code.transient[1:], code.period)
+        assert vershik_decode(model, code) == x, zfree
+
+
+def test_ek_decode_needs_a_floor_from_the_return_words():
+    model = builders.ek_model(2)
+    _, words = first_return_model(model)
+    code = vershik_encode(model, unit_representative(model, (3, -2)))
+    assert vershik_decode(model, code) == unit_representative(model, (3, -2))
+    with pytest.raises(ValueError):
+        vershik_decode(model, VershikCode((), code.period))
+    past = Prefix(1, len(words[0]))
+    with pytest.raises(ValueError):
+        vershik_decode(model, VershikCode((past,) + code.transient[1:], code.period))
+
+
+def test_coding_needs_renormalization():
+    model = LatticeModel(builders.quartic_model().E)
+    with pytest.raises(ValueError):
+        vershik_encode(model, model.field.zero)
+    with pytest.raises(ValueError):
+        vershik_decode(model, VershikCode((), (Prefix(1, 0),)))
+
+
+@pytest.mark.parametrize(
+    "build", (builders.quartic_model, lambda: builders.ek_model(1)), ids=["quartic", "ek1"]
+)
+def test_encode_takes_no_inverse_once_the_towers_exist(build, monkeypatch):
+    model = build()
+    model.towers()
+    xs = [unit_representative(model, z) for z in itertools.product(range(-2, 3), repeat=model.n - 1)]
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda a: calls.append(1) or inverse(a))
+    for x in xs:
+        vershik_encode(model, x, depth=64)
+    assert calls == []
