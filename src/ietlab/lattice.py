@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import mul
 
 from .iet import IET, Cells, check_self_similar, induce, tiling_order
@@ -137,8 +137,7 @@ class LatticeModel:
             self._verify_commutation()
             self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
-        self._units = [nu / self.module.d for nu in self.module.nu_prime]
-        self._span = Span(self.field.basis + self._units)  # forms value_of
+        self._span = Span(self.field.basis + self.module.units)  # forms value_of
 
     def _verify_commutation(self):
         """R * projection = projection * M_sigma, column by column."""
@@ -196,7 +195,7 @@ class LatticeModel:
         """(q, enclosures): NumberField.enclose of the points xs followed
         by the unit module points nu'_k / d, all at one precision of at
         least `bits`."""
-        return self.field.enclose([*xs, *self._units], bits)
+        return self.field.enclose([*xs, *self.module.units], bits)
 
     # -- dynamics --------------------------------------------------------
 
@@ -448,28 +447,21 @@ def density_estimate(model: LatticeModel, predicate, k: int) -> Fraction:
     Counts points (m0 mod b, m1..m_{n-1}) with every free coordinate in
     the half-open box [-k, k), normalized by b*(2k)^(n-1); the box is
     half-open so that count and normalizer agree exactly at finite k.
-    The caller's predicate sees the reduced tuple.
+    The box is walked row by row: a row fixes every coordinate but the
+    last (m_{n-1}, or the residue when n = 1).  A predicate with a `row`
+    method (`interval_predicate`'s member) counts a whole row in one call;
+    any other callable sees the reduced tuples one point at a time.
     """
     if k < 1:
         raise ValueError("k must be positive")
     b = model.module.b
-    n = model.n
-    free = n - 1
-    count = 0
-    box = range(-k, k)
-
-    def rec(prefix):
-        nonlocal count
-        if len(prefix) == free:
-            for r in range(b):
-                if predicate((r,) + prefix):
-                    count += 1
-            return
-        for m in box:
-            rec(prefix + (m,))
-
-    rec(())
-    return Fraction(count, b * (2 * k) ** (n - 1))
+    *heads, last = [range(b)] + [range(-k, k)] * (model.n - 1)
+    row = getattr(predicate, "row", None)
+    if row is None:
+        count = sum(1 for h in product(*heads) for m in last if predicate((*h, m)))
+    else:
+        count = sum(row(h, last) for h in product(*heads))
+    return Fraction(count, b * (2 * k) ** (model.n - 1))
 
 
 def interval_predicate(model: LatticeModel, lo, hi):
@@ -480,6 +472,10 @@ def interval_predicate(model: LatticeModel, lo, hi):
     >= lo can be a member.  Integer enclosures narrow that t down to one
     or two candidates and decide membership; a candidate whose enclosure
     meets lo or hi is re-checked exactly.
+
+    The member is called on one reduced tuple; its `row(head, ms)` counts
+    the members head + (m,) for m in the range ms in one integer loop, and
+    a single call is that loop over one m.
     """
     K = model.field
     lof, hif = K.coerce(lo), K.coerce(hi)
@@ -490,26 +486,40 @@ def interval_predicate(model: LatticeModel, lo, hi):
     lo_out = slo - elo  # q * lo >= lo_out
     w_in, w_out = shi - ehi - lo_out, shi + ehi - lo_out
 
-    def member(reduced):
+    def row(head, ms):
         # with value(t) the value at m0 = r + b*t, q * value(t) lies
-        # within err of X(t) = sum(m_k s_k) + t*q
-        err = max(map(abs, reduced)) * etot
-        band = 2 * (err + elo)
-        a = sum(map(mul, reduced, S)) + err - lo_out
-        # t = -(a // q) is the least t whose value can reach lo, and
-        # y = X(t) + err - lo_out
-        y = a % q
-        if y >= band:  # value(t) >= lo for sure, so t is the only candidate
-            if y < w_in:
-                return True
-            if y - 2 * err >= w_out:
-                return False
-        for t in range(-(a // q), -((a - band) // q) + 1):
-            zeta = model.module.from_m_coords((reduced[0] + b * t,) + reduced[1:])
-            if (zeta - lof).sign() >= 0 and (zeta - hif).sign() < 0:
-                return True
-        return False
+        # within err = max|reduced| * etot of X(t) = sum(m_k s_k) + t*q
+        base = max(map(abs, head), default=0)
+        step = S[-1]
+        x = sum(map(mul, head, S)) + ms.start * step - lo_out
+        count = 0
+        for m in ms:
+            am = -m if m < 0 else m
+            err = (am if am > base else base) * etot
+            band = 2 * (err + elo)
+            a = x + err
+            x += step
+            # t = -(a // q) is the least t whose value can reach lo, and
+            # y = X(t) + err - lo_out
+            y = a % q
+            if y >= band:  # value(t) >= lo for sure, so t is the only candidate
+                if y < w_in:
+                    count += 1
+                    continue
+                if y - 2 * err >= w_out:
+                    continue
+            reduced = (*head, m)
+            for t in range(-(a // q), -((a - band) // q) + 1):
+                zeta = model.module.from_m_coords((reduced[0] + b * t, *reduced[1:]))
+                if (zeta - lof).sign() >= 0 and (zeta - hif).sign() < 0:
+                    count += 1
+                    break
+        return count
 
+    def member(reduced):
+        return row(reduced[:-1], range(reduced[-1], reduced[-1] + 1)) == 1
+
+    member.row = row
     return member
 
 

@@ -31,7 +31,7 @@ from .matrices import (
     transpose,
     unimodular_completion,
 )
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, Span
 
 
 def _integer_vector(coords, what: str):
@@ -107,6 +107,8 @@ class ModuleData:
         self.nu_prime = [
             K.element([self.d * self.W[i][k] for i in range(n)]) for k in range(n)
         ]
+        self.units = [nu / d for nu in self.nu_prime]  # the points nu'_k / d
+        self._span = Span(self.units)
 
     def m_coords(self, zeta: FieldElement):
         """Integer coordinates m with zeta = (1/d) sum m_k nu'_k."""
@@ -114,11 +116,10 @@ class ModuleData:
         return tuple(sum(self.Winv[r][i] * z[i] for i in range(len(z))) for r in range(len(z)))
 
     def from_m_coords(self, m) -> FieldElement:
-        n = self.field.n
-        if len(m) != n:
+        """The point (1/d) sum m_k nu'_k, one integer combination."""
+        if len(m) != self.field.n:
             raise ValueError("coordinate length mismatch")
-        z = [sum(self.W[i][k] * int(m[k]) for k in range(n)) for i in range(n)]
-        return self.field.element(z)
+        return self._span.combine(m)
 
     def reduced(self, zeta: FieldElement):
         """phi'(zeta): first coordinate mod b, the rest exact."""

@@ -1,9 +1,11 @@
+import importlib.util
 import itertools
 import math
 import random
 import time
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ietlab.lattice import (
     spectrum_check,
     unit_representative,
 )
+from ietlab.modules import ModuleData
 from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly
 
@@ -490,30 +493,110 @@ def exact_member(model, lo, hi, reduced):
     return any(lo <= points((r + b * t,) + rest) < hi for t in span)
 
 
+def edge_windows(model):
+    """Windows [lo, hi) with a module point on lo, on hi and within 2^-200
+    of either, besides plain rational and generator windows."""
+    g = model.field.generator_element()
+    g = g - math.floor(float(g))
+    edge = unit_representative(model, (1,) + (0,) * (model.n - 2))
+    return [
+        (Fraction(0), Fraction(1, 2)),
+        (Fraction(1, 3), model.total),
+        (g, g + Fraction(1, 5)),
+        (edge, edge + Fraction(1, 4)),  # a module point on lo
+        (edge - Fraction(1, 4), edge),  # and on hi
+        (edge + TINY, edge + Fraction(1, 4)),  # and within 2^-200 of them
+        (edge - TINY, edge + Fraction(1, 4)),
+        (edge - Fraction(1, 4), edge + TINY),
+        (edge - Fraction(1, 4), edge - TINY),
+    ]
+
+
 def test_interval_predicate_matches_exact_membership(walk_models):
     for name in ("quartic", "e2star", "ek1"):
         model = walk_models[name]
-        K, free = model.field, model.n - 1
-        g = K.generator_element()
-        g = g - math.floor(float(g))
-        edge = unit_representative(model, (1,) + (0,) * (free - 1))
-        windows = [
-            (Fraction(0), Fraction(1, 2)),
-            (Fraction(1, 3), model.total),
-            (g, g + Fraction(1, 5)),
-            (edge, edge + Fraction(1, 4)),  # a module point on lo
-            (edge - Fraction(1, 4), edge),  # and on hi
-            (edge + TINY, edge + Fraction(1, 4)),  # and within 2^-200 of them
-            (edge - TINY, edge + Fraction(1, 4)),
-            (edge - Fraction(1, 4), edge + TINY),
-            (edge - Fraction(1, 4), edge - TINY),
-        ]
-        for lo, hi in windows:
+        free = model.n - 1
+        for lo, hi in edge_windows(model):
             member = interval_predicate(model, lo, hi)
             for rest in itertools.product(range(-2, 3), repeat=free):
                 for r in range(model.module.b):
                     want = exact_member(model, lo, hi, (r,) + rest)
                     assert member((r,) + rest) == want, (name, lo, hi, r, rest)
+
+
+def test_density_rows_match_points_with_the_same_exact_rechecks(walk_models, monkeypatch):
+    # the member's row count against the plain callable a tracer hands
+    # in, point by point; both re-check the same candidates exactly
+    rechecks = []
+    recheck = ModuleData.from_m_coords
+
+    def counted(self, m):
+        rechecks.append(m)
+        return recheck(self, m)
+
+    monkeypatch.setattr(ModuleData, "from_m_coords", counted)
+    for name in ("quartic", "e2star", "ek1"):
+        model = walk_models[name]
+        total = 0
+        for lo, hi in edge_windows(model):
+            member = interval_predicate(model, lo, hi)
+            rechecks.clear()
+            rows = density_estimate(model, member, 2)
+            by_rows = len(rechecks)
+            rechecks.clear()
+            assert density_estimate(model, lambda r: member(r), 2) == rows, (name, lo, hi)
+            assert len(rechecks) == by_rows, (name, lo, hi)
+            total += by_rows
+        assert total > 0, name  # the edge windows reach the exact re-check
+
+
+def test_density_is_additive_at_a_module_point(walk_models):
+    rng = random.Random(3)
+    for name in ("quartic", "e2star", "ek1"):
+        model = walk_models[name]
+        for _ in range(3):
+            c = unit_representative(model, [rng.randint(-2, 1) for _ in range(model.n - 1)])
+            lo, hi = c - Fraction(1, 3), c + Fraction(1, 3)
+            parts = [density_estimate(model, interval_predicate(model, a, b), 3)
+                     for a, b in ((lo, c), (c, hi), (lo, hi))]
+            assert parts[0] + parts[1] == parts[2], (name, c)
+
+
+def test_density_of_a_rank_one_model_counts_residues():
+    # Q with module basis 1/6: M = Z/6, b = 6, and phi'(M cap [lo, hi))
+    # holds the residues of the sixths in [lo, hi)
+    K = NumberField(root_in(IntPoly([-1, 2]), 0, 1)).with_basis([Fraction(1, 6)])
+    E = IET(Permutation([3, 1, 2]), [K.coerce(Fraction(1, c)) for c in (2, 3, 6)])
+    model = LatticeModel(E)
+    assert (model.n, model.module.b) == (1, 6)
+    for lo, hi, want in ((0, Fraction(1, 2), Fraction(1, 2)),
+                         (Fraction(1, 6), Fraction(1, 3), Fraction(1, 6)),
+                         (0, 1, 1)):
+        member = interval_predicate(model, lo, hi)
+        assert density_estimate(model, member, 5) == want
+        assert density_estimate(model, lambda r: member(r), 1) == want
+
+
+def test_bench_density_matches_under_the_tracer():
+    # the bench's traced run wraps the member in a plain function
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    tracer, workloads = (_load(bench / f"{name}.py") for name in ("tracer", "workloads"))
+    model = builders.e2star_model()
+    want = workloads.density(model, 3, 8)
+    tr = tracer.Tracer().install()
+    try:
+        got = workloads.density(model, 3, 8)
+    finally:
+        tr.uninstall()
+    assert got == want
+    assert tr.stats["lattice.predicate"][0] == want[1]
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_psi_orbit_rejects_negative_lengths_and_stray_checkpoints(quartic_lattice):
