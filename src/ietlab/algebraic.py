@@ -55,7 +55,7 @@ class RealAlgebraic:
 
     Instances refine their isolating interval in place; all views of the
     same object share the benefit.  Construct through real_roots,
-    from_rational, enclosed or root_in rather than directly.
+    from_rational or root_in rather than directly.
     """
 
     __slots__ = ("poly", "m", "k")
@@ -71,20 +71,6 @@ class RealAlgebraic:
     def from_rational(cls, q) -> "RealAlgebraic":
         q = Fraction(q)
         return cls(IntPoly((-q.numerator, q.denominator)))
-
-    @classmethod
-    def enclosed(cls, poly: IntPoly, lo: Fraction, hi: Fraction):
-        """The root of poly (irreducible, degree >= 2) in [lo, hi], or None
-        unless [lo, hi] rounded outward to at most two dyadic unit intervals
-        isolates a single root."""
-        k = _level(hi - lo) - 1  # 2^-k > hi - lo
-        m, end = _floor_at(lo, k), -_floor_at(-hi, k)
-        if count_roots(poly, Fraction(*_point(m, k)), Fraction(*_point(end, k))) != 1:
-            return None
-        root = cls(poly, m, k)
-        if end - m == 2 and root._sign(m) == root._sign(m + 1):
-            root.m += 1
-        return root
 
     # -- basic queries -------------------------------------------------
 

@@ -46,13 +46,16 @@ from .substitution import Prefix, PrefixGraph
 
 class LatticePoint:
     """A layer representative xi (rational nu-coordinates in [0,1)) plus
-    integer module coordinates z."""
+    integer module coordinates z; a non-integral z raises ValueError."""
 
     __slots__ = ("layer", "z")
 
     def __init__(self, layer, z):
+        z = tuple(z)
         self.layer = tuple(Fraction(c) for c in layer)
         self.z = tuple(int(c) for c in z)
+        if self.z != z:
+            raise ValueError(f"module coordinates must be integers: {z}")
 
     def __eq__(self, other):
         return (
@@ -155,16 +158,14 @@ class LatticeModel:
 
     def point_of(self, x) -> LatticePoint:
         """Lattice coordinates of a field point."""
-        xi, z = self.layer_of(x)
-        return LatticePoint(xi, z)
+        return LatticePoint(*self.layer_of(x))
 
     def layer_of(self, x: FieldElement):
         """Unique split x = xi + (module point), xi rational in [0,1)^n."""
         coords = self.field.coords_of(x)
-        floors = [Fraction(math.floor(c)) for c in coords]
+        floors = [math.floor(c) for c in coords]
         xi = tuple(c - f for c, f in zip(coords, floors))
-        part = self.field.element(floors)
-        return xi, self.module.m_coords(part)
+        return xi, tuple(mat_vec(self.module.Winv, floors))
 
     def scale_layer(self, xi):
         """rho * xi modulo the module, as a layer representative."""

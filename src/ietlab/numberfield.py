@@ -45,6 +45,12 @@ and `NumberField.enclose` hands it out for several elements at one scale
 and at a precision no lower than asked for: `iet.Cells` brackets a
 point between integer bounds of IET atom or Vershik tile endpoints, and
 the IET walk and `unit_representative` move and bound integer positions.
+
+Powers and moduli of real roots build no field.  For an irreducible q
+with leading coefficient a, the integer matrix a C (C the companion
+matrix) has the eigenvalues a x over the roots x of q: its e-th power
+gives x^e (`root_power`) and its second compound the products x y, among
+them |z|^2 of a complex pair (`_pair_modulus_squared`).
 """
 from __future__ import annotations
 
@@ -54,7 +60,7 @@ from functools import total_ordering
 from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
-from .matrices import charpoly, inverse, is_primitive, mat_vec, solve_fraction_free
+from .matrices import charpoly, inverse, is_primitive, mat_pow, mat_vec, solve_fraction_free
 from .polynomials import IntPoly, factor, is_irreducible
 
 _START_BITS = 64
@@ -373,19 +379,14 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def _times_matrix(self):
-        """(Mi, s): multiplication by self on the power basis is the
-        integer matrix Mi divided by s."""
-        K = self.field
-        n = K.n
-        cols = [K._mul([int(i == k) for i in range(n)], self.num) for k in range(n)]
-        return [[c[i] for c, _ in cols] for i in range(n)], cols[0][1] * self.den
-
     def inverse(self) -> "FieldElement":
         if not any(self.num):
             raise ZeroDivisionError("division by zero field element")
-        # the inverse is the solution y of (Mi / s) y = e_0
-        Mi, s = self._times_matrix()
+        # multiplication by self is the integer matrix Mi over s on the
+        # power basis; the inverse is the solution y of (Mi / s) y = e_0
+        K, n = self.field, self.field.n
+        cols = [K._mul([int(i == k) for i in range(n)], self.num) for k in range(n)]
+        Mi, s = [[c[i] for c, _ in cols] for i in range(n)], cols[0][1] * self.den
         (x,), d = solve_fraction_free(Mi, [[1] + [0] * (len(Mi) - 1)])
         if d < 0:
             s, d = -s, -d
@@ -478,21 +479,6 @@ class FieldElement:
             raise ValueError("element is irrational")
         return Fraction(self.num[0], self.den)
 
-    def min_poly(self) -> IntPoly:
-        """Minimal polynomial over Q (primitive, positive leading coefficient)."""
-        if self.is_rational:
-            q = self.as_fraction()
-            return IntPoly((-q.numerator, q.denominator))
-        # the characteristic polynomial of Mi / s is chi_Mi(s x) / s^n
-        Mi, s = self._times_matrix()
-        chi = charpoly(Mi)
-        ip = IntPoly(c * s**k for k, c in enumerate(chi.coeffs)).primitive_part()
-        _, pieces = factor(ip)
-        for q, _mult in pieces:
-            if not q(self):
-                return q
-        raise AssertionError("no factor of the characteristic polynomial vanished")
-
     def __float__(self) -> float:
         enc = self.field._enc
         while True:
@@ -558,38 +544,22 @@ def perron_pair(M):
     return beta, v
 
 
-def to_real_algebraic(x: FieldElement) -> RealAlgebraic:
-    """The value of x as a standalone algebraic number (minpoly + interval)."""
-    q = x.min_poly()
-    if q.degree == 1:
-        return RealAlgebraic(q)
-    enc = x.field._enc
-    while True:
-        s, e = enc.approx(x.num)
-        scale = x.den << enc.bits
-        r = RealAlgebraic.enclosed(q, Fraction(s - e, scale), Fraction(s + e, scale))
-        if r is not None:
-            return r
-        enc.refine()
-
-
 def eigen_moduli_squared(p: IntPoly):
     """Squared moduli of the roots of p with multiplicities, sorted descending.
 
     Returns [(RealAlgebraic, mult), ...] with equal moduli merged.  A real
-    root r of an irreducible factor contributes r^2.  A factor with exactly
-    one complex pair z, z-bar contributes |z|^2, twice, from one exact path
-    at every degree (`_pair_modulus_squared`).  That path factors a
-    polynomial of degree n(n-1)/2 for a factor of degree n (15 at n = 6);
-    `factor` has no degree limit.  A factor with two or more complex pairs
-    raises NotImplementedError.
+    root r of an irreducible factor contributes r^2 (`root_power`), and a
+    factor with exactly one complex pair z, z-bar contributes |z|^2, twice
+    (`_pair_modulus_squared`); neither builds a number field.  The pair
+    path factors a polynomial of degree n(n-1)/2 for a factor of degree n
+    (15 at n = 6); `factor` has no degree limit.  A factor with two or
+    more complex pairs raises NotImplementedError.
     """
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
     for q, mult in pieces:
         rroots = real_roots(q)
-        for r in rroots:
-            entries.append((to_real_algebraic(NumberField(r).generator_element() ** 2), mult))
+        entries += [(root_power(r, 2), mult) for r in rroots]
         n_complex = q.degree - len(rroots)
         if n_complex > 2:
             raise NotImplementedError("modulus supported only for one complex pair per factor")
@@ -606,37 +576,69 @@ def eigen_moduli_squared(p: IntPoly):
     return merged
 
 
+def _companion(q: IntPoly):
+    """a C, with a = lc(q) and C the companion matrix of q: an integer
+    matrix whose eigenvalues are a x over the roots x of q."""
+    n, a, c = q.degree, q.lc, q.coeffs
+    return [[a * (i == k + 1) for k in range(n - 1)] + [-c[i]] for i in range(n)]
+
+
+def _narrow(M, s: int, roots, fits) -> RealAlgebraic:
+    """The one real root u of chi_M(s x), the eigenvalues of M / s, with
+    fits(u): candidates drop out as they and `roots` (which `fits` reads)
+    are refined, so `fits` must hold for the wanted root at every width."""
+    chi = charpoly(M)
+    cands = real_roots(IntPoly(e * s**k for k, e in enumerate(chi.coeffs)))
+    bits = 16
+    while True:
+        cands = [u for u in cands if fits(u)]
+        if len(cands) == 1:
+            return cands[0]
+        if not cands:
+            raise AssertionError("no eigenvalue fits the bound")
+        bits *= 2
+        for r in roots + cands:
+            r.refine_to(Fraction(1, 1 << bits))
+
+
+def root_power(r: RealAlgebraic, e: int) -> RealAlgebraic:
+    """r^e (e >= 0) with its minimal polynomial: the eigenvalue of
+    (a C)^e / a^e (`_companion`) that meets [min, max] of the e-th powers
+    of r's interval ends.  No 0 lies inside a dyadic isolating interval,
+    so x -> x^e is monotone on it."""
+    if r.is_rational:
+        return RealAlgebraic.from_rational(r.as_fraction() ** e)
+
+    def fits(u):
+        ends = r.lo**e, r.hi**e
+        return u.lo <= max(ends) and min(ends) <= u.hi
+
+    return _narrow(mat_pow(_companion(r.poly), e), r.poly.lc**e, [r], fits)
+
+
 def _pair_modulus_squared(q: IntPoly, rroots) -> RealAlgebraic:
     """|z|^2 for the one complex pair z, z-bar of the irreducible q, whose
     real roots are rroots.
 
-    With a = lc(q) and C the companion matrix of q, the integer matrix a C
-    has the eigenvalues a x over the roots x of q.  Its second compound
-    (the 2 x 2 minors, rows and columns indexed by pairs i < j) has the
-    eigenvalues a^2 x y over pairs of roots, so chi(a^2 x), with chi its
-    integer characteristic polynomial, has the roots x y and |z|^2 among
-    the real ones.  As the intervals of the real roots shrink, the bound
-    |z|^2 = |q(0)| / (a prod |r|) leaves only that candidate: every
-    interval here only ever narrows.
+    The second compound of a C (`_companion`; the 2 x 2 minors, rows and
+    columns indexed by pairs i < j) has the eigenvalues a^2 x y over pairs
+    of roots of q, so chi(a^2 x) has the roots x y and |z|^2 among the real
+    ones.  As the intervals of the real roots shrink, the bound
+    |z|^2 = |q(0)| / (a prod |r|) leaves only that candidate.
     """
-    n, a, c = q.degree, q.lc, q.coeffs
-    aC = [[a * (i == k + 1) for k in range(n - 1)] + [-c[i]] for i in range(n)]
+    n, a, aC = q.degree, q.lc, _companion(q)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     compound = [[aC[i][k] * aC[j][l] - aC[i][l] * aC[j][k] for k, l in pairs] for i, j in pairs]
-    chi = charpoly(compound)
-    cands = real_roots(IntPoly(e * a ** (2 * k) for k, e in enumerate(chi.coeffs)))
-    target, bits = abs(c[0]), 16
-    while True:
+    target = abs(q.coeffs[0])
+
+    def fits(u):
         lo = hi = a  # a prod |r| lies in [lo, hi]: no unit interval has 0 inside
         for r in rroots:
             ends = abs(r.lo), abs(r.hi)
             lo, hi = lo * min(ends), hi * max(ends)
-        cands = [u for u in cands if u.lo * lo <= target <= u.hi * hi]
-        if len(cands) == 1:
-            return cands[0]
-        bits *= 2
-        for r in rroots + cands:
-            r.refine_to(Fraction(1, 1 << bits))
+        return u.lo * lo <= target <= u.hi * hi
+
+    return _narrow(compound, a * a, rroots, fits)
 
 
 def is_pisot(p: IntPoly) -> bool:

@@ -22,12 +22,7 @@ from fractions import Fraction
 from .algebraic import RealAlgebraic
 from .lattice import LatticeModel, tile_offsets
 from .matrices import charpoly, det, identity, inverse, mat_pow, mat_sub, mat_vec, solve
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    eigen_moduli_squared,
-    to_real_algebraic,
-)
+from .numberfield import FieldElement, eigen_moduli_squared, root_power
 from .polynomials import IntPoly, power_sum_poly, resultant, trace_polynomial
 from .substitution import Prefix
 
@@ -271,15 +266,6 @@ class ExponentReport:
         )
 
 
-def _alg_power_equals(a: RealAlgebraic, e: int, b: RealAlgebraic) -> bool:
-    """a**e == b, decided exactly."""
-    if a.is_rational:
-        return b == a.as_fraction() ** e
-    if e == 1:
-        return a == b
-    return to_real_algebraic(NumberField(a).generator_element() ** e) == b
-
-
 def _log_ratio_enclosure(u_num: RealAlgebraic, u_den: RealAlgebraic):
     """Float enclosure of log(u_num)/log(u_den) for arguments > 1; not
     certified, as `math.log` of the 2^-60 ends is not rounded outward."""
@@ -295,12 +281,12 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     """Growth exponents: beta, the second eigenvalue modulus, sr(R), and
     v = log sr(R) / log beta with an uncertified float enclosure.
 
-    The flag records the exact algebraic identity sr(R)^(n-1) = beta.
-    All modulus comparisons run on the exact squared moduli of
-    `eigen_moduli_squared`, which are real even for a complex eigenvalue
-    pair.  That covers every charpoly factor of degree <= 4 with at most
-    one pair, the Salem-type (4321) loops included; a factor with two
-    pairs raises NotImplementedError.
+    The flag records the exact identity sr(R)^(n-1) = beta, as
+    u_R^(n-1) = u_M on squared moduli (`root_power`).  All modulus
+    comparisons run on the exact squared moduli of `eigen_moduli_squared`,
+    real even for a complex eigenvalue pair: every charpoly factor with at
+    most one complex pair, the Salem-type (4321) loops included; a factor
+    with two pairs raises NotImplementedError.
     """
     _require_self_similar(model)
     M = model.sigma.incidence()
@@ -309,7 +295,7 @@ def exponent_report(model: LatticeModel) -> ExponentReport:
     u2, mult2 = mods_M[1]
     mods_R = eigen_moduli_squared(charpoly(model.R))
     u_R = mods_R[0][0]
-    eq_flag = _alg_power_equals(u_R, model.n - 1, u_M)
+    eq_flag = root_power(u_R, model.n - 1) == u_M
     v_lo, v_hi = _log_ratio_enclosure(u_R, u_M)
     d_lo, d_hi = _log_ratio_enclosure(u2, u_M)
     beta = math.sqrt(float(u_M))

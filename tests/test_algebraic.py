@@ -102,25 +102,6 @@ def test_real_roots_of_large_power_of_two_coefficients():
         assert all(p(r.lo) * p(r.hi) < 0 for r in (left, right))
 
 
-def test_enclosed_rounds_outward_to_the_root_interval():
-    rng = random.Random(7)
-    for p in (P(-2, 0, 1), P(1, -7, 13, -7, 1), P(-1, 6, -10, 1)):
-        for r in real_roots(p):
-            r.refine_to(Fraction(1, 2**80))
-            for _ in range(40):
-                j = rng.randint(8, 70)
-                lo = r.lo - Fraction(rng.randint(0, 1000), 2**j)
-                hi = r.hi + Fraction(rng.randint(0, 1000), 2**j)
-                got = RealAlgebraic.enclosed(p, lo, hi)
-                if got is None:  # the rounded interval holds another root
-                    w = 2 * (hi - lo)  # the rounding moves each end by less
-                    assert sum(lo - w < s < hi + w for s in real_roots(p)) > 1
-                    continue
-                assert p(got.lo) * p(got.hi) < 0
-                assert got.lo < hi and lo < got.hi and got.hi - got.lo > hi - lo
-                assert got == r
-
-
 def test_comparisons_with_rationals():
     r = real_roots(P(-2, 0, 1))[1]  # sqrt(2)
     assert r > 1

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,7 @@ from ietlab.builders import (
 from ietlab.iet import IET
 from ietlab.lattice import LatticeModel, spectrum_check
 from ietlab.matrices import charpoly, mat_mul
-from ietlab.numberfield import is_pisot, to_real_algebraic
+from ietlab.numberfield import is_pisot
 from ietlab.polynomials import IntPoly, factor, is_irreducible
 from ietlab.vershik import d_T
 
@@ -29,16 +28,10 @@ E2STAR_RULES = {
 }
 
 
-def approx_float(elem, prec=60):
-    r = to_real_algebraic(elem)
-    r.refine_to(Fraction(1, 2**prec))
-    return float((r.lo + r.hi) / 2)
-
-
 def test_quartic_builder():
     model = quartic_model()
     assert model.E.N == 4
-    assert abs(approx_float(model.rho) - 0.227777) < 1e-6
+    assert abs(float(model.rho) - 0.227777) < 1e-6
     assert not model.drift.is_zero
     rules = {j: tuple(w) for j, w in model.sigma.rules.items()}
     assert rules == {1: (1, 4, 3), 2: (1, 4, 3, 2, 2, 3), 3: (1, 4, 3, 2, 3), 4: (1, 4, 4, 3)}
@@ -56,7 +49,7 @@ def test_e2star_spectrum():
 def test_e2star_model():
     model = e2star_model()
     assert model.E.N == 7
-    assert abs(approx_float(model.rho) - 0.106711) < 1e-6
+    assert abs(float(model.rho) - 0.106711) < 1e-6
     assert model.drift.is_zero
     # expansion is Pisot
     assert is_pisot(IntPoly((-1, 6, -10, 1)))

@@ -188,6 +188,14 @@ def test_golden_rotation_lattice(golden_model):
     assert x.sign() >= 0 and (x - model.total).sign() < 0
 
 
+def test_lattice_point_rejects_non_integral_z():
+    with pytest.raises(ValueError):
+        LatticePoint((0, 0), (Fraction(3, 2), 2))
+    with pytest.raises(ValueError):
+        LatticePoint((0, 0), (0, 2.7))
+    assert LatticePoint((0, 0), (Fraction(4, 2), 2.0)).z == (2, 2)
+
+
 def test_layer_split_and_scale(golden_model):
     K, phi, model = golden_model
     x = phi * Fraction(1, 2)

@@ -12,6 +12,7 @@ from ietlab.numberfield import (
     Span,
     mult_matrix,
     perron_pair,
+    root_power,
     spectral_radius,
 )
 from ietlab.polynomials import IntPoly
@@ -127,29 +128,6 @@ def test_float_accuracy():
     assert float(x) == pytest.approx(r ** 3 - 2 * r + 1 / 7, abs=1e-12)
 
 
-def test_min_poly():
-    K = golden_field()
-    phi = K.generator_element()
-    assert phi.min_poly() == IntPoly((-1, -1, 1))
-    assert K.from_rational(Fraction(1, 2)).min_poly() == IntPoly((-1, 2))
-    # phi^2 generates the same field: minpoly x^2 - 3x + 1
-    assert (phi * phi).min_poly() == IntPoly((1, -3, 1))
-    Kq = quartic_field()
-    rho = Kq.generator_element()
-    assert rho.min_poly() == IntPoly((1, -7, 13, -7, 1))
-    assert (rho * rho).min_poly().degree == 4
-
-
-def test_min_poly_of_reciprocal():
-    Kq = quartic_field()
-    beta = Kq.generator_element().inverse()
-    assert beta.min_poly() == IntPoly((1, -7, 13, -7, 1))  # self-reciprocal here
-    K3 = NumberField(real_roots(IntPoly((-1, 6, -10, 1)))[-1])
-    beta3 = K3.generator_element()
-    # reciprocal minpoly, normalized with positive leading coefficient
-    assert beta3.inverse().min_poly() == IntPoly((-1, 10, -6, 1))
-
-
 def test_module_basis_views():
     # Z[lam]/2-style basis: coords double, values agree
     K = golden_field()
@@ -235,18 +213,6 @@ def test_element_hash_consistency():
     assert hash(a) == hash(b)
 
 
-def test_to_real_algebraic_round_trip():
-    from ietlab.numberfield import to_real_algebraic
-
-    K = golden_field()
-    phi = K.generator_element()
-    r = to_real_algebraic(phi * phi)
-    assert r.poly == IntPoly((1, -3, 1))
-    assert float(r) == pytest.approx((3 + math.sqrt(5)) / 2)
-    half = to_real_algebraic(K.from_rational(Fraction(-3, 4)))
-    assert half.is_rational and half.as_fraction() == Fraction(-3, 4)
-
-
 @pytest.mark.parametrize("make", [golden_field, quartic_field, lambda: e2star_model().field])
 def test_sign_table_encloses_generator_powers(make):
     # |2^P theta^k - m_k| <= r, against an independent copy of the
@@ -276,7 +242,7 @@ def test_eigen_moduli_all_real():
 
 
 def test_eigen_moduli_complex_pair_identity():
-    from ietlab.numberfield import eigen_moduli_squared, to_real_algebraic
+    from ietlab.numberfield import eigen_moduli_squared
 
     # x^3 - 6x^2 + 10x - 1: one small real root, complex pair with
     # |z|^2 = 1/r, which is the largest root of the reciprocal cubic
@@ -301,16 +267,20 @@ def test_spectral_radius_squared_companion():
 
 @pytest.mark.parametrize("coeffs", [(1, -7, 11, -7, 1), (1, -8, 12, -8, 1)])
 def test_eigen_moduli_salem_census_charpolys(coeffs):
-    from ietlab.numberfield import eigen_moduli_squared, to_real_algebraic
+    from ietlab.numberfield import eigen_moduli_squared
 
-    # Salem-type (4321) loops: real roots beta and 1/beta, a pair on the circle
-    p = IntPoly(coeffs)
+    # Salem-type (4321) loops: real roots beta and 1/beta, a pair on the
+    # circle; beta^2 and beta^-2 are the real roots of the Graeffe square
+    # g(x^2) = p(x) p(-x)
+    squares = {(1, -7, 11, -7, 1): (1, -27, 25, -27, 1),
+               (1, -8, 12, -8, 1): (1, -40, 18, -40, 1)}
+    p, g = IntPoly(coeffs), IntPoly(squares[coeffs])
     mods = eigen_moduli_squared(p)
-    b = NumberField(real_roots(p)[-1]).generator_element()
     assert [m for _, m in mods] == [1, 2, 1]
-    assert mods[0][0] == to_real_algebraic(b**2)
+    assert mods[0][0].poly == mods[2][0].poly == g
+    small, large = real_roots(g)
+    assert mods[0][0] == large and mods[2][0] == small
     assert mods[1][0] == 1 and mods[1][0].poly == IntPoly((-1, 1))
-    assert mods[2][0] == to_real_algebraic(b**-2)
 
 
 def test_eigen_moduli_repeated_factor_and_two_pairs():
@@ -324,15 +294,17 @@ def test_eigen_moduli_repeated_factor_and_two_pairs():
 
 
 def test_eigen_moduli_non_monic_pair():
-    from ietlab.numberfield import eigen_moduli_squared, to_real_algebraic
+    from ietlab.numberfield import eigen_moduli_squared
 
     (u, m), = eigen_moduli_squared(IntPoly((5, 1, 2)))  # 2x^2 + x + 5
     assert (u, m) == (Fraction(5, 2), 2)
     # 3x^3 - 6x^2 + 10x - 1: |z|^2 = 1 / (3 r) is a root of 9x^3 - 30x^2 + 6x - 1
     (u, m), _ = eigen_moduli_squared(IntPoly((-1, 10, -6, 3)))
     assert (u.poly, m) == (IntPoly((-1, 6, -30, 9)), 2)
+    (root,) = real_roots(IntPoly((-1, 6, -30, 9)))
+    assert u == root
     r = real_roots(IntPoly((-1, 10, -6, 3)))[0]
-    assert u == to_real_algebraic(1 / (3 * NumberField(r).generator_element()))
+    assert float(u) * 3 * float(r) == pytest.approx(1, rel=1e-14)
 
 
 def mp_moduli_squared(mp, p: IntPoly):
@@ -397,6 +369,59 @@ def test_eigen_moduli_past_degree_four_match_sympy(coeffs):
         assert u.lo - Fraction(1, 10**25) <= v <= u.hi + Fraction(1, 10**25)
 
 
+def test_root_power_matches_mpmath():
+    # every real root r of random irreducible polynomials of degree 2-5,
+    # monic and non-monic, against r^e from mpmath roots at 300 bits
+    mp = pytest.importorskip("mpmath").mp
+    from ietlab.polynomials import is_irreducible
+
+    rng = random.Random(10731)
+    cases = [IntPoly((-2, 0, 1)), IntPoly((-2, 0, 0, 0, 1))]
+    for n in (2, 3, 4, 5):
+        for a in (1, 2, 3):
+            found = 0
+            while found < 2:
+                p = IntPoly([rng.choice([-1, 1]) * rng.randint(1, 6)]
+                            + [rng.randint(-6, 6) for _ in range(n - 1)] + [a])
+                if is_irreducible(p) and real_roots(p):
+                    cases.append(p)
+                    found += 1
+    negative = 0
+    with mp.workprec(300):
+        tol = mp.mpf(2) ** -240
+        for p in cases:
+            roots = real_roots(p)
+            zs = mp.polyroots(list(reversed(p.coeffs)), maxsteps=400, extraprec=600)
+            xs = sorted(z.real for z in sorted(zs, key=lambda z: abs(z.imag))[: len(roots)])
+            for r, x in zip(roots, xs):
+                negative += r < 0
+                for e in (1, 2, 3):
+                    u = root_power(r, e)
+                    assert is_irreducible(u.poly) and u.poly.lc > 0, (p, e)
+                    assert p.degree % u.poly.degree == 0, (p, e)
+                    u.refine_to(Fraction(1, 2**200))
+                    lo, hi = u.lo, u.hi
+                    v = x**e
+                    assert mp.mpf(lo.numerator) / lo.denominator - tol <= v, (p, e)
+                    assert v <= mp.mpf(hi.numerator) / hi.denominator + tol, (p, e)
+                assert root_power(r, 1) == r
+    assert negative > len(cases) // 2
+
+
+def test_root_power_closed_forms():
+    # sqrt(2)^2 = 2 is rational; 2^(1/4) squares to sqrt(2)
+    for r in real_roots(IntPoly((-2, 0, 1))):
+        two = root_power(r, 2)
+        assert two.is_rational and two == 2
+        assert root_power(r, 3).poly == IntPoly((-8, 0, 1))
+        assert (root_power(r, 3) < 0) == (r < 0)
+    sqrt2 = real_roots(IntPoly((-2, 0, 1)))[1]
+    for r in real_roots(IntPoly((-2, 0, 0, 0, 1))):
+        assert root_power(r, 2) == sqrt2
+        assert root_power(r, 3).poly == IntPoly((-8, 0, 0, 0, 1))
+        assert root_power(r, 4) == 2
+
+
 def test_cross_generator_equality_is_false():
     K = golden_field()
     Kq = quartic_field()
@@ -416,5 +441,5 @@ def test_non_monic_generator_arithmetic():
     t = K.generator_element()
     assert t**3 == (5 * t - 1) / 3
     assert t * t.inverse() == K.one
-    assert (t**2).min_poly() == IntPoly((-1, 25, -30, 9))
+    assert root_power(th, 2).poly == IntPoly((-1, 25, -30, 9))
     assert float(t) == pytest.approx(float(th))

@@ -320,6 +320,12 @@ def test_exponent_quartic(quartic_model):
     assert 0 < rep.discrepancy_exponent < 1
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ek_eq_flag_holds_up_to_k_3(k):
+    # sr(R)^(n-1) = beta on E_k's first return exactly for k <= 3
+    assert exponent_report(builders.ek_first_return(k)).eq_flag == (k <= 3)
+
+
 def test_exponent_golden(golden_model):
     _, _, model = golden_model
     rep = exponent_report(model)
