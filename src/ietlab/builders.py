@@ -84,12 +84,10 @@ def ek_model(k: int) -> LatticeModel:
     must tile the domain and agree with the translations it implies.
     """
     f = family_poly(k)
-    base = NumberField(real_roots(f)[0])
-    lam0 = base.generator_element()
-    half = Fraction(1, 2)
-    K = base.with_basis([base.one * half, lam0 * half, lam0 * lam0 * half])
+    K = NumberField(real_roots(f)[0])
     lam = K.generator_element()
     lam2 = lam * lam
+    half = Fraction(1, 2)
     lengths = [
         lam - lam2 * half,
         lam - lam2 * half,
@@ -109,7 +107,8 @@ def ek_model(k: int) -> LatticeModel:
         (lam - 3) * half,
     ]
     E = iet_from_translations(lengths, taus)
-    return LatticeModel(E, name=f"ek{k}", first_return=(E.atoms()[0], lam))
+    basis = [K.one * half, lam * half, lam2 * half]
+    return LatticeModel(E, name=f"ek{k}", first_return=(E.atoms()[0], lam), basis=basis)
 
 
 def ek_first_return(k: int) -> LatticeModel:

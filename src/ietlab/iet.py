@@ -236,14 +236,13 @@ class IET(Cells):
             yield i + 1
 
     def to_data(self) -> dict:
-        """JSON-ready data: generator, module basis and lengths, all in
-        power coordinates."""
+        """JSON-ready data: the generator and the lengths in power
+        coordinates."""
         th = self.field.generator
         return {
             "permutation": list(self.perm.images),
             "minpoly": list(th.poly.coeffs),
             "interval": [str(th.lo), str(th.hi)],
-            "basis": [[str(c) for c in b.power_coords] for b in self.field.basis],
             "lengths": [[str(c) for c in l.power_coords] for l in self.lengths],
         }
 
@@ -255,7 +254,6 @@ class IET(Cells):
         lo, hi = (Fraction(s) for s in data["interval"])
         gen = root_in(IntPoly(data["minpoly"]), lo, hi)
         K = NumberField(gen)
-        K = K.with_basis([K.from_power_coords(row) for row in data["basis"]])
         lengths = [K.from_power_coords(row) for row in data["lengths"]]
         return cls(Permutation(data["permutation"]), lengths)
 

@@ -39,7 +39,7 @@ from operator import mul
 from .iet import IET, Cells, check_self_similar, induce, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
-from .numberfield import FieldElement, Span, mult_matrix
+from .numberfield import FieldElement, Span
 from .polynomials import IntPoly
 from .substitution import Prefix, PrefixGraph
 
@@ -99,15 +99,18 @@ class LatticeModel:
     factor; it is only data until a jump or a code needs the towers,
     which `first_return_model` builds from it.  A model with neither walks
     step by step.
+
+    basis, n field elements, presents the module M that the translations
+    must lie in (`ModuleData`); the default is the power basis.
     """
 
     def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left",
-                 first_return=None):
+                 first_return=None, basis=None):
         self.E = E
         self.name = name
         self.field = E.field
         self.n = self.field.n
-        self.module: ModuleData = module_normalize(self.field)
+        self.module: ModuleData = module_normalize(self.field, basis)
         try:
             cols = [self.module.m_coords(t) for t in E.translations]
         except ValueError as exc:
@@ -134,13 +137,13 @@ class LatticeModel:
             if not ok:
                 raise ValueError("map is not self-similar with the given factor")
             self.window_start = E.total - rho * E.total if anchor == "right" else self.field.zero
-            self._Rnu = mult_matrix(rho)
+            self._Rnu = self.module.mult_matrix(rho)
             W, Winv = self.module.W, self.module.Winv
             self.R = mat_mul(Winv, mat_mul(self._Rnu, W))
             self._verify_commutation()
             self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
-        self._span = Span(self.field.basis + self.module.units)  # forms value_of
+        self._span = Span(self.module.basis + self.module.units)  # forms value_of
 
     def _verify_commutation(self):
         """R * projection = projection * M_sigma, column by column."""
@@ -162,33 +165,33 @@ class LatticeModel:
 
     def layer_of(self, x: FieldElement):
         """Unique split x = xi + (module point), xi rational in [0,1)^n."""
-        coords = self.field.coords_of(x)
-        floors = [math.floor(c) for c in coords]
-        xi = tuple(c - f for c, f in zip(coords, floors))
-        return xi, tuple(mat_vec(self.module.Winv, floors))
+        w, q = self.module.scaled_coords(x)
+        xi = tuple(Fraction(v % q, q) for v in w)
+        return xi, tuple(mat_vec(self.module.Winv, [v // q for v in w]))
+
+    def _scale(self, num, m: int):
+        """Numerators over m of rho * (num / m) modulo the module: rho * xi
+        has the nu-coordinates _Rnu xi."""
+        if self._Rnu is None:
+            raise ValueError("model has no scaling factor")
+        return [sum(map(mul, row, num)) % m for row in self._Rnu]
 
     def scale_layer(self, xi):
         """rho * xi modulo the module, as a layer representative."""
-        if self._Rnu is None:
-            raise ValueError("model has no scaling factor")
-        new = mat_vec(self._Rnu, [Fraction(c) for c in xi])
-        return tuple(c - math.floor(c) for c in new)
+        m = math.lcm(*(Fraction(c).denominator for c in xi))
+        return tuple(Fraction(v, m) for v in self._scale([int(c * m) for c in xi], m))
 
     def order_of(self, xi):
         """Least t >= 1 with rho^t * xi = xi modulo the module.
 
-        The orbit stays among layers with the same denominator bound m,
-        a set of size m^n, so the loop terminates.
+        The orbit stays among layers with the same denominator m, a set
+        of size m^n, so the loop terminates.
         """
-        m = 1
-        for c in xi:
-            m = m * Fraction(c).denominator // math.gcd(m, Fraction(c).denominator)
-        xi0 = tuple(Fraction(c) for c in xi)
-        cur = xi0
-        cap = m**self.n + 1
-        for t in range(1, cap + 1):
-            cur = self.scale_layer(cur)
-            if cur == xi0:
+        m = math.lcm(*(Fraction(c).denominator for c in xi))
+        cur = num = [int(c * m) for c in xi]
+        for t in range(1, m**self.n + 2):
+            cur = self._scale(cur, m)
+            if cur == num:
                 return t
         raise RuntimeError("layer order exceeded the denominator bound")
 
@@ -300,7 +303,8 @@ def first_return_model(model: LatticeModel):
     on [0, b - a); its atom j returns after the word w_j."""
     window, factor = model.first_return
     im = induce(model.E, window)
-    return LatticeModel(im.induced, factor, name=f"{model.name} first return"), im.return_words
+    top = LatticeModel(im.induced, factor, name=f"{model.name} first return", basis=model.module.basis)
+    return top, im.return_words
 
 
 class Towers:
@@ -538,7 +542,8 @@ def liouville_check(model: LatticeModel, zeta: FieldElement):
     Returns (|zeta| as float, ||z||, bound, pass).
     """
     n = model.n
-    if not model.field.is_power_basis:
+    g = model.field.generator_element()
+    if model.module.basis != [g**k for k in range(n)]:
         raise ValueError("bound applies to power-basis modules only")
     if model.module.d != 1:
         raise ValueError("bound applies to rings Z[lambda] only")

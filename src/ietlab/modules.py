@@ -1,15 +1,23 @@
 """Normalization of the coefficient module of a self-similar IET.
 
 The translations of a renormalizable IET span a rank-n Z-module M inside
-the field K = Q(rho), presented by the basis nu attached to the field.
-This module carries the lattice model, and three integers control its
-arithmetic:
+the field K = Q(rho).  This module carries the lattice model, and three
+integers control its arithmetic:
 
   d : least positive integer with d*M contained in the multiplier ring
       O = {zeta in K : zeta*M subset of M}; then J = d*M is an ideal-like
       sublattice of O,
   j : least positive rational integer lying in J (J cap Q = j*Z),
   b : d / gcd(d, j), the modulus of the torsion coordinate.
+
+Module bases.  M is presented by a basis nu_1..nu_n of K over Q, which
+`ModuleData` owns; the field itself is plain Q(theta).  The default is the
+power basis (1, theta, ..., theta^{n-1}); models that work in a scaled
+lattice such as Z[lambda]/2 pass their own basis (`LatticeModel(...,
+basis=...)`).  Coordinates with respect to it (`ModuleData.coords`) are
+one integer matrix times an element's power numerators, over one common
+denominator, and they read any element that shares the generator,
+whatever field object it came from.
 
 A basis nu' of J is chosen with nu'_1 = j, so every zeta in M is
 (1/d) * sum m_k nu'_k with integer m_k, and replacing m_0 by m_0 mod b
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .matrices import (
     hnf_column,
@@ -44,7 +53,7 @@ def _integer_vector(coords, what: str):
     return out
 
 
-def multiplier_ring_basis(K: NumberField):
+def multiplier_ring_basis(module: "ModuleData"):
     """Basis (integer nu-coordinate columns) of O = {zeta : zeta*M in M}.
 
     Requires 1 in M, which forces O inside M, so multipliers have integer
@@ -52,13 +61,12 @@ def multiplier_ring_basis(K: NumberField):
     integer matrix" (T_k = multiplication by nu_k in nu-coordinates) is a
     congruence on x, solved as an integer kernel problem.
     """
-    n = K.n
-    one_coords = _integer_vector(K.one.coords, "1 relative to the module basis")
-    basis = K.basis
+    n, basis = module.field.n, module.basis
+    one_coords = _integer_vector(module.coords(1), "1 relative to the module basis")
     T = []
     for k in range(n):
-        cols = [(basis[k] * basis[i]).coords for i in range(n)]
-        T.append([[Fraction(cols[i][r]) for i in range(n)] for r in range(n)])
+        cols = [module.coords(basis[k] * basis[i]) for i in range(n)]
+        T.append([[cols[i][r] for i in range(n)] for r in range(n)])
     D = lcm(*(c.denominator for Tk in T for row in Tk for c in row))
     if D == 1:
         return [[int(i == k) for i in range(n)] for k in range(n)], one_coords
@@ -79,12 +87,23 @@ def multiplier_ring_basis(K: NumberField):
 
 
 class ModuleData:
-    """The normalized presentation of the module M attached to a field."""
+    """The module M with basis nu (n elements of K, the power basis by
+    default) and its normalized presentation."""
 
-    def __init__(self, K: NumberField):
+    def __init__(self, K: NumberField, basis=None):
         self.field = K
         n = K.n
-        order_cols, one_coords = multiplier_ring_basis(K)
+        if basis is None:
+            basis = [K.generator_element() ** k for k in range(n)]
+        self.basis = [K.from_power_coords(K.coerce(nu).power_coords) for nu in basis]
+        if len(self.basis) != n:
+            raise ValueError("basis size must equal the field degree")
+        # nu-coordinates of x are _inv x.num / (_den x.den), _inv integer
+        V = [[nu.power_coords[i] for nu in self.basis] for i in range(n)]
+        Vinv = inverse(V)  # raises if the basis is dependent
+        self._den = lcm(*(c.denominator for row in Vinv for c in row))
+        self._inv = [[int(c * self._den) for c in row] for row in Vinv]
+        order_cols, one_coords = multiplier_ring_basis(self)
         self.order_basis = order_cols
         self.one_coords = one_coords
         # nu-coordinates of an element, mapped to its O-coordinates
@@ -104,16 +123,38 @@ class ModuleData:
         self.W = unimodular_completion(v)
         self.Winv = inverse_int(self.W)
         # nu' basis as field elements: nu-coordinates are d * (columns of W)
-        self.nu_prime = [
-            K.element([self.d * self.W[i][k] for i in range(n)]) for k in range(n)
-        ]
+        span = Span(self.basis)
+        self.nu_prime = [span.combine([d * self.W[i][k] for i in range(n)]) for k in range(n)]
         self.units = [nu / d for nu in self.nu_prime]  # the points nu'_k / d
         self._span = Span(self.units)
 
+    def scaled_coords(self, x):
+        """(w, q): integers w and q > 0 with nu-coordinates w_k / q of x,
+        an element sharing the generator or a rational."""
+        x = self.field.coerce(x)
+        return [sum(map(mul, row, x.num)) for row in self._inv], self._den * x.den
+
+    def coords(self, x):
+        """The nu-coordinates of x as Fractions."""
+        w, q = self.scaled_coords(x)
+        return tuple(Fraction(v, q) for v in w)
+
+    def mult_matrix(self, zeta: FieldElement):
+        """Integer matrix of multiplication by zeta on the basis nu.
+
+        Column k holds the nu-coordinates of zeta*nu_k; raises ValueError
+        if one is not an integer (zeta does not stabilize the module)."""
+        cols = [self.scaled_coords(zeta * nu) for nu in self.basis]
+        if any(v % q for w, q in cols for v in w):
+            raise ValueError("element does not stabilize the module")
+        return [[w[i] // q for w, q in cols] for i in range(self.field.n)]
+
     def m_coords(self, zeta: FieldElement):
         """Integer coordinates m with zeta = (1/d) sum m_k nu'_k."""
-        z = _integer_vector(self.field.coords_of(zeta), "module element")
-        return tuple(sum(self.Winv[r][i] * z[i] for i in range(len(z))) for r in range(len(z)))
+        w, q = self.scaled_coords(zeta)
+        if any(v % q for v in w):
+            raise ValueError(f"module element has non-integer coordinates {self.coords(zeta)}")
+        return tuple(mat_vec(self.Winv, [v // q for v in w]))
 
     def from_m_coords(self, m) -> FieldElement:
         """The point (1/d) sum m_k nu'_k, one integer combination."""
@@ -128,9 +169,8 @@ class ModuleData:
 
     def in_order(self, zeta: FieldElement) -> bool:
         """Membership of zeta in the multiplier ring O."""
-        z = self.field.coords_of(zeta)
-        return all(c.denominator == 1 for c in mat_vec(self.order_inverse, z))
+        return all(c.denominator == 1 for c in mat_vec(self.order_inverse, self.coords(zeta)))
 
 
-def module_normalize(K: NumberField) -> ModuleData:
-    return ModuleData(K)
+def module_normalize(K: NumberField, basis=None) -> ModuleData:
+    return ModuleData(K, basis)

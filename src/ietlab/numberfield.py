@@ -1,4 +1,4 @@
-"""Number fields K = Q(theta) with a designated module basis.
+"""Number fields K = Q(theta).
 
 Representation.  A FieldElement stores its power-basis coordinates as a
 tuple of integer numerators over one positive integer denominator, in
@@ -14,14 +14,9 @@ denominator.  An inverse solves the integer multiplication matrix by
 fraction-free elimination.  The value does not depend on a basis, so
 +, -, *, / never touch a matrix.  A `Span` forms a rational combination
 of fixed elements over their integer numerators with one reduction.
-
-Module bases.  A NumberField also carries a module basis nu_1..nu_n of K
-over Q.  The default is the power basis (1, theta, ..., theta^{n-1});
-models that work in a scaled lattice such as Z[lambda]/2 swap in their
-own basis with `with_basis`.  Coordinates with respect to that basis
-(`coords`, `element`, `basis`) go through the basis matrix, which only
-the module and lattice code asks for.  Views of one field share the
-generator, and equal elements are equal across views.
+The field carries no module basis: a module and its coordinates belong
+to `modules.ModuleData`.  Fields built separately on equal generators
+share their elements (`shares_generator`).
 
 Outside values.  `NumberField.coerce` is the one place where an int or a
 Fraction becomes a field element; a float (inexact) and an element of a
@@ -60,7 +55,7 @@ from functools import total_ordering
 from operator import add, mul, sub
 
 from .algebraic import RealAlgebraic, real_roots
-from .matrices import charpoly, inverse, is_primitive, mat_pow, mat_vec, solve_fraction_free
+from .matrices import charpoly, is_primitive, mat_pow, mat_vec, solve_fraction_free
 from .polynomials import IntPoly, factor, is_irreducible
 
 _START_BITS = 64
@@ -68,7 +63,7 @@ _FLOAT_BITS = 96  # __float__ also wants a relative error below 2^-64
 
 
 class _Enclosure:
-    """The dyadic sign table of one generator, shared by its basis views."""
+    """The dyadic sign table of one field's generator."""
 
     __slots__ = ("generator", "n", "bits", "mids", "rad")
 
@@ -110,52 +105,32 @@ class _Enclosure:
 
 
 def _reduction_table(p: IntPoly):
-    """Rows lc^(n-1) * (theta^k mod p) for k = n..2n-2, and lc^(n-1)."""
-    n, lc = p.degree, p.lc
-    top = [Fraction(-c, lc) for c in p.coeffs[:-1]]  # theta^n
-    rows = []
-    r = top
-    for _ in range(n - 1):
-        rows.append(r)
-        lead = r[-1]
-        r = [lead * t for t in top]
-        for i in range(1, n):
-            r[i] += rows[-1][i - 1]
-    scale = lc ** (n - 1)
-    return [tuple(int(c * scale) for c in row) for row in rows], scale
+    """Rows lc^(n-1) * (theta^k mod p) for k = n..2n-2, and lc^(n-1).
+
+    With c = p.coeffs[:n], U_k = lc^(k-n+1) * (theta^k mod p) is an integer
+    vector: U_n = -c and U_{k+1} = lc * shift(U_k) - U_k[n-1] * c.  Row k
+    is U_k * lc^(2n-2-k)."""
+    n, lc, c = p.degree, p.lc, p.coeffs[:-1]
+    rows, u = [], [-v for v in c]
+    for k in range(n, 2 * n - 1):
+        rows.append(tuple(v * lc ** (2 * n - 2 - k) for v in u))
+        u = [lc * a - u[-1] * b for a, b in zip([0, *u[:-1]], c)]
+    return rows, lc ** (n - 1)
 
 
 class NumberField:
-    """Q(theta) together with a module basis nu_1..nu_n."""
+    """Q(theta) for a real algebraic generator theta."""
 
-    def __init__(self, generator: RealAlgebraic, _basis=None, _enclosure=None):
+    def __init__(self, generator: RealAlgebraic):
         self.generator = generator
         self.minpoly = generator.poly
         self.n = n = self.minpoly.degree
         if n < 1:
             raise ValueError("generator needs a nonconstant minimal polynomial")
         self._red, self._red_den = _reduction_table(self.minpoly)
-        self._enc = _enclosure or _Enclosure(generator, n)
-        # basis matrix V (columns: power coordinates of nu_k) and its
-        # inverse, or None for the power basis
-        self._V, self._Vinv = _basis or (None, None)
+        self._enc = _Enclosure(generator, n)
         self.zero = FieldElement(self, (0,) * n, 1)
         self.one = FieldElement(self, (1,) + (0,) * (n - 1), 1)
-
-    @property
-    def is_power_basis(self) -> bool:
-        return self._V is None
-
-    def with_basis(self, elements) -> "NumberField":
-        """Same field, new module basis given as n field elements."""
-        cols = [self.coerce(e).power_coords for e in elements]
-        if len(cols) != self.n:
-            raise ValueError("basis size must equal the field degree")
-        V = [[cols[k][i] for k in range(self.n)] for i in range(self.n)]
-        Vinv = inverse(V)  # raises if the basis is dependent
-        if all(V[i][k] == (i == k) for i in range(self.n) for k in range(self.n)):
-            return NumberField(self.generator, None, self._enc)
-        return NumberField(self.generator, (V, Vinv), self._enc)
 
     def shares_generator(self, other: "NumberField") -> bool:
         return self.generator is other.generator or (
@@ -184,19 +159,6 @@ class NumberField:
         # reduced fractions over their lcm are already in lowest terms
         return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in pc), den)
 
-    def element(self, coords) -> "FieldElement":
-        """The element with the given module-basis coordinates."""
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != self.n:
-            raise ValueError("coordinate vector has the wrong length")
-        return self.from_power_coords(coords if self._V is None else mat_vec(self._V, coords))
-
-    def coords_of(self, x):
-        """Module-basis coordinates of x (an element sharing the generator,
-        or a rational)."""
-        pc = self.coerce(x).power_coords
-        return pc if self._V is None else tuple(mat_vec(self._Vinv, pc))
-
     def from_rational(self, q) -> "FieldElement":
         q = Fraction(q)
         return FieldElement(self, (q.numerator,) + (0,) * (self.n - 1), q.denominator)
@@ -205,14 +167,6 @@ class NumberField:
         if self.n == 1:
             return self.from_rational(self.generator.as_fraction())
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2), 1)
-
-    @property
-    def basis(self):
-        """The module basis nu_1..nu_n as field elements."""
-        n = self.n
-        if self._V is None:
-            return [FieldElement(self, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
-        return [self.from_power_coords([self._V[i][k] for i in range(n)]) for k in range(n)]
 
     @property
     def precision(self) -> int:
@@ -312,7 +266,7 @@ class Span:
 
 @total_ordering
 class FieldElement:
-    """(num_0 + num_1 theta + ... ) / den, viewed in a NumberField."""
+    """(num_0 + num_1 theta + ... ) / den, an element of a NumberField."""
 
     __slots__ = ("field", "num", "den")
 
@@ -324,11 +278,6 @@ class FieldElement:
     @property
     def power_coords(self):
         return tuple(Fraction(v, self.den) for v in self.num)
-
-    @property
-    def coords(self):
-        """Coordinates with respect to the field's module basis."""
-        return self.field.coords_of(self)
 
     # -- coercion --------------------------------------------------------
 
@@ -453,7 +402,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        # equal across basis views sharing a generator value
+        # equal across fields sharing a generator value
         return hash((self.field.minpoly.coeffs, self.num, self.den))
 
     def __lt__(self, other):
@@ -488,7 +437,7 @@ class FieldElement:
             enc.refine()
 
     def __repr__(self):
-        return f"FieldElement({list(self.coords)!r} ~ {float(self):.12g})"
+        return f"FieldElement({list(self.power_coords)!r} ~ {float(self):.12g})"
 
 
 def spectral_radius(M) -> RealAlgebraic:
@@ -548,18 +497,20 @@ def eigen_moduli_squared(p: IntPoly):
     """Squared moduli of the roots of p with multiplicities, sorted descending.
 
     Returns [(RealAlgebraic, mult), ...] with equal moduli merged.  A real
-    root r of an irreducible factor contributes r^2 (`root_power`), and a
-    factor with exactly one complex pair z, z-bar contributes |z|^2, twice
-    (`_pair_modulus_squared`); neither builds a number field.  The pair
-    path factors a polynomial of degree n(n-1)/2 for a factor of degree n
-    (15 at n = 6); `factor` has no degree limit.  A factor with two or
-    more complex pairs raises NotImplementedError.
+    root r of an irreducible factor q contributes r^2 (`root_power`) among
+    the real eigenvalues of (a C)^2 / a^2 (`_powers`, built once per factor),
+    and a factor with exactly one complex pair z, z-bar contributes |z|^2,
+    twice (`_pair_modulus_squared`); neither builds a number field.  The
+    pair path factors a polynomial of degree n(n-1)/2 for a factor of
+    degree n (15 at n = 6); `factor` has no degree limit.  A factor with
+    two or more complex pairs raises NotImplementedError.
     """
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
     for q, mult in pieces:
         rroots = real_roots(q)
-        entries += [(root_power(r, 2), mult) for r in rroots]
+        squares = _powers(q, 2) if rroots else []
+        entries += [(root_power(r, 2, squares), mult) for r in rroots]
         n_complex = q.degree - len(rroots)
         if n_complex > 2:
             raise NotImplementedError("modulus supported only for one complex pair per factor")
@@ -583,12 +534,22 @@ def _companion(q: IntPoly):
     return [[a * (i == k + 1) for k in range(n - 1)] + [-c[i]] for i in range(n)]
 
 
-def _narrow(M, s: int, roots, fits) -> RealAlgebraic:
-    """The one real root u of chi_M(s x), the eigenvalues of M / s, with
-    fits(u): candidates drop out as they and `roots` (which `fits` reads)
-    are refined, so `fits` must hold for the wanted root at every width."""
+def _eigenvalues(M, s: int):
+    """The real roots of chi_M(s x), the real eigenvalues of M / s."""
     chi = charpoly(M)
-    cands = real_roots(IntPoly(e * s**k for k, e in enumerate(chi.coeffs)))
+    return real_roots(IntPoly(e * s**k for k, e in enumerate(chi.coeffs)))
+
+
+def _powers(q: IntPoly, e: int):
+    """The real eigenvalues of (a C)^e / a^e (`_companion`), among them x^e
+    for every real root x of q."""
+    return _eigenvalues(mat_pow(_companion(q), e), q.lc**e)
+
+
+def _narrow(cands, roots, fits) -> RealAlgebraic:
+    """The one candidate u with fits(u): candidates drop out as they and
+    `roots` (which `fits` reads) are refined, so `fits` must hold for the
+    wanted root at every width."""
     bits = 16
     while True:
         cands = [u for u in cands if fits(u)]
@@ -601,19 +562,17 @@ def _narrow(M, s: int, roots, fits) -> RealAlgebraic:
             r.refine_to(Fraction(1, 1 << bits))
 
 
-def root_power(r: RealAlgebraic, e: int) -> RealAlgebraic:
-    """r^e (e >= 0) with its minimal polynomial: the eigenvalue of
-    (a C)^e / a^e (`_companion`) that meets [min, max] of the e-th powers
-    of r's interval ends.  No 0 lies inside a dyadic isolating interval,
-    so x -> x^e is monotone on it."""
-    if r.is_rational:
-        return RealAlgebraic.from_rational(r.as_fraction() ** e)
+def root_power(r: RealAlgebraic, e: int, cands=None) -> RealAlgebraic:
+    """r^e (e >= 0) with its minimal polynomial: the one of cands (by
+    default `_powers(r.poly, e)`) that meets [min, max] of the e-th powers
+    of r's interval ends.  No 0 lies inside a dyadic isolating interval, so
+    x -> x^e is monotone on it; a rational r has lo = hi."""
 
     def fits(u):
         ends = r.lo**e, r.hi**e
         return u.lo <= max(ends) and min(ends) <= u.hi
 
-    return _narrow(mat_pow(_companion(r.poly), e), r.poly.lc**e, [r], fits)
+    return _narrow(_powers(r.poly, e) if cands is None else cands, [r], fits)
 
 
 def _pair_modulus_squared(q: IntPoly, rroots) -> RealAlgebraic:
@@ -638,7 +597,7 @@ def _pair_modulus_squared(q: IntPoly, rroots) -> RealAlgebraic:
             lo, hi = lo * min(ends), hi * max(ends)
         return u.lo * lo <= target <= u.hi * hi
 
-    return _narrow(compound, a * a, rroots, fits)
+    return _narrow(_eigenvalues(compound, a * a), rroots, fits)
 
 
 def is_pisot(p: IntPoly) -> bool:
@@ -661,14 +620,3 @@ def is_pisot(p: IntPoly) -> bool:
     mods = eigen_moduli_squared(p)
     return mods[0][1] == 1 and (len(mods) == 1 or mods[1][0] < 1)
 
-
-def mult_matrix(zeta: FieldElement):
-    """Integer matrix of multiplication by zeta on the field's module basis.
-
-    Column k holds the coordinates of zeta*nu_k; raises if any coordinate
-    is non-integral (zeta does not stabilize the module)."""
-    K = zeta.field
-    cols = [(zeta * nu).coords for nu in K.basis]
-    if any(c.denominator != 1 for col in cols for c in col):
-        raise ValueError("element does not stabilize the module")
-    return [[int(cols[k][i]) for k in range(K.n)] for i in range(K.n)]

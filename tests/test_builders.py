@@ -101,9 +101,9 @@ def test_serialized_iet_rebuilds_its_lattice_model(make):
     model = make()
     E2 = IET.from_data(json.loads(json.dumps(model.E.to_data())))
     assert E2 == model.E
-    assert E2.field.basis == model.field.basis
     rho = None if model.rho is None else E2.field.from_power_coords(model.rho.power_coords)
-    again = LatticeModel(E2, rho=rho, anchor=model.anchor)
+    again = LatticeModel(E2, rho=rho, anchor=model.anchor, basis=model.module.basis)
+    assert again.module.basis == model.module.basis
     assert again.projection == model.projection
     assert (again.module.d, again.module.j, again.module.b) == (
         model.module.d,

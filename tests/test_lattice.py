@@ -24,8 +24,9 @@ from ietlab.lattice import (
     spectrum_check,
     unit_representative,
 )
+from ietlab.matrices import charpoly
 from ietlab.modules import ModuleData
-from ietlab.numberfield import NumberField
+from ietlab.numberfield import NumberField, Span
 from ietlab.polynomials import IntPoly
 
 
@@ -33,10 +34,11 @@ from ietlab.polynomials import IntPoly
 def walk_models(quartic_lattice, golden_model):
     """Fresh quartic, e2*, E_1 (b = 2) and golden models by name, without
     a renormalization, so that their walks step one atom at a time."""
+    ek1 = builders.ek_model(1)
     return {
         "quartic": quartic_lattice[2],
         "e2star": LatticeModel(builders.e2star_model().E, name="e2star"),
-        "ek1": LatticeModel(builders.ek_model(1).E, name="ek1"),
+        "ek1": LatticeModel(ek1.E, name="ek1", basis=ek1.module.basis),
         "golden": LatticeModel(golden_model[2].E),
     }
 
@@ -88,22 +90,17 @@ def test_quartic_drift_closed_form(quartic_lattice):
 def test_rejects_translations_outside_module():
     K = NumberField(root_in(IntPoly((-1, -1, 1)), 1, 2))
     phi = K.generator_element()
-    coarse = K.with_basis([K.one, 2 * phi])
-    E = IET(
-        Permutation([2, 1]),
-        [coarse.from_power_coords(c.power_coords) for c in (2 - phi, phi - 1)],
-    )
+    E = IET(Permutation([2, 1]), [2 - phi, phi - 1])
+    LatticeModel(E)
     with pytest.raises(ValueError):
-        LatticeModel(E)
+        LatticeModel(E, basis=[K.one, 2 * phi])
 
 
 def test_commutation_and_R(quartic_model):
     K, r, model = quartic_model
     assert model.R is not None
     # W is trivial here, so R is plain multiplication by rho
-    from ietlab.numberfield import mult_matrix
-
-    assert model.R == mult_matrix(r)
+    assert model.R == model.module.mult_matrix(r)
     M = model.sigma.incidence()
     from ietlab.matrices import mat_mul
 
@@ -265,15 +262,14 @@ def test_liouville_requires_power_basis():
     base = NumberField(root_in(IntPoly((-1, 7, -5, 1)), Fraction(1, 10), Fraction(1, 5)))
     lam = base.generator_element()
     half = Fraction(1, 2)
-    K = base.with_basis([base.from_rational(half), lam * half, lam * lam * half])
     lengths = [
-        K.from_power_coords((Fraction(x) for x in c))
+        base.from_power_coords((Fraction(x) for x in c))
         for c in [(0, 1, -half)] * 2
         + [(half, -Fraction(3, 2), half)] * 2
         + [(half, 0, 0), (0, half, 0), (half, -half, 0)]
     ]
     E = IET(Permutation([7, 6, 5, 4, 3, 2, 1]), lengths)
-    model = LatticeModel(E)
+    model = LatticeModel(E, basis=[base.from_rational(half), lam * half, lam * lam * half])
     assert (model.module.d, model.module.j, model.module.b) == (2, 1, 2)
     with pytest.raises(ValueError):
         liouville_check(model, lengths[0])
@@ -284,17 +280,16 @@ def test_density_counts_residues():
     base = NumberField(root_in(IntPoly((-1, 7, -5, 1)), Fraction(1, 10), Fraction(1, 5)))
     lam = base.generator_element()
     half = Fraction(1, 2)
-    K = base.with_basis([base.from_rational(half), lam * half, lam * lam * half])
-    total = K.from_power_coords((2, -1, 0))  # 2 - lambda
+    total = base.from_power_coords((2, -1, 0))  # 2 - lambda
     lengths = [
-        K.from_power_coords((Fraction(x) for x in c))
+        base.from_power_coords((Fraction(x) for x in c))
         for c in [(0, 1, -half)] * 2
         + [(half, -Fraction(3, 2), half)] * 2
         + [(half, 0, 0), (0, half, 0), (half, -half, 0)]
     ]
     E = IET(Permutation([7, 6, 5, 4, 3, 2, 1]), lengths)
     assert E.total == total
-    model = LatticeModel(E)
+    model = LatticeModel(E, basis=[base.from_rational(half), lam * half, lam * lam * half])
     member = interval_predicate(model, 0, total)
     assert density_estimate(model, member, 4) == 1
 
@@ -436,7 +431,7 @@ def test_value_of_is_the_module_sum(name):
         p = model.point_of(x)
         for z in (p.z, tuple(3 * c - 7 for c in p.z)):
             q = LatticePoint(p.layer, z)
-            want = model.field.element(list(p.layer)) + model.module.from_m_coords(z)
+            want = Span(model.module.basis).combine(p.layer) + model.module.from_m_coords(z)
             assert model.value_of(q) == want
         assert model.value_of(p) == x
 
@@ -573,9 +568,9 @@ def test_density_is_additive_at_a_module_point(walk_models):
 def test_density_of_a_rank_one_model_counts_residues():
     # Q with module basis 1/6: M = Z/6, b = 6, and phi'(M cap [lo, hi))
     # holds the residues of the sixths in [lo, hi)
-    K = NumberField(root_in(IntPoly([-1, 2]), 0, 1)).with_basis([Fraction(1, 6)])
+    K = NumberField(root_in(IntPoly([-1, 2]), 0, 1))
     E = IET(Permutation([3, 1, 2]), [K.coerce(Fraction(1, c)) for c in (2, 3, 6)])
-    model = LatticeModel(E)
+    model = LatticeModel(E, basis=[Fraction(1, 6)])
     assert (model.n, model.module.b) == (1, 6)
     for lo, hi, want in ((0, Fraction(1, 2), Fraction(1, 2)),
                          (Fraction(1, 6), Fraction(1, 3), Fraction(1, 6)),
@@ -705,3 +700,24 @@ def test_a_2_40_step_walk_takes_under_a_second(name):
     assert end.z == ledger(model, p, counts)
     x = model.value_of(end)
     assert x.sign() >= 0 and (x - model.total).sign() < 0
+
+
+def test_module_basis_belongs_to_the_model():
+    # quartic over the basis (1, 1 + r, r^2, r^3) of Z[r]: the model's
+    # module fixes R, and rho from E's field or from a field built
+    # separately on the same generator gives the same model
+    E = builders.quartic_model().E
+    K = E.field
+    r = K.generator_element()
+    B = [K.one, 1 + r, r * r, r**3]
+    models = [LatticeModel(E, rho, basis=B) for rho in (r, NumberField(K.generator).generator_element())]
+    for model in models:
+        assert model.R == [[-1, -1, 0, -8], [1, 1, 0, 7], [0, 1, 0, -13], [0, 0, 1, 7]]
+        model._verify_commutation()
+    a, b = models
+    assert b.rho.field is not K
+    assert a.projection == b.projection
+    assert (a.module.d, a.module.j, a.module.b) == (b.module.d, b.module.j, b.module.b) == (1, 1, 1)
+    # the same ring on another basis: R is conjugate to the power-basis one
+    power = builders.quartic_model()
+    assert charpoly(a.R) == charpoly(power.R)

@@ -7,10 +7,10 @@ import pytest
 from ietlab.algebraic import real_roots, root_in
 from ietlab.builders import e2star_model
 from ietlab.matrices import mat_vec
+from ietlab.modules import ModuleData
 from ietlab.numberfield import (
     NumberField,
     Span,
-    mult_matrix,
     perron_pair,
     root_power,
     spectral_radius,
@@ -65,7 +65,7 @@ def test_arithmetic_field_axioms_randomized():
     rng = random.Random(5)
 
     def rand_elt():
-        return K.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
+        return K.from_power_coords([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
 
     for _ in range(15):
         a, b, c = rand_elt(), rand_elt(), rand_elt()
@@ -106,7 +106,7 @@ def test_compare_total_order_randomized():
     K = golden_field()
     rng = random.Random(9)
     elts = [
-        K.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)])
+        K.from_power_coords([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)])
         for _ in range(12)
     ]
     for a in elts:
@@ -114,7 +114,7 @@ def test_compare_total_order_randomized():
             sab = (a - b).sign()
             assert sab == -(b - a).sign()
             assert (a < b, a == b, a > b) == (sab < 0, sab == 0, sab > 0)
-            assert (sab == 0) == ((a - b).coords == (Fraction(0), Fraction(0)))
+            assert (sab == 0) == ((a - b).power_coords == (Fraction(0), Fraction(0)))
             for c in elts:
                 if a >= b and b >= c:
                     assert a >= c
@@ -129,22 +129,23 @@ def test_float_accuracy():
 
 
 def test_module_basis_views():
-    # Z[lam]/2-style basis: coords double, values agree
+    # Z[phi]/2-style module basis: coords double, values agree
     K = golden_field()
     phi = K.generator_element()
-    half = [K.one / 2, phi / 2]
-    Kh = K.with_basis(half)
-    x = Kh.element([3, 4])  # 3/2 + 2 phi
-    assert x == K.element([Fraction(3, 2), 2])
-    assert Kh.from_rational(1).coords == (Fraction(2), Fraction(0))
-    back = K.with_basis([Kh.basis[0] * 2, Kh.basis[1] * 2])
-    assert back.element([1, 1]) == K.element([1, 1])
+    half = ModuleData(K, [K.one / 2, phi / 2])
+    x = K.from_power_coords([Fraction(3, 2), 2])
+    assert half.coords(x) == (3, 4)
+    assert Span(half.basis).combine([3, 4]) == x
+    assert half.coords(1) == (Fraction(2), Fraction(0))
+    back = ModuleData(K, [nu * 2 for nu in half.basis])
+    assert back.basis == ModuleData(K).basis == [K.one, phi]
+    assert back.coords(x) == x.power_coords
 
 
 def test_mult_matrix_companion():
     K = quartic_field()
     rho = K.generator_element()
-    R = mult_matrix(rho)
+    R = ModuleData(K).mult_matrix(rho)
     # companion matrix of the minpoly in the power basis
     assert [R[i][0] for i in range(4)] == [0, 1, 0, 0]
     assert abs(_det4(R)) == 1
@@ -152,8 +153,8 @@ def test_mult_matrix_companion():
     rng = random.Random(2)
     for _ in range(10):
         z = [rng.randint(-5, 5) for _ in range(4)]
-        x = K.element(z)
-        assert list((rho * x).coords) == [Fraction(c) for c in mat_vec(R, z)]
+        x = K.from_power_coords(z)
+        assert list((rho * x).power_coords) == [Fraction(c) for c in mat_vec(R, z)]
 
 
 def _det4(M):
@@ -166,7 +167,7 @@ def test_mult_matrix_rejects_non_stabilizing():
     K = golden_field()
     phi = K.generator_element()
     with pytest.raises(ValueError):
-        mult_matrix(phi / 2)
+        ModuleData(K).mult_matrix(phi / 2)
 
 
 def test_spectral_radius():
@@ -206,9 +207,10 @@ def test_perron_pair_rejects_non_primitive():
 def test_element_hash_consistency():
     K = golden_field()
     phi = K.generator_element()
-    Kh = K.with_basis([K.one / 2, phi / 2])
-    a = K.element([Fraction(1, 2), 1])
-    b = Kh.element([1, 2])
+    # b lives in a field built separately on the same generator
+    a = K.from_power_coords([Fraction(1, 2), 1])
+    b = NumberField(K.generator).from_power_coords([Fraction(1, 2), 1])
+    assert b.field is not K
     assert a == b
     assert hash(a) == hash(b)
 
@@ -239,6 +241,23 @@ def test_eigen_moduli_all_real():
     floats = [math.sqrt(float(u)) for u, _ in mods]
     assert floats[0] == pytest.approx(1 / 0.22777710423438124, rel=1e-9)
     assert floats == sorted(floats, reverse=True)
+
+
+def test_eigen_moduli_build_one_eigenvalue_list_per_factor(monkeypatch):
+    # (x^2 - 2)(x^3 - 2)(x - 3) times the loop-matrix quartic: one charpoly
+    # per factor for the squares of its real roots, one more for the
+    # complex pair of x^3 - 2
+    from ietlab import numberfield
+
+    calls = []
+    charpoly = numberfield.charpoly
+    monkeypatch.setattr(numberfield, "charpoly", lambda M: calls.append(len(M)) or charpoly(M))
+    p = IntPoly((-2, 0, 1)) * IntPoly((-2, 0, 0, 1)) * IntPoly((-3, 1)) * IntPoly((1, -7, 13, -7, 1))
+    mods = numberfield.eigen_moduli_squared(p)
+    assert sorted(calls) == [1, 2, 3, 3, 4]
+    assert [m for _, m in mods] == [1, 1, 1, 2, 3, 1, 1]
+    assert mods[1][0] == 9 and mods[3][0] == 2
+    assert mods[4][0].poly == IntPoly((-4, 0, 0, 1))  # 2^(2/3), root and pair
 
 
 def test_eigen_moduli_complex_pair_identity():

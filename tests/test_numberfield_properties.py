@@ -1,7 +1,8 @@
 """Property tests of the integer-backed field core.
 
-Fields: the quartic unit field, the e2* Perron field, the E_2 field in its
-half-integer module basis, and a field with a non-monic generator.
+Fields, each with a module basis that draws its elements: the quartic
+unit field, the e2* Perron field, the E_2 field with its half-integer
+module basis, and a field with a non-monic generator.
 """
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ietlab.algebraic import real_roots, root_in  # noqa: E402
 from ietlab.builders import e2star_model, ek_model  # noqa: E402
-from ietlab.numberfield import NumberField  # noqa: E402
+from ietlab.modules import ModuleData  # noqa: E402
+from ietlab.numberfield import NumberField, Span  # noqa: E402
 from ietlab.polynomials import IntPoly  # noqa: E402
 
 QUARTIC = IntPoly((1, -7, 13, -7, 1))
@@ -28,29 +30,30 @@ def non_monic_field():
     return NumberField(real_roots(NON_MONIC)[-1])
 
 
-FIELDS = {
-    "quartic": quartic_field(),
-    "e2star": e2star_model().field,
-    "ek2_half": ek_model(2).field,
-    "non_monic": non_monic_field(),
+MODULES = {
+    "quartic": ModuleData(quartic_field()),
+    "e2star": e2star_model().module,
+    "ek2_half": ek_model(2).module,
+    "non_monic": ModuleData(non_monic_field()),
 }
+FIELDS = {name: md.field for name, md in MODULES.items()}
 NAMES = sorted(FIELDS)
 
 PROPS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def elements(draw, K, bound=30):
-    """Elements with small rational module-basis coordinates."""
+def elements(draw, md, bound=30):
+    """Elements with small rational coordinates in the module basis of md."""
     den = draw(st.integers(1, 12))
-    coords = [Fraction(draw(st.integers(-bound, bound)), den) for _ in range(K.n)]
-    return K.element(coords)
+    coords = [Fraction(draw(st.integers(-bound, bound)), den) for _ in range(md.field.n)]
+    return Span(md.basis).combine(coords)
 
 
 @st.composite
 def field_and(draw, count):
-    K = FIELDS[draw(st.sampled_from(NAMES))]
-    return K, [draw(elements(K)) for _ in range(count)]
+    md = MODULES[draw(st.sampled_from(NAMES))]
+    return md.field, [draw(elements(md)) for _ in range(count)]
 
 
 def convergents(x: Fraction, count: int):
@@ -107,24 +110,28 @@ def test_sign_agrees_with_float(data):
 @PROPS
 @given(field_and(1))
 def test_hash_and_equality_across_basis_views(data):
+    # a rebuilt from its coordinates in another module basis, and in a
+    # field built separately on the same generator, equals a
     K, (a,) = data
     g = K.generator_element()
-    view = K.with_basis(
-        [b * Fraction(k + 2, 3) + (g if k == 0 else 0) for k, b in enumerate(K.basis)]
-    )
-    a_view = view.element(view.coords_of(a))
-    assert a_view == a and a == a_view
-    assert hash(a_view) == hash(a)
-    assert a_view.field is view and a_view.power_coords == a.power_coords
-    assert a_view + K.one == a + 1
+    md = ModuleData(K, [K.one] + [g**k * Fraction(k + 2, 3) + g for k in range(1, K.n)])
+    a_view = Span(md.basis).combine(md.coords(a))
+    K2 = NumberField(K.generator)
+    a2 = K2.from_power_coords(a.power_coords)
+    for b in (a_view, a2):
+        assert b == a and a == b
+        assert hash(b) == hash(a)
+        assert b + K.one == a + 1
+    assert a2.field is K2 and md.coords(a2) == md.coords(a)
 
 
 @PROPS
-@given(field_and(1))
-def test_coords_round_trip(data):
-    K, (a,) = data
-    assert K.element(a.coords) == a
-    assert K.from_power_coords(a.power_coords) == a
+@given(st.sampled_from(NAMES), st.data())
+def test_coords_round_trip(name, data):
+    md = MODULES[name]
+    a = data.draw(elements(md))
+    assert Span(md.basis).combine(md.coords(a)) == a
+    assert md.field.from_power_coords(a.power_coords) == a
 
 
 @pytest.mark.parametrize("name", NAMES)
