@@ -254,15 +254,19 @@ def kernel_int(A):
 
 
 def is_primitive(A) -> bool:
-    """Primitivity of a nonnegative integer matrix, from the 0/1 pattern
-    with rows held as bit masks: square A, A^2, A^4, ... and stop when a
-    power is all ones (primitive) or the exponent has reached the Wielandt
-    bound n^2 - 2n + 2 (a primitive A is positive from that power on)."""
-    n = len(A)
-    if any(x < 0 for row in A for x in row):
+    """Primitivity of a nonnegative integer matrix, from its 0/1 pattern."""
+    if any(min(row, default=0) < 0 for row in A):
         raise ValueError("primitivity test needs a nonnegative matrix")
+    return _primitive_masks([sum(1 << j for j, x in enumerate(row) if x) for row in A])
+
+
+def _primitive_masks(X) -> bool:
+    """Primitivity of the 0/1 matrix with bit-mask rows X: square X, X^2,
+    ... until a power is all ones (primitive), a square repeats its power
+    (so do all later ones) or the exponent reaches the Wielandt bound
+    n^2 - 2n + 2 (a primitive matrix is positive from that power on)."""
+    n = len(X)
     full, bound, e = (1 << n) - 1, n * n - 2 * n + 2, 1
-    X = [sum(1 << j for j, x in enumerate(row) if x) for row in A]
     while not all(row == full for row in X):
         if e >= bound:
             return False
@@ -274,6 +278,8 @@ def is_primitive(A) -> bool:
                     acc |= y
                 x >>= 1
             square.append(acc)
+        if square == X:
+            return False
         X, e = square, 2 * e
     return True
 

@@ -95,7 +95,7 @@ class ModuleData:
         n = K.n
         if basis is None:
             basis = [K.generator_element() ** k for k in range(n)]
-        self.basis = [K.from_power_coords(K.coerce(nu).power_coords) for nu in basis]
+        self.basis = [K.coerce(nu) for nu in basis]
         if len(self.basis) != n:
             raise ValueError("basis size must equal the field degree")
         # nu-coordinates of x are _inv x.num / (_den x.den), _inv integer

@@ -16,7 +16,7 @@ fraction-free elimination.  The value does not depend on a basis, so
 of fixed elements over their integer numerators with one reduction.
 The field carries no module basis: a module and its coordinates belong
 to `modules.ModuleData`.  Fields built separately on equal generators
-share their elements (`shares_generator`).
+share their elements (`shares_generator`): `coerce` moves one across.
 
 Outside values.  `NumberField.coerce` is the one place where an int or a
 Fraction becomes a field element; a float (inexact) and an element of a
@@ -139,11 +139,13 @@ class NumberField:
 
     def coerce(self, x) -> "FieldElement":
         """x as an element of this field: an int or Fraction becomes one,
-        an element sharing the generator passes, anything else (a float,
-        an element of another generator) raises TypeError."""
+        an element sharing the generator is rebuilt here, anything else (a
+        float, an element of another generator) raises TypeError."""
         if isinstance(x, FieldElement):
-            if x.field is self or self.shares_generator(x.field):
+            if x.field is self:
                 return x
+            if self.shares_generator(x.field):
+                return FieldElement(self, x.num, x.den)
             raise TypeError("elements belong to fields with different generators")
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -470,12 +472,12 @@ def perron_pair(M):
     if not is_primitive(M):
         raise ValueError("matrix is not primitive")
     n = len(M)
-    beta = spectral_radius(M)
+    p = charpoly(M)
+    beta = real_roots(p)[-1]  # the Perron root: M is nonnegative
     K = NumberField(beta)
     b = K.generator_element()
-    p = charpoly(M).coeffs
     q = [K.one]  # q_{n-1}, ..., q_0 by q_{k-1} = p_k + beta q_k
-    for c in p[n - 1:0:-1]:
+    for c in p.coeffs[n - 1:0:-1]:
         q.append(b * q[-1] + c)
     w, v = [int(i == 0) for i in range(n)], [K.zero] * n
     for qk in reversed(q):

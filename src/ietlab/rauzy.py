@@ -12,13 +12,17 @@ contraction is rho = 1/beta.
 Cost.  A step matrix is the identity with one column changed, so a
 product P * A is one column sum (and for type 1 a column shift), O(N)
 work per step.  `enumerate_cycles` walks from each base only through
-vertices listed at or after it (Johnson's least-vertex rule).
+vertices listed at or after it (Johnson's least-vertex rule) that can
+still return to it within the cap, and compares rotations only for walks
+that pass their base twice.  `is_qualifying` forms the integer product
+only once the 0/1 pattern, stepped as bit masks, is primitive.
 """
 from __future__ import annotations
 
+from operator import add, or_
+
 from .iet import IET, Permutation
-from .matrices import charpoly, identity, inverse_int, mat_vec, transpose
-from .matrices import is_primitive as _matrix_primitive
+from .matrices import _primitive_masks, charpoly, identity, inverse_int, mat_vec, transpose
 from .numberfield import perron_pair
 from .polynomials import IntPoly, is_irreducible
 
@@ -34,15 +38,16 @@ def rauzy_type1_perm(images):
     return images[:k] + images[-1:] + images[k:-1] if k < len(images) else images
 
 
-def _times_step(cols, images, rauzy_type: int):
+def _times_step(cols, images, rauzy_type: int, join=lambda a, b: list(map(add, a, b))):
     """Turn the columns `cols` of P into those of P * A, in place, for the
     step matrix A of a step of the given type from `images`.  A is the
     identity but for the columns from k on, k the top atom's (0-based):
     type 0 adds e_{N-1} to column k; type 1 makes column k+1 e_k + e_{N-1}
-    and shifts e_{k+1}.. right.  So P * A is one column sum and a shift."""
+    and shifts e_{k+1}.. right.  So P * A is one column sum and a shift;
+    on bit-mask columns, `join=or_` steps the 0/1 pattern of P >= 0."""
     N = len(images)
     k = images.index(N)
-    added = [a + b for a, b in zip(cols[k], cols[N - 1])]
+    added = join(cols[k], cols[N - 1])
     if rauzy_type == 0:
         cols[k] = added
     elif k < N - 1:
@@ -51,29 +56,35 @@ def _times_step(cols, images, rauzy_type: int):
 
 def step_matrix(images, rauzy_type: int):
     """A with lengths = A * induced lengths for the given step type."""
-    cols = identity(len(images))
-    _times_step(cols, images, rauzy_type)
-    return transpose(cols)
+    return RauzyCycle([(images, rauzy_type)]).product
 
 
 def rauzy_step(pi: Permutation, lengths):
     """(type, new permutation, induced lengths, A) for one induction step."""
-    images = pi.images
-    N = pi.N
-    k = images.index(N) + 1
-    gap = lengths[N - 1] - lengths[k - 1]
-    s = gap.sign()
+    images, N = pi.images, pi.N
+    s = (lengths[N - 1] - lengths[images.index(N)]).sign()
     if s == 0:
         raise ValueError("equal candidate intervals: Keane property fails here")
     rtype = 0 if s > 0 else 1
     A = step_matrix(images, rtype)
-    Ainv = inverse_int(A)
-    new_lengths = tuple(mat_vec(Ainv, lengths))
-    for l in new_lengths:
-        if l.sign() <= 0:
-            raise ValueError("induction produced a non-positive length")
+    new_lengths = tuple(mat_vec(inverse_int(A), lengths))
+    if any(l.sign() <= 0 for l in new_lengths):
+        raise ValueError("induction produced a non-positive length")
     new_images = rauzy_type0_perm(images) if rtype == 0 else rauzy_type1_perm(images)
     return rtype, Permutation(new_images), new_lengths, A
+
+
+def _distances(start, neighbours, limit=None):
+    """Breadth-first distances from start along neighbours, out to limit."""
+    dist, queue = {start: 0}, [start]
+    for v in queue:
+        if dist[v] == limit:
+            break
+        for w in neighbours(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def class_of(images):
@@ -85,15 +96,7 @@ def class_of(images):
     on a non-permutation or a reducible one.
     """
     start = Permutation(images).images
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in (rauzy_type0_perm(v), rauzy_type1_perm(v)):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return sorted(seen)
+    return sorted(_distances(start, lambda v: (rauzy_type0_perm(v), rauzy_type1_perm(v))))
 
 
 class RauzyCycle:
@@ -137,10 +140,17 @@ class RauzyCycle:
             self._charpoly = charpoly(self.product)
         return self._charpoly
 
+    def is_primitive(self) -> bool:
+        """Primitivity of P from its pattern's bit-mask columns, rows of P^T."""
+        masks = [1 << i for i in range(len(self.base))]
+        for v, t in self.steps:
+            _times_step(masks, v, t, or_)
+        return _primitive_masks(masks)
+
     def is_qualifying(self) -> bool:
         """Primitive product with irreducible full-degree charpoly: the
         census filter for self-similarity candidates."""
-        return _matrix_primitive(self.product) and is_irreducible(self.charpoly())
+        return self.is_primitive() and is_irreducible(self.charpoly())
 
     def canonical_key(self):
         """The least rotation of `steps`; it starts at the least vertex."""
@@ -158,32 +168,33 @@ def enumerate_cycles(cls_verts, Lmax: int):
 
     Walks run depth-first from each base in `cls_verts` order and never
     enter a vertex listed before the base (Johnson's least-vertex rule): a
-    closed walk through one was found from the earliest vertex on it.  So
-    the pruned branches hold no new cycle and the yields are those of the
-    unpruned search, in its order; the canonical-rotation dedupe stays,
-    since a walk may pass its base more than once.
+    closed walk through one was found from the earliest vertex on it.  Nor
+    does it enter one farther back from the base than the steps left.  So
+    the yields are those of the unpruned search, in its order.  The stack
+    counts visits to the base: a walk that passes it again is yielded only
+    as the greatest of its rotations from there, the first one met.
     """
     if Lmax < 1:
         raise ValueError("Lmax must be at least 1")
     cls_verts = [tuple(v) for v in cls_verts]
     rank = {v: i for i, v in enumerate(cls_verts)}
     edges = {v: (rauzy_type0_perm(v), rauzy_type1_perm(v)) for v in cls_verts}
-    seen = set()
-    for start in cls_verts:
-        stack = [(start, ())]
+    inverse = [{ws[t]: v for v, ws in edges.items()} for t in (0, 1)]  # each move is a bijection
+    preds = {w: (inverse[0][w], inverse[1][w]) for w in cls_verts}
+    for i, start in enumerate(cls_verts):
+        back = _distances(start, lambda w: [u for u in preds[w] if rank[u] >= i], Lmax - 1)
+        stack = [(start, (), 0)]
         while stack:
-            v, steps = stack.pop()
-            L = len(steps)
-            if L and v == start:
-                cyc = RauzyCycle(steps)
-                key = cyc.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    yield cyc
-            if L < Lmax:
-                for t, w in enumerate(edges[v]):
-                    if rank[w] >= rank[start]:
-                        stack.append((w, steps + ((v, t),)))
+            v, steps, visits = stack.pop()
+            if v == start:
+                if visits == 1 or visits and steps == max(
+                    steps[r:] + steps[:r] for r, (u, _) in enumerate(steps) if u == start
+                ):
+                    yield RauzyCycle(steps)
+                visits += 1
+            for t, w in enumerate(edges[v]):
+                if len(steps) + back.get(w, Lmax) < Lmax:  # room to step to w and back
+                    stack.append((w, steps + ((v, t),), visits))
 
 
 def census_rows(qualifying, Lmax: int):

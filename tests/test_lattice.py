@@ -715,7 +715,7 @@ def test_module_basis_belongs_to_the_model():
         assert model.R == [[-1, -1, 0, -8], [1, 1, 0, 7], [0, 1, 0, -13], [0, 0, 1, 7]]
         model._verify_commutation()
     a, b = models
-    assert b.rho.field is not K
+    assert b.rho.field is K
     assert a.projection == b.projection
     assert (a.module.d, a.module.j, a.module.b) == (b.module.d, b.module.j, b.module.b) == (1, 1, 1)
     # the same ring on another basis: R is conjugate to the power-basis one

@@ -346,6 +346,8 @@ def test_is_primitive():
     assert not is_primitive([[0, 1], [1, 0]])  # periodic
     assert not is_primitive([[1, 1], [0, 1]])  # reducible
     assert is_primitive([[1, 1, 1, 1], [0, 2, 1, 0], [1, 2, 2, 1], [1, 1, 1, 2]])
+    with pytest.raises(ValueError):
+        is_primitive([[1, 1], [-1, 1]])
 
 
 def positive_at_wielandt_bound(A):

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab import rauzy
 from ietlab.algebraic import root_in
 from ietlab.cli import census_report, main
 from ietlab.iet import IET, Permutation, check_self_similar
-from ietlab.matrices import identity, mat_mul, mat_vec
+from ietlab.matrices import charpoly, identity, is_primitive, mat_mul, mat_vec
 from ietlab.numberfield import NumberField
-from ietlab.polynomials import IntPoly
+from ietlab.polynomials import IntPoly, is_irreducible
 from ietlab.rauzy import (
     RauzyCycle,
     class_of,
@@ -214,10 +215,47 @@ def test_pruned_census_matches_unpruned_search(base):
     cls = class_of(base)
     shuffled = cls[:]
     random.Random(repr(base)).shuffle(shuffled)
+    caps = list(range(1, 11)) + ([12] if base == (4, 3, 2, 1) else [])
     for verts in (cls, shuffled):
-        for cap in range(6, 11):
+        for cap in caps:
             got = [c.steps for c in enumerate_cycles(verts, cap)]
             assert got == list(unpruned_cycles(verts, cap))
+
+
+def test_quartic_class_census_to_twelve():
+    rows = survey(class_of((4, 3, 2, 1)), 12)
+    assert all(rows[L] == (0, 0) for L in range(1, 8))
+    assert [rows[L] for L in range(8, 13)] == [(1, 1), (6, 3), (7, 4), (30, 10), (80, 27)]
+    assert sum(q for q, _ in rows.values()) == 124
+
+
+def test_pattern_primitivity_matches_the_integer_product():
+    # the census classes to cap 9 and the 294-vertex e2* class to cap 4
+    cycles = [c for base in CENSUS_BASES for c in enumerate_cycles(class_of(base), 9)]
+    cycles += enumerate_cycles(class_of((5, 4, 6, 2, 7, 3, 1)), 4)
+    primitive = 0
+    for cyc in cycles:
+        P = cyc.product
+        assert cyc.is_primitive() == is_primitive(P)
+        assert cyc.is_qualifying() == (is_primitive(P) and is_irreducible(charpoly(P)))
+        primitive += cyc.is_primitive()
+    assert 0 < primitive < len(cycles)
+
+
+def test_census_work_counts(monkeypatch):
+    # cap 10 on (4321): 328 cycles are built, and of them only the 21
+    # primitive ones get a characteristic polynomial
+    built = []
+    init = RauzyCycle.__init__
+    monkeypatch.setattr(RauzyCycle, "__init__", lambda c, steps: built.append(c) or init(c, steps))
+    polys = []
+    monkeypatch.setattr(rauzy, "charpoly", lambda M: polys.append(M) or charpoly(M))
+    cls = class_of((4, 3, 2, 1))
+    assert sum(1 for _ in enumerate_cycles(cls, 10)) == len(built) == 328
+    built.clear()
+    survey(cls, 10)
+    assert len(built) == 328
+    assert len(polys) == sum(c.is_primitive() for c in built) == 21
 
 
 def test_step_matrix_and_product_match_the_entrywise_reference():
