@@ -56,13 +56,13 @@ def e2star_model() -> LatticeModel:
 
     Lengths are the Perron eigenvector of the loop product, the scaling
     constant is the reciprocal of its Perron root, and the rightmost
-    interval is the renormalization window.
+    interval is the renormalization window (total - rho*total, total).
     """
     beta, v = perron_pair([list(row) for row in SEVEN_PRODUCT])
     K = v[0].field
     rho = K.one / K.generator_element()
     E = IET(Permutation(SEVEN_PERM), v)
-    return LatticeModel(E, rho=rho, name="e2star", anchor="right")
+    return LatticeModel(E, rho=rho, name="e2star", window=(E.total - rho * E.total, E.total))
 
 
 def family_poly(k: int) -> IntPoly:
@@ -75,13 +75,14 @@ def family_poly(k: int) -> IntPoly:
 def ek_model(k: int) -> LatticeModel:
     """Seven-interval zero-drift map over the half-integer module.
 
-    The map itself is not self-similar, so the model carries no scaling
-    factor; it is the right object for drift checks and lattice iteration.
-    Its first return to the leading interval (atom 1) is self-similar with
-    the factor lambda (`ek_first_return`); the model declares that window
-    and factor, so long walks jump through the towers.  The permutation
-    is recovered from the closed-form lengths and translations, which
-    must tile the domain and agree with the translations it implies.
+    The map itself is not self-similar, so the model has no substitution
+    and no scaling matrix R; it is the right object for drift checks and
+    lattice iteration.  Its first return to the leading interval (atom 1)
+    is self-similar with the factor lambda (`ek_first_return`), so the
+    model takes lambda with atom 1 as its window, and long walks jump
+    through the towers.  The permutation is recovered from the
+    closed-form lengths and translations, which must tile the domain and
+    agree with the translations it implies.
     """
     f = family_poly(k)
     K = NumberField(real_roots(f)[0])
@@ -108,7 +109,7 @@ def ek_model(k: int) -> LatticeModel:
     ]
     E = iet_from_translations(lengths, taus)
     basis = [K.one * half, lam * half, lam2 * half]
-    return LatticeModel(E, name=f"ek{k}", first_return=(E.atoms()[0], lam), basis=basis)
+    return LatticeModel(E, rho=lam, name=f"ek{k}", window=E.atoms()[0], basis=basis)
 
 
 def ek_first_return(k: int) -> LatticeModel:

@@ -387,38 +387,35 @@ def induce(E: IET, window) -> InducedMap:
     return InducedMap(E, (a, b), induced, words)
 
 
-def check_self_similar(E: IET, rho, anchor: str = "left"):
+def check_self_similar(E: IET, rho, start=0):
     """Does inducing on a window of length rho*total reproduce E scaled?
 
-    The window [a, a + rho*total) sits at the left end of the domain
-    (anchor "left", a = 0) or at its right end (anchor "right").  Returns
-    (flag, substitution); the substitution collects the return words and
-    is only meaningful when the flag is true.  On success the
-    scale-conjugacy E^{|sigma(i)|}(rho*x + a) = rho*E(x) + a is verified
-    on an interior sample point of every atom.
+    The window [a, a + rho*total) starts at a = start (a field element,
+    int or Fraction).  Returns (flag, substitution); the substitution
+    collects the return words and is only meaningful when the flag is
+    true.  On success the scale-conjugacy
+    E^{|sigma(i)|}(rho*x + a) = rho*E(x) + a is verified on an interior
+    sample point of every atom.
     """
     from .substitution import Substitution
 
-    if anchor not in ("left", "right"):
-        raise ValueError("anchor must be 'left' or 'right'")
     rho = E.field.coerce(rho)
-    ell = rho * E.total
-    im = induce(E, (E.field.zero, ell) if anchor == "left" else (E.total - ell, E.total))
+    a = E.field.coerce(start)
+    im = induce(E, (a, a + rho * E.total))
     ind = im.induced
     if ind.N != E.N or ind.perm != E.perm:
         return False, None
     for li, l in zip(ind.lengths, E.lengths):
         if li != rho * l:
             return False, None
-    offset = im.window[0]
     for i, (left, _) in enumerate(E.atoms(), start=1):
         x = left + E.lengths[i - 1] / 2
-        y = rho * x + offset
+        y = rho * x + a
         word = im.return_words[i - 1]
         z = y
         for _ in word:
             z = E.apply(z)
-        if z != rho * E.apply(x) + offset:
+        if z != rho * E.apply(x) + a:
             return False, None
     sigma = Substitution({i + 1: im.return_words[i] for i in range(E.N)})
     return True, sigma

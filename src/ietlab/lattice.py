@@ -11,23 +11,25 @@ Walks.  `psi_orbit` cuts a walk at its checkpoints, and each segment
 either jumps through the towers or steps; z_k = z_0 + projection * counts
 either way, and the coordinates are always exact integers.
 
-Jumps.  A model renormalizes when it carries a scaling factor rho, or
-declares a window whose first-return map is self-similar (E_k's leading
-interval).  Its domain is then cut into Kakutani-Rokhlin towers: the
-level-1 tiles are the floors of the towers over the renormalized atoms,
-and the map's own level-1 tiles cut every higher level.  The level-l
-tower over letter j spans h_l(j) = |sigma_1 ... sigma_l (j)| steps, so
-E^k(x) follows the expansion of k in these heights (Dumont and Thomas'
-numeration by substitutions).  `Towers` owns the tiles, and its
-`climb` is the one loop that locates a point level by level; Vershik
-coding (`vershik`) climbs through it too.  A segment of k >= 2 steps
-climbs to the highest level L whose smallest tower is at most k; it
-takes whole level-L steps of the self-similar map while a tower fits,
-then descends by heights alone, and the symbol counts are the per-level
-letter counts pushed down through the substitutions.
-Its cost grows like log k.  A segment shorter than every level-1 tower,
-a one-step segment and every segment of a model without renormalization
-step one atom at a time, on the integer walk of the IET (`iet`).
+Jumps.  A model renormalizes when it carries a scaling factor rho and a
+window (a, b) whose first-return map is self-similar with that factor:
+the model's own map scaled by rho when b - a = rho*total, or else a map
+of its own (E_k's leading interval).  Its domain is then cut into
+Kakutani-Rokhlin towers: the level-1 tiles are the floors of the towers
+over the renormalized atoms, and the self-similar map's own level-1
+tiles cut every higher level.  The level-l tower over letter j spans
+h_l(j) = |sigma_1 ... sigma_l (j)| steps, so E^k(x) follows the
+expansion of k in these heights (Dumont and Thomas' numeration by
+substitutions).  `Towers` owns the tiles, and its `climb` is the one
+loop that locates a point level by level; Vershik coding (`vershik`)
+climbs through it too.  A segment of k >= 2 steps climbs to the highest
+level L whose smallest tower is at most k; it takes whole level-L steps
+of the self-similar map while a tower fits, then descends by heights
+alone, and the symbol counts are the per-level letter counts pushed down
+through the substitutions.  Its cost grows like log k.  A segment
+shorter than every level-1 tower, a one-step segment and every segment
+of a model without renormalization step one atom at a time, on the
+integer walk of the IET (`iet`).
 """
 from __future__ import annotations
 
@@ -87,25 +89,21 @@ class DriftVector:
 class LatticeModel:
     """An IET together with its module coordinates and lattice dynamics.
 
-    With a scaling factor rho (a field element, int or Fraction) the map
-    must be self-similar on the window of length rho*total at the given
-    anchor ("left" or "right" end of the domain): `check_self_similar`
-    decides that and supplies the substitution sigma, and the model gains
-    the scaling matrix R and the prefix automaton.  Without rho the model
-    carries the lattice walk and the drift only.
-
-    first_return, a pair (window, factor), declares instead that the
-    first-return map on the window (a, b) is self-similar with that
-    factor; it is only data until a jump or a code needs the towers,
-    which `first_return_model` builds from it.  A model with neither walks
-    step by step.
+    A scaling factor rho (a field element, int or Fraction) comes with a
+    window (a, b), by default [0, rho*total), whose first-return map is
+    self-similar with the factor rho.  A window of length rho*total
+    returns E itself scaled by rho: `check_self_similar` decides that and
+    supplies the substitution sigma, and the model gains the scaling
+    matrix R and the prefix automaton.  Any other window (E_k's leading
+    interval) is only data until a jump or a code needs the towers, which
+    `first_return_model` builds from it.  Without rho the model carries
+    the lattice walk and the drift only and walks step by step.
 
     basis, n field elements, presents the module M that the translations
     must lie in (`ModuleData`); the default is the power basis.
     """
 
-    def __init__(self, E: IET, rho=None, name: str = "", anchor: str = "left",
-                 first_return=None, basis=None):
+    def __init__(self, E: IET, rho=None, name: str = "", window=None, basis=None):
         self.E = E
         self.name = name
         self.field = E.field
@@ -118,30 +116,28 @@ class LatticeModel:
         # projection matrix: column i is v_i
         self.projection = [[cols[i][r] for i in range(E.N)] for r in range(self.n)]
         self.total = E.total
-        self.rho = None
-        self.sigma = None
-        self.anchor = anchor
-        self.window_start = None
-        self.R = None
+        self.rho = self.window = self.sigma = self.R = None
         self.prefix_graph = None  # the substitution's prefix automaton
         self._Rnu = None
-        if rho is not None and first_return is not None:
-            raise ValueError("a model renormalizes by rho or by a first return, not both")
-        self.first_return = first_return
         self._towers = None  # built by towers() on first use
-        if rho is not None:
+        if rho is None:
+            if window is not None:
+                raise ValueError("a window needs a scaling factor")
+        else:
             self.rho = rho = self.field.coerce(rho)
             if not self.module.in_order(rho):
                 raise ValueError("scaling factor does not multiply the module into itself")
-            ok, self.sigma = check_self_similar(E, rho, anchor)
-            if not ok:
-                raise ValueError("map is not self-similar with the given factor")
-            self.window_start = E.total - rho * E.total if anchor == "right" else self.field.zero
-            self._Rnu = self.module.mult_matrix(rho)
-            W, Winv = self.module.W, self.module.Winv
-            self.R = mat_mul(Winv, mat_mul(self._Rnu, W))
-            self._verify_commutation()
-            self.prefix_graph = PrefixGraph(self.sigma)
+            ell = rho * E.total
+            a, b = self.window = tuple(map(self.field.coerce, (0, ell) if window is None else window))
+            if b - a == ell:
+                ok, self.sigma = check_self_similar(E, rho, a)
+                if not ok:
+                    raise ValueError("map is not self-similar with the given factor")
+                self._Rnu = self.module.mult_matrix(rho)
+                W, Winv = self.module.W, self.module.Winv
+                self.R = mat_mul(Winv, mat_mul(self._Rnu, W))
+                self._verify_commutation()
+                self.prefix_graph = PrefixGraph(self.sigma)
         self.drift = DriftVector(mat_vec(self.projection, E.lengths))
         self._span = Span(self.module.basis + self.module.units)  # forms value_of
 
@@ -236,7 +232,7 @@ class LatticeModel:
         """Symbol counts of k steps from p: through the towers when the
         model renormalizes and k reaches a level-1 tower (one step needs
         none), otherwise step by step."""
-        if k > 1 and (self.rho is not None or self.first_return is not None):
+        if k > 1 and self.rho is not None:
             counts = self.towers().counts(self.value_of(p), k)
             if counts is not None:
                 return counts
@@ -246,8 +242,8 @@ class LatticeModel:
         """The model's Towers, built on first use; raises ValueError for a
         model without renormalization."""
         if self._towers is None:
-            if self.rho is None and self.first_return is None:
-                raise ValueError("model has neither a scaling factor nor a first return")
+            if self.rho is None:
+                raise ValueError("model has no scaling factor")
             self._towers = Towers(self)
         return self._towers
 
@@ -264,7 +260,7 @@ def tile_offsets(model: LatticeModel, scale) -> dict:
     start plus the translations of the first t letters of rule j, makes
     y -> rho*y + c_mu the tile map of mu.  By linearity the table takes
     N + 1 products and one prefix sum of translations per rule."""
-    start = scale * model.window_start
+    start = scale * model.window[0]
     steps = [scale * t for t in model.E.translations]
     return _offsets(model.prefix_graph.states, model.sigma.rules, start, steps)
 
@@ -299,11 +295,10 @@ def _tower_tiles(E: IET, rules, offsets: dict, bases):
 
 def first_return_model(model: LatticeModel):
     """(the self-similar LatticeModel of the first-return map on the
-    declared window (a, b), its return words).  The first-return map acts
+    model's window (a, b), its return words).  The first-return map acts
     on [0, b - a); its atom j returns after the word w_j."""
-    window, factor = model.first_return
-    im = induce(model.E, window)
-    top = LatticeModel(im.induced, factor, name=f"{model.name} first return", basis=model.module.basis)
+    im = induce(model.E, model.window)
+    top = LatticeModel(im.induced, model.rho, name=f"{model.name} first return", basis=model.module.basis)
     return top, im.return_words
 
 
@@ -311,9 +306,10 @@ class Towers:
     """Kakutani-Rokhlin towers of a model that renormalizes, the one owner
     of its tile tables.
 
-    `top` is the self-similar map of the higher levels: the model itself,
-    or its first-return model.  Stage 1 cuts the model's domain into
-    level-1 tiles: top's tiles c_mu + rho * atom_j, or the floors
+    `top` is the self-similar map of the higher levels: the model itself
+    when its window (a, b) has length rho*total, otherwise the
+    first-return model of that window.  Stage 1 cuts the model's domain
+    into level-1 tiles: top's tiles c_mu + rho * atom_j, or the floors
     E^t(a + atom_j of top), t < |w_j|, of the first return's towers.
     Stage 2 cuts top's domain by top's level-1 tiles, at every higher
     level.  A stage is (cells, [(mu, c_mu)] in position order, rules,
@@ -329,12 +325,11 @@ class Towers:
     __slots__ = ("top", "stages", "offsets", "heights")
 
     def __init__(self, model: LatticeModel):
-        if model.rho is None:
+        if model.sigma is None:
             top, words = first_return_model(model)
             rules = dict(enumerate(words, start=1))
             states = [Prefix(j, t) for j, w in rules.items() for t in range(len(w))]
-            start = model.field.coerce(model.first_return[0][0])
-            offsets = _offsets(states, rules, start, model.E.translations)
+            offsets = _offsets(states, rules, model.window[0], model.E.translations)
             scale, beta = model.field.one, None
         else:
             top, rules, offsets = model, model.sigma.rules, tile_offsets(model, model.field.one)

@@ -53,6 +53,8 @@ def mat_sub(A, B):
 
 
 def mat_pow(A, k: int):
+    if k < 0:
+        raise ValueError("matrix power must be >= 0")
     n = len(A)
     out = identity(n)
     base = [row[:] for row in A]

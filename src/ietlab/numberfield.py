@@ -442,18 +442,6 @@ class FieldElement:
         return f"FieldElement({list(self.power_coords)!r} ~ {float(self):.12g})"
 
 
-def spectral_radius(M) -> RealAlgebraic:
-    """Largest real root of the characteristic polynomial.
-
-    For a nonnegative matrix this is the spectral radius (the Perron root
-    dominates every complex eigenvalue in modulus).
-    """
-    roots = real_roots(charpoly(M))
-    if not roots:
-        raise ValueError("matrix has no real eigenvalue")
-    return roots[-1]
-
-
 def perron_pair(M):
     """Perron data of a primitive nonnegative integer matrix.
 

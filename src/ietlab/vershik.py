@@ -1,8 +1,9 @@
 """Recursive-tiling codes for self-similar exchanges.
 
-The window W = [0, rho*total) returns to itself under the map, and the
-return words tile the whole interval: every point sits in a unique
-level-1 tile E^t(rho * atom_j) = c_mu + rho * atom_j with t below the
+The model's window W = [a, a + rho*total) returns to itself under the
+map (a = 0 for quartic, W is the right end of the domain for e2*), and
+the return words tile the whole interval: every point sits in a unique
+level-1 tile E^t(a + rho * atom_j) = c_mu + rho * atom_j with t below the
 length of the j-th return word, and mu = (j, t) is a prefix of the
 substitution.  The tile of the level point y reads off mu, and
 (y - c_mu) / rho is the point of the next level, so the levels encode the
@@ -81,9 +82,9 @@ class VershikCode:
 
 
 def _require_self_similar(model: LatticeModel):
-    # a scaling factor brings the substitution and the scaling matrix R
-    if model.rho is None:
-        raise ValueError("model must carry a scaling factor and substitution")
+    # a self-similar map brings the substitution and the scaling matrix R
+    if model.sigma is None:
+        raise ValueError("model must be self-similar on a window of length rho*total")
 
 
 def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
@@ -159,6 +160,8 @@ def enumerate_tiles(model: LatticeModel, depth: int):
     and (rho^k * left_j, rho^k * length_j) per rule take all the products.
     """
     _require_self_similar(model)
+    if depth < 1:
+        raise ValueError("depth must be positive")
     E = model.E
     G = model.prefix_graph
     tables = []
@@ -337,7 +340,7 @@ def escape_bound_check(model: LatticeModel, code: VershikCode):
     for Tp in range(1, max(T, 1) + 1):
         Minv = inverse(mat_sub(identity(n), mat_pow(model.R, Tp)))
         c2 = max(c2, max(sum(abs(float(e)) for e in row) for row in Minv))
-    base = [int(c) for c in model.module.m_coords(model.window_start)]
+    base = [int(c) for c in model.module.m_coords(model.window[0])]
     W = max(1, max(abs(c) for c in base))
     for j, word in model.sigma.rules.items():
         acc = base[:]

@@ -61,7 +61,7 @@ def test_e2star_model():
     assert (model.module.d, model.module.j, model.module.b) == (1, 1, 1)
     # rightmost interval is the renormalization window
     assert model.E.lengths[6] == model.rho
-    assert model.window_start == model.E.total - model.rho * model.E.total
+    assert model.window == (model.E.total - model.rho * model.E.total, model.E.total)
     assert d_T(model, 1) == 4
 
 
@@ -82,7 +82,7 @@ def test_family_member(k):
     for l in model.E.lengths:
         assert l.sign() > 0
     # the window and factor of the self-similar first return, as data
-    assert model.first_return == (model.E.atoms()[0], lam)
+    assert (model.window, model.rho, model.R) == (model.E.atoms()[0], lam, None)
 
 
 def test_family_polys():
@@ -101,8 +101,9 @@ def test_serialized_iet_rebuilds_its_lattice_model(make):
     model = make()
     E2 = IET.from_data(json.loads(json.dumps(model.E.to_data())))
     assert E2 == model.E
-    rho = None if model.rho is None else E2.field.from_power_coords(model.rho.power_coords)
-    again = LatticeModel(E2, rho=rho, anchor=model.anchor, basis=model.module.basis)
+    rho = E2.field.from_power_coords(model.rho.power_coords)
+    again = LatticeModel(E2, rho=rho, window=model.window, basis=model.module.basis)
+    assert again.window == model.window
     assert again.module.basis == model.module.basis
     assert again.projection == model.projection
     assert (again.module.d, again.module.j, again.module.b) == (
@@ -112,6 +113,10 @@ def test_serialized_iet_rebuilds_its_lattice_model(make):
     )
     assert again.R == model.R
     assert list(again.drift) == list(model.drift)
+    if model.sigma is None:  # E_k: the walks jump through the first return
+        walks = [m.psi_orbit(m.point_of(m.total / 3), 10**4)[:2] for m in (model, again)]
+        assert again._towers is not None
+        assert walks[0] == walks[1]
 
 
 @pytest.mark.parametrize("k", range(1, 13))

@@ -234,6 +234,12 @@ COERCING = [
     ("check_self_similar", lambda E, model, x: check_self_similar(E, x)[0], 1, Fraction(1, 2)),
     ("LatticeModel", lambda E, model, x: LatticeModel(E, rho=x).sigma, 1, Fraction(1)),
     (
+        "LatticeModel window",
+        lambda E, model, x: LatticeModel(E, model.rho, window=(x, E.total)).window,
+        0,
+        Fraction(1, 2),
+    ),
+    (
         "interval_predicate",
         lambda E, model, x: [
             interval_predicate(model, lo, hi)((0, a, b, 0))

@@ -28,6 +28,7 @@ from ietlab.matrices import charpoly
 from ietlab.modules import ModuleData
 from ietlab.numberfield import NumberField, Span
 from ietlab.polynomials import IntPoly
+from ietlab.vershik import d_T
 
 
 @pytest.fixture
@@ -721,3 +722,73 @@ def test_module_basis_belongs_to_the_model():
     # the same ring on another basis: R is conjugate to the power-basis one
     power = builders.quartic_model()
     assert charpoly(a.R) == charpoly(power.R)
+
+
+def test_a_window_needs_its_factor():
+    model = builders.quartic_model()
+    E, r = model.E, model.rho
+    with pytest.raises(ValueError, match="needs a scaling factor"):
+        LatticeModel(E, window=(0, r))
+    # (0, rho*total) is the default window, and a window of that length
+    # anywhere must carry the self-similar map
+    assert LatticeModel(E, r, window=(0, r)).sigma.rules == model.sigma.rules
+    with pytest.raises(ValueError, match="not self-similar"):
+        LatticeModel(E, r, window=(Fraction(1, 2), Fraction(1, 2) + r))
+    # any other window is a first return, unbuilt until a jump needs it
+    first = LatticeModel(E, r, window=(0, Fraction(1, 2)))
+    assert (first.sigma, first.R, first._towers) == (None, None, None)
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: the identity under a
+    few elementary column operations and a sign change."""
+    U = [[int(i == k) for k in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        for row in U:
+            row[j] += c * row[i]
+    i = draw(st.integers(0, n - 1))
+    for row in U:
+        row[i] = -row[i]
+    return U
+
+
+def basis_invariants(model):
+    """(d, j, b), the drift's nullity, charpoly(R) and d_T(1..3) where R
+    exists, and the field point 1,000 steps after total/3."""
+    m = model.module
+    out = [(m.d, m.j, m.b), model.drift.is_zero]
+    if model.R is not None:
+        out += [charpoly(model.R), [d_T(model, T) for T in (1, 2, 3)]]
+    end, _, _ = model.psi_orbit(model.point_of(model.total / 3), 1000)
+    return out + [model.value_of(end)]
+
+
+BASIS_MODELS = {
+    "quartic": builders.quartic_model,
+    "e2star": builders.e2star_model,
+    "ek1": lambda: builders.ek_model(1),
+}
+
+
+@pytest.fixture(scope="module")
+def basis_models():
+    """{name: (model, its basis_invariants)} of the BASIS_MODELS."""
+    models = {name: build() for name, build in BASIS_MODELS.items()}
+    return {name: (model, basis_invariants(model)) for name, model in models.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_MODELS))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_invariants_do_not_depend_on_the_module_basis(basis_models, name, data):
+    # nu * U for a unimodular U is another Z-basis of the same module M
+    model, expected = basis_models[name]
+    nu, n = model.module.basis, model.n
+    U = data.draw(unimodular(n))
+    basis = [sum((nu[k] * U[k][i] for k in range(n)), model.field.zero) for i in range(n)]
+    again = LatticeModel(model.E, model.rho, window=model.window, basis=basis)
+    assert again.module.basis == basis
+    assert basis_invariants(again) == expected

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab.algebraic import real_roots
 from ietlab.builders import SEVEN_PRODUCT
 from ietlab.matrices import (
     charpoly,
@@ -22,9 +23,11 @@ from ietlab.matrices import (
     transpose,
     unimodular_completion,
 )
-from ietlab.numberfield import perron_pair
+from ietlab.numberfield import perron_pair, root_power
 from ietlab.polynomials import IntPoly
 from ietlab.rauzy import class_of, enumerate_cycles
+from ietlab.substitution import PrefixGraph, Substitution
+from ietlab.vershik import affine_closed_form
 
 
 def rand_mat(rng, m, n, lo=-5, hi=5):
@@ -109,6 +112,24 @@ def test_mat_pow():
     A = [[1, 1], [1, 0]]
     assert mat_pow(A, 10)[0][0] == 89  # Fibonacci
     assert mat_pow(A, 0) == identity(2)
+
+
+def test_negative_powers_raise():
+    # mat_pow halves k by a shift, and -1 >> 1 == -1: a negative power
+    # must raise before the loop, at every entry point that reaches it
+    A = [[1, 1], [1, 0]]
+    graph = PrefixGraph(Substitution({1: (1, 2), 2: (1,)}))
+    phi = real_roots(IntPoly((-1, -1, 1)))[-1]
+    calls = [
+        lambda: mat_pow(A, -1),
+        lambda: graph.count_paths(-1),
+        lambda: graph.count_cycles(-2),
+        lambda: affine_closed_form(A, [1, 0], [0, 0], -1),
+        lambda: root_power(phi, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_det_known_values():

@@ -31,8 +31,7 @@ def reference_encode(model, x, depth):
     E = model.E
     order = sorted(range(1, E.N + 1), key=E.perm)  # atoms by image position
     Einv = IET(Permutation(order), [E.lengths[i - 1] for i in order])
-    wlo = model.window_start
-    whi = wlo + model.rho * E.total
+    wlo, whi = model.window
     x = model.field.coerce(x)
     maxlen = max(map(len, model.sigma.rules.values()))
     seen = {x: 0}
@@ -62,7 +61,7 @@ def reference_tiles(model, depth):
     E, rho, G = model.E, model.rho, model.prefix_graph
 
     def offset_of(mu):
-        c = model.window_start
+        c = model.window[0]
         for letter in model.sigma.rules[mu.rule][: mu.cut]:
             c = c + E.translations[letter - 1]
         return c
@@ -268,6 +267,15 @@ def test_tile_partition_exact():
                 assert lo == cursor
                 cursor = cursor + ln
             assert cursor == model.total
+
+
+def test_enumerate_tiles_refuses_depth_zero_and_a_first_return_model(quartic_model):
+    _, _, model = quartic_model
+    with pytest.raises(ValueError, match="depth must be positive"):
+        enumerate_tiles(model, 0)
+    # E_k carries a factor and a window, but its own map has no substitution
+    with pytest.raises(ValueError):
+        enumerate_tiles(builders.ek_model(1), 1)
 
 
 @pytest.mark.parametrize("build, depths", TILE_DEPTHS, ids=["quartic", "e2star"])
