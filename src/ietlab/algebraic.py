@@ -55,7 +55,7 @@ class RealAlgebraic:
 
     Instances refine their isolating interval in place; all views of the
     same object share the benefit.  Construct through real_roots,
-    from_rational or root_in rather than directly.
+    isolate, from_rational or root_in rather than directly.
     """
 
     __slots__ = ("poly", "m", "k")
@@ -182,35 +182,37 @@ class RealAlgebraic:
 
 
 def real_roots(p: IntPoly):
-    """All distinct real roots of p, sorted, as RealAlgebraic numbers.
-
-    Each irreducible factor is isolated on its own: a linear factor gives
-    its rational root, and a factor of degree >= 2 is bisected with its
-    own Sturm chain from the unit intervals [-2^b, 0] and [0, 2^b] of its
-    root bound.  Such a factor has no rational root, so no dyadic point is
-    a root.  Roots of different factors are sorted by exact comparison.
-    """
+    """All distinct real roots of p, sorted: `isolate` on each factor."""
     _, pieces = factor(squarefree_part(p))
+    return sorted(r for q, _ in pieces for r in isolate(q))
+
+
+def isolate(q: IntPoly):
+    """The real roots of the irreducible q, sorted.
+
+    A linear q gives its rational root.  A q of degree >= 2 is bisected
+    with its own Sturm chain from the unit intervals [-2^b, 0] and [0, 2^b]
+    of its root bound.  Such q has no rational root, so no dyadic point is
+    a root.  q is not checked, so a caller that knows it factors nothing.
+    """
+    if q.degree == 1:
+        return [RealAlgebraic(q)]
+    chain = sturm_chain(q)
+
+    def variations(m, k):
+        return sign_variations(chain, *_point(m, k))
+
+    k = 1 - root_bound(q).bit_length()
+    v0 = variations(0, k)
+    stack = [(-1, k, variations(-1, k), v0), (0, k, v0, variations(1, k))]
     roots = []
-    for q, _ in pieces:
-        if q.degree == 1:
-            roots.append(RealAlgebraic(q))
-            continue
-        chain = sturm_chain(q)
-
-        def variations(m, k):
-            return sign_variations(chain, *_point(m, k))
-
-        k = 1 - root_bound(q).bit_length()
-        v0 = variations(0, k)
-        stack = [(-1, k, variations(-1, k), v0), (0, k, v0, variations(1, k))]
-        while stack:
-            m, k, vlo, vhi = stack.pop()
-            if vlo - vhi == 1:
-                roots.append(RealAlgebraic(q, m, k))
-            elif vlo - vhi > 1:
-                vmid = variations(2 * m + 1, k + 1)
-                stack += [(2 * m, k + 1, vlo, vmid), (2 * m + 1, k + 1, vmid, vhi)]
+    while stack:
+        m, k, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            roots.append(RealAlgebraic(q, m, k))
+        elif vlo - vhi > 1:
+            vmid = variations(2 * m + 1, k + 1)
+            stack += [(2 * m, k + 1, vlo, vmid), (2 * m + 1, k + 1, vmid, vhi)]
     return sorted(roots)
 
 

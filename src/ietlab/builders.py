@@ -10,7 +10,7 @@ family member.
 
 from fractions import Fraction
 
-from .algebraic import real_roots, root_in
+from .algebraic import isolate, root_in
 from .iet import IET, Permutation, iet_from_translations
 from .lattice import LatticeModel, first_return_model
 from .numberfield import NumberField, perron_pair
@@ -85,7 +85,7 @@ def ek_model(k: int) -> LatticeModel:
     agree with the translations it implies.
     """
     f = family_poly(k)
-    K = NumberField(real_roots(f)[0])
+    K = NumberField(isolate(f)[0])  # monic cubic, f(1) = 2k, f(-1) = -4k - 10: irreducible
     lam = K.generator_element()
     lam2 = lam * lam
     half = Fraction(1, 2)

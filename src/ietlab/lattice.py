@@ -90,13 +90,13 @@ class LatticeModel:
     """An IET together with its module coordinates and lattice dynamics.
 
     A scaling factor rho (a field element, int or Fraction) comes with a
-    window (a, b), by default [0, rho*total), whose first-return map is
-    self-similar with the factor rho.  A window of length rho*total
-    returns E itself scaled by rho: `check_self_similar` decides that and
-    supplies the substitution sigma, and the model gains the scaling
-    matrix R and the prefix automaton.  Any other window (E_k's leading
-    interval) is only data until a jump or a code needs the towers, which
-    `first_return_model` builds from it.  Without rho the model carries
+    window (a, b) with 0 <= a < b <= total, by default [0, rho*total), whose
+    first-return map is self-similar with the factor rho.  A window of length
+    rho*total returns E itself scaled by rho: `check_self_similar` decides
+    that and supplies the substitution sigma, and the model gains the
+    scaling matrix R and the prefix automaton.  Any other window (E_k's
+    leading interval) is only data until a jump or a code needs the towers,
+    which `first_return_model` builds from it.  Without rho the model carries
     the lattice walk and the drift only and walks step by step.
 
     basis, n field elements, presents the module M that the translations
@@ -129,6 +129,8 @@ class LatticeModel:
                 raise ValueError("scaling factor does not multiply the module into itself")
             ell = rho * E.total
             a, b = self.window = tuple(map(self.field.coerce, (0, ell) if window is None else window))
+            if not 0 <= a < b <= E.total:
+                raise ValueError("window must be a nonempty subinterval of the domain")
             if b - a == ell:
                 ok, self.sigma = check_self_similar(E, rho, a)
                 if not ok:

@@ -18,10 +18,11 @@ The field carries no module basis: a module and its coordinates belong
 to `modules.ModuleData`.  Fields built separately on equal generators
 share their elements (`shares_generator`): `coerce` moves one across.
 
-Outside values.  `NumberField.coerce` is the one place where an int or a
-Fraction becomes a field element; a float (inexact) and an element of a
-field with another generator raise TypeError there.  Sums, differences, order tests and
-every caller that takes a point, a bound or a factor go through it.
+Outside values.  `NumberField.coerce` makes an int or a Fraction a field
+element; a float (inexact) and an element of a field with another
+generator raise TypeError there, as a float does in `from_power_coords`.
+Sums, order tests and every caller that takes a point, a bound or a
+factor go through `coerce`.
 
 Sign certificate.  Every generator carries a dyadic table: midpoints m_k
 and one radius r with |2^P theta^k - m_k| <= r for k < n, where
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import total_ordering
 from operator import add, mul, sub
 
-from .algebraic import RealAlgebraic, real_roots
+from .algebraic import RealAlgebraic, isolate, real_roots
 from .matrices import charpoly, is_primitive, mat_pow, mat_vec, solve_fraction_free
 from .polynomials import IntPoly, factor, is_irreducible
 
@@ -154,7 +155,10 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def from_power_coords(self, pc) -> "FieldElement":
-        pc = [Fraction(c) for c in pc]
+        """The element with power coordinates pc: ints, Fractions or strings."""
+        pc = [Fraction(c) if isinstance(c, str) else c for c in pc]
+        if not all(isinstance(c, (int, Fraction)) for c in pc):
+            raise TypeError("power coordinates must be ints, Fractions or strings")
         if len(pc) != self.n:
             raise ValueError("power coordinate vector has the wrong length")
         den = math.lcm(*(c.denominator for c in pc))
@@ -443,25 +447,30 @@ class FieldElement:
 
 
 def perron_pair(M):
-    """Perron data of a primitive nonnegative integer matrix.
-
-    Returns (beta, v): beta the spectral radius as a RealAlgebraic and v
-    the exact eigenvector in Q(beta)^n, strictly positive, normalized to
-    sum 1, with M v = beta v verified exactly.
-
-    No field matrix is eliminated.  Synthetic division splits the
-    characteristic polynomial as p(x) = (x - beta) q(x), with q over
-    Q(beta).  The Perron root is simple, so q(M) kills every other
-    generalized eigenspace and acts as q(beta) on the Perron line:
-    q(M) = q(beta) P with P the Perron projection, positive for
-    primitive M.  Hence v is a positive multiple of
-    q(M) e_1 = sum_k q_k M^k e_1, built on the integer vectors M^k e_1.
-    """
+    """Perron data (beta, v) of a primitive nonnegative integer matrix M:
+    beta the largest real root of its charpoly p, v `perron_vector`."""
     if not is_primitive(M):
         raise ValueError("matrix is not primitive")
-    n = len(M)
     p = charpoly(M)
     beta = real_roots(p)[-1]  # the Perron root: M is nonnegative
+    return beta, perron_vector(M, p, beta)
+
+
+def perron_vector(M, p: IntPoly, beta: RealAlgebraic):
+    """The eigenvector in Q(beta)^n, positive and of sum 1, of a primitive
+    nonnegative integer matrix M with charpoly p and Perron root beta.
+
+    No field matrix is eliminated.  Synthetic division splits p as
+    p(x) = (x - beta) q(x), with q over Q(beta).  The Perron root is
+    simple, so q(M) kills every other generalized eigenspace and acts as
+    q(beta) on the Perron line: q(M) = q(beta) P with P the Perron
+    projection, positive for primitive M.  Hence v is a positive multiple
+    of q(M) e_1 = sum_k q_k M^k e_1, built on the integer vectors M^k e_1.
+
+    The exact checks (sum != 0, v > 0, M v = beta v) suffice: a positive
+    eigenvector of a nonnegative matrix belongs to its spectral radius.
+    """
+    n = len(M)
     K = NumberField(beta)
     b = K.generator_element()
     q = [K.one]  # q_{n-1}, ..., q_0 by q_{k-1} = p_k + beta q_k
@@ -480,7 +489,7 @@ def perron_pair(M):
         raise AssertionError("Perron eigenvector not strictly positive")
     if any(lhs != b * x for lhs, x in zip(mat_vec(M, v), v)):
         raise AssertionError("eigenvector equation failed")
-    return beta, v
+    return v
 
 
 def eigen_moduli_squared(p: IntPoly):
@@ -498,7 +507,7 @@ def eigen_moduli_squared(p: IntPoly):
     _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
     for q, mult in pieces:
-        rroots = real_roots(q)
+        rroots = isolate(q)
         squares = _powers(q, 2) if rroots else []
         entries += [(root_power(r, 2, squares), mult) for r in rroots]
         n_complex = q.degree - len(rroots)
@@ -604,7 +613,7 @@ def is_pisot(p: IntPoly) -> bool:
         return False
     if not is_irreducible(p):
         raise ValueError("Pisot test expects an irreducible polynomial")
-    roots = real_roots(p)
+    roots = isolate(p)
     if not roots or not roots[-1] > 1:
         return False
     mods = eigen_moduli_squared(p)

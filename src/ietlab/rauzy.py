@@ -14,8 +14,9 @@ product P * A is one column sum (and for type 1 a column shift), O(N)
 work per step.  `enumerate_cycles` walks from each base only through
 vertices listed at or after it (Johnson's least-vertex rule) that can
 still return to it within the cap, and compares rotations only for walks
-that pass their base twice.  `is_qualifying` forms the integer product
-only once the 0/1 pattern, stepped as bit masks, is primitive.
+that pass their base twice.  Stack entries carry P's 0/1 pattern as bit
+masks, so `is_qualifying` forms the integer product only once it is
+primitive, and keeps its verdict: `self_similar_from_cycle` factors nothing.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from operator import add, or_
 
 from .iet import IET, Permutation
 from .matrices import _primitive_masks, charpoly, identity, inverse_int, mat_vec, transpose
-from .numberfield import perron_pair
+from .algebraic import isolate
+from .numberfield import perron_pair, perron_vector
 from .polynomials import IntPoly, is_irreducible
 
 
@@ -104,15 +106,16 @@ class RauzyCycle:
 
     `steps` lists (vertex, type) pairs in walk order; `product` is the
     left-to-right product of the step matrices A, so that
-    product * (final lengths) = initial lengths along the walk.
+    product * (final lengths) = initial lengths along the walk.  `masks`
+    are the product's 0/1 pattern as bit-mask columns, if already known.
     """
 
-    __slots__ = ("steps", "_product", "_charpoly")
+    __slots__ = ("steps", "_product", "_charpoly", "_masks", "_qualifying")
 
-    def __init__(self, steps):
+    def __init__(self, steps, masks=None):
         self.steps = tuple((tuple(v), t) for v, t in steps)
-        self._product = None
-        self._charpoly = None
+        self._product = self._charpoly = self._qualifying = None
+        self._masks = masks
 
     @property
     def product(self):
@@ -142,15 +145,18 @@ class RauzyCycle:
 
     def is_primitive(self) -> bool:
         """Primitivity of P from its pattern's bit-mask columns, rows of P^T."""
-        masks = [1 << i for i in range(len(self.base))]
-        for v, t in self.steps:
-            _times_step(masks, v, t, or_)
-        return _primitive_masks(masks)
+        if self._masks is None:
+            self._masks = [1 << i for i in range(len(self.base))]
+            for v, t in self.steps:
+                _times_step(self._masks, v, t, or_)
+        return _primitive_masks(self._masks)
 
     def is_qualifying(self) -> bool:
         """Primitive product with irreducible full-degree charpoly: the
-        census filter for self-similarity candidates."""
-        return self.is_primitive() and is_irreducible(self.charpoly())
+        census filter for self-similarity candidates.  Kept once decided."""
+        if self._qualifying is None:
+            self._qualifying = self.is_primitive() and is_irreducible(self.charpoly())
+        return self._qualifying
 
     def canonical_key(self):
         """The least rotation of `steps`; it starts at the least vertex."""
@@ -183,18 +189,20 @@ def enumerate_cycles(cls_verts, Lmax: int):
     preds = {w: (inverse[0][w], inverse[1][w]) for w in cls_verts}
     for i, start in enumerate(cls_verts):
         back = _distances(start, lambda w: [u for u in preds[w] if rank[u] >= i], Lmax - 1)
-        stack = [(start, (), 0)]
+        stack = [(start, (), 0, [1 << j for j in range(len(start))])]
         while stack:
-            v, steps, visits = stack.pop()
+            v, steps, visits, masks = stack.pop()
             if v == start:
-                if visits == 1 or visits and steps == max(
-                    steps[r:] + steps[:r] for r, (u, _) in enumerate(steps) if u == start
+                if visits == 1 or visits and all(
+                    steps[r:] + steps[:r] <= steps for r, (u, _) in enumerate(steps) if u == start
                 ):
-                    yield RauzyCycle(steps)
+                    yield RauzyCycle(steps, masks)
                 visits += 1
             for t, w in enumerate(edges[v]):
                 if len(steps) + back.get(w, Lmax) < Lmax:  # room to step to w and back
-                    stack.append((w, steps + ((v, t),), visits))
+                    stepped = masks.copy()
+                    _times_step(stepped, v, t, or_)
+                    stack.append((w, steps + ((v, t),), visits, stepped))
 
 
 def census_rows(qualifying, Lmax: int):
@@ -217,9 +225,13 @@ def self_similar_from_cycle(cycle: RauzyCycle):
 
     The loop's length vector is the positive eigenvector of the product
     P, normalized to total length 1; the contraction is rho = 1/beta for
-    the Perron root beta.  Returns (IET, rho as a field element).
+    the Perron root beta.  Returns (IET, rho as a field element).  A cycle
+    that is not qualifying goes through `perron_pair`, which factors.
     """
-    beta, v = perron_pair(cycle.product)  # verifies P v = beta v exactly
+    if cycle.is_qualifying():  # perron_vector verifies P v = beta v exactly
+        v = perron_vector(cycle.product, cycle.charpoly(), isolate(cycle.charpoly())[-1])
+    else:
+        v = perron_pair(cycle.product)[1]
     E = IET(Permutation(cycle.base), v)
     # P Lambda = beta Lambda, so the induced lengths are Lambda / beta
     rho = v[0].field.one / v[0].field.generator_element()

@@ -10,6 +10,7 @@ from ietlab.builders import (
     family_poly,
     quartic_model,
 )
+from ietlab.algebraic import real_roots
 from ietlab.iet import IET
 from ietlab.lattice import LatticeModel, spectrum_check
 from ietlab.matrices import charpoly, mat_mul
@@ -83,6 +84,15 @@ def test_family_member(k):
         assert l.sign() > 0
     # the window and factor of the self-similar first return, as data
     assert (model.window, model.rho, model.R) == (model.E.atoms()[0], lam, None)
+
+
+def test_family_polys_are_irreducible_and_ek_takes_the_least_root():
+    for k in range(1, 13):
+        f = family_poly(k)
+        # a monic cubic without the rational roots +-1 is irreducible
+        assert (f(1), f(-1)) == (2 * k, -4 * k - 10)
+        assert is_irreducible(f)
+        assert ek_model(k).field.generator == real_roots(f)[0]
 
 
 def test_family_polys():

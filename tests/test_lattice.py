@@ -739,6 +739,16 @@ def test_a_window_needs_its_factor():
     assert (first.sigma, first.R, first._towers) == (None, None, None)
 
 
+def test_a_window_outside_the_domain_is_refused_at_construction():
+    model = builders.quartic_model()
+    E, r = model.E, model.rho
+    assert E.total < 5
+    for window in ((0, 5), (-1, 0), (r, r), (0, 0)):
+        with pytest.raises(ValueError, match="nonempty subinterval of the domain"):
+            LatticeModel(E, r, window=window)
+    assert LatticeModel(E, r, window=(0, E.total)).window == (0, E.total)
+
+
 @st.composite
 def unimodular(draw, n):
     """An n x n integer matrix of determinant +-1: the identity under a

@@ -440,6 +440,16 @@ def test_root_power_closed_forms():
         assert root_power(r, 4) == 2
 
 
+def test_from_power_coords_takes_exact_input_only():
+    K = golden_field()
+    x = K.from_power_coords([Fraction(1, 10), 3])
+    assert K.from_power_coords(["1/10", "3"]) == x == K.one / 10 + 3 * K.generator_element()
+    assert K.from_power_coords([2, -1]).num == (2, -1)
+    for pc in ([0.1, 0], [0, 1.0]):
+        with pytest.raises(TypeError):
+            K.from_power_coords(pc)
+
+
 def test_cross_generator_equality_is_false():
     K = golden_field()
     Kq = quartic_field()

@@ -1,5 +1,5 @@
 """The integer polynomial layer against sympy over the integers: `factor`,
-`is_irreducible`, `real_roots`, the linear factors of `factor` (the rational roots),
+`is_irreducible`, `real_roots` (and `isolate` on each factor), the linear factors of `factor` (the rational roots),
 the pseudo-remainder routines (Sturm counts, gcd, squarefree part, exact division),
 `resultant` and `charpoly`."""
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab.algebraic import real_roots
+from ietlab.algebraic import isolate, real_roots
 from ietlab.matrices import charpoly
 from ietlab.polynomials import (
     IntPoly,
@@ -72,6 +72,13 @@ def test_real_roots_match_sympy():
         assert len(got) == len(want), p
         for r, (w, _) in zip(got, want):
             assert float(r) == pytest.approx(float(w), rel=1e-12, abs=1e-12), p
+
+
+def test_isolate_matches_real_roots_on_each_irreducible_factor():
+    rng = random.Random(20070509)  # the products of test_real_roots_match_sympy
+    for _ in range(100):
+        for q, _ in factor(random_product(rng))[1]:
+            assert isolate(q) == real_roots(q), q
 
 
 def test_count_roots_matches_sympy():

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab import rauzy
-from ietlab.algebraic import root_in
+from ietlab import algebraic, numberfield, polynomials, rauzy
+from ietlab.algebraic import isolate, real_roots, root_in
 from ietlab.cli import census_report, main
 from ietlab.iet import IET, Permutation, check_self_similar
 from ietlab.matrices import charpoly, identity, is_primitive, mat_mul, mat_vec
@@ -247,7 +247,7 @@ def test_census_work_counts(monkeypatch):
     # primitive ones get a characteristic polynomial
     built = []
     init = RauzyCycle.__init__
-    monkeypatch.setattr(RauzyCycle, "__init__", lambda c, steps: built.append(c) or init(c, steps))
+    monkeypatch.setattr(RauzyCycle, "__init__", lambda c, *a: built.append(c) or init(c, *a))
     polys = []
     monkeypatch.setattr(rauzy, "charpoly", lambda M: polys.append(M) or charpoly(M))
     cls = class_of((4, 3, 2, 1))
@@ -256,6 +256,54 @@ def test_census_work_counts(monkeypatch):
     survey(cls, 10)
     assert len(built) == 328
     assert len(polys) == sum(c.is_primitive() for c in built) == 21
+    # one enumeration that qualifies every loop and builds the 14 qualifying
+    # ones proves each primitive charpoly irreducible or not once, and
+    # factors nothing: the Perron root comes from the proven charpoly
+    counts = {"is_irreducible": 0, "factor": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(rauzy, "is_irreducible", counting("is_irreducible", is_irreducible))
+    for module in (polynomials, algebraic, numberfield):
+        monkeypatch.setattr(module, "factor", counting("factor", polynomials.factor))
+    qualifying = [c for c in enumerate_cycles(cls, 10) if c.is_qualifying()]
+    assert len(qualifying) == 14
+    for c in qualifying:
+        self_similar_from_cycle(c)
+    assert counts == {"is_irreducible": 21, "factor": 0}
+
+
+def test_primitive_loops_with_a_reducible_charpoly_keep_their_perron_data():
+    # at cap 10 on (4321), 7 of the 21 primitive loops do not qualify: six
+    # have the charpoly (x - 1)^2 (x^2 - 7x + 1), one (x^2 - 6x + 1)(x^2 - 3x + 1).
+    # They take beta from the factors, a quadratic unit with beta + 1/beta = s
+    cycles = list(enumerate_cycles(class_of((4, 3, 2, 1)), 10))
+    for c in cycles:
+        if c.is_qualifying():
+            assert isolate(c.charpoly()) == real_roots(c.charpoly())
+    reducible = [c for c in cycles if c.is_primitive() and not c.is_qualifying()]
+    expected = {(1, -9, 16, -9, 1): 7, (1, -9, 20, -9, 1): 6}  # charpoly: s
+    charpolys = sorted(c.charpoly().coeffs for c in reducible)
+    assert charpolys == [(1, -9, 16, -9, 1)] * 6 + [(1, -9, 20, -9, 1)]
+    for c in reducible:
+        s = expected[c.charpoly().coeffs]
+        E, rho = self_similar_from_cycle(c)
+        K = rho.field
+        beta = K.generator_element()
+        assert K.minpoly == IntPoly((1, -s, 1)) and beta > 1
+        assert rho == s - beta
+        assert E.perm.images == c.base and E.total == 1
+        assert all(x.sign() > 0 for x in E.lengths)
+        assert mat_vec(c.product, E.lengths) == [beta * x for x in E.lengths]
+    # a loop that is not primitive has no Perron data
+    flat = next(c for c in cycles if not c.is_primitive())
+    with pytest.raises(ValueError, match="not primitive"):
+        self_similar_from_cycle(flat)
 
 
 def test_step_matrix_and_product_match_the_entrywise_reference():
