@@ -12,9 +12,10 @@ the Cells of its level-1 tiles.  It places one sign-table enclosure
 |q x - s| <= e of the point (`NumberField.enclosure`) by one bisection
 among integer bounds of q times the endpoints, rebuilt from
 `NumberField.enclose` whenever the table precision has grown.  Only when
-[s - e, s + e] meets a bound or leaves the cells does it bisect the
-endpoints with exact signs, which refine the table as far as they must;
-the answer is exact either way.
+[s - e, s + e] meets the bounds of some endpoints, or of 0, does it
+compare exactly, and only against those endpoints (a bisection among
+them) or 0; the signs refine the table as far as they must, and the
+answer is exact either way.
 
 Integer walks.  `orbit` and the lattice walk's stepped segments run on
 one integer position.  Beside its endpoint bounds an IET keeps integers
@@ -102,6 +103,22 @@ def translations_from(perm: Permutation, lengths):
     return tuple(taus)
 
 
+def cell_bounds(encs):
+    """(lows, highs) from enclosures |q r_i - s_i| <= e_i of sorted right
+    endpoints: cell i holds every x with lows[i] <= q x < highs[i]."""
+    return [0] + [s + e for s, e in encs[:-1]], [s - e for s, e in encs]
+
+
+def position(field: NumberField, x: FieldElement, k: int, d: int):
+    """(X, err) with |d 2^P x - X| <= err at the field's precision P after
+    the call, which is at least 32 bits above the bit lengths of x's
+    largest power coordinate and of k."""
+    bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
+    _, ((s, e),) = field.enclose([x], bits)
+    X, r = divmod(s * d, x.den)  # rescale |x.den 2^P x - s| <= e
+    return X, -(-e * d // x.den) + (r > 0)
+
+
 class Cells:
     """The cells [0, r_1), [r_1, r_2), ... cut at sorted exact right
     endpoints r_1 < ... < r_n of one field."""
@@ -120,10 +137,8 @@ class Cells:
         The steps' denominators must divide the endpoints' lcm."""
         q, encs = self.field.enclose(self.rights + steps)
         P, n = self.field.precision, len(self.rights)
-        rights, steps = encs[:n], encs[n:]
-        lows = [0] + [s + e for s, e in rights[:-1]]
-        highs = [s - e for s, e in rights]
-        return P, q >> P, lows, highs, [s for s, _ in steps], max((e for _, e in steps), default=0)
+        steps = encs[n:]
+        return P, q >> P, *cell_bounds(encs[:n]), [s for s, _ in steps], max((e for _, e in steps), default=0)
 
     def _current_bounds(self):
         """The _endpoint_bounds at the field's current precision."""
@@ -141,13 +156,16 @@ class Cells:
         lo, hi = (s - e) * d, (s + e) * d
         if x.den != 1:
             lo, hi = lo // x.den, -(-hi // x.den)
-        # bisect_right returns n or an index with hi < highs[i], sorted or not
+        # bisect_right returns n or an index with hi < highs[i], sorted or
+        # not, so x < r_i
         i = bisect_right(highs, hi)
         if i < len(highs) and lows[i] <= lo:
             return i
-        # the enclosure meets an endpoint bound or leaves [0, r_n)
-        if x.sign() >= 0:
-            i = bisect_right(self.rights, x)
+        # and j = -1 or an index with lows[j] <= lo, so r_(j-1) <= x: only
+        # r_j .. r_(i-1), or 0 for j = -1, need exact comparisons
+        j = bisect_right(lows, lo) - 1
+        if j >= 0 or x.sign() >= 0:
+            i = bisect_right(self.rights, x, max(j, 0), i)
             if i < len(self.rights):
                 return i
         raise ValueError("point outside the domain")
@@ -207,13 +225,10 @@ class IET(Cells):
         """(q, X, err, lows, highs, moves): |q E^t x - X_t| <= err for
         t <= k, where X_t is X plus moves[i] for each atom i + 1 passed,
         and cell i holds every y with lows[i] <= q y < highs[i]."""
-        bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
-        _, ((s, e),) = self.field.enclose([x], bits)
-        P, d, lows, highs, moves, e_tau = self._current_bounds()
-        # rescale |x.den 2^P x - s| <= e to q = d 2^P
-        X, r = divmod(s * d, x.den)
-        err = -(-e * d // x.den) + (r > 0) + k * e_tau
-        return d << P, X, err, lows, highs, moves
+        d = self._current_bounds()[1]
+        X, err = position(self.field, x, k, d)
+        P, _, lows, highs, moves, e_tau = self._current_bounds()
+        return d << P, X, err + k * e_tau, lows, highs, moves
 
     def _walk(self, x: FieldElement, k: int, counts):
         """Yield the atoms (1-based) of k steps of E from x, adding each

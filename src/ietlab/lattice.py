@@ -21,24 +21,33 @@ tiles cut every higher level.  The level-l tower over letter j spans
 h_l(j) = |sigma_1 ... sigma_l (j)| steps, so E^k(x) follows the
 expansion of k in these heights (Dumont and Thomas' numeration by
 substitutions).  `Towers` owns the tiles, and its `climb` is the one
-loop that locates a point level by level; Vershik coding (`vershik`)
-climbs through it too.  A segment of k >= 2 steps climbs to the highest
-level L whose smallest tower is at most k; it takes whole level-L steps
-of the self-similar map while a tower fits, then descends by heights
-alone, and the symbol counts are the per-level letter counts pushed down
-through the substitutions.  Its cost grows like log k.  A segment
-shorter than every level-1 tower, a one-step segment and every segment
-of a model without renormalization step one atom at a time, on the
-integer walk of the IET (`iet`).
+exact loop that locates a point level by level; Vershik coding
+(`vershik`) climbs through it too.  A segment of k >= 2 steps climbs to
+the highest level L whose smallest tower is at most k, takes whole
+level-L steps of the self-similar map while a tower fits, then descends
+by heights alone: per level one bisection in the prefix heights of a
+rule, whose letter counts (Parikh vectors) add up to the symbol counts.
+Its cost grows like log k.  The climb and the whole steps run on one
+integer position, as the IET's walk does: x is enclosed once, with the
+walk's bits for k, a level maps the position by integer enclosures of
+c_mu and beta under a derived error bound (`scaled`), and a whole step
+adds its atom's integer translation.  Integer bounds place the position
+while its error band lies inside a tile or atom; from the first level or
+step where the band meets a bound, the exact `climb` takes over, so
+counts and end points are exact.  A segment shorter than every level-1
+tower, a one-step segment and every segment of a model without
+renormalization step one atom at a time, on the integer walk of the IET
+(`iet`).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import mul
+from itertools import chain, islice, product, repeat
+from operator import add, mul
 
-from .iet import IET, Cells, check_self_similar, induce, tiling_order
+from .iet import IET, Cells, cell_bounds, check_self_similar, induce, position, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
 from .numberfield import FieldElement, Span
@@ -58,6 +67,12 @@ class LatticePoint:
         self.z = tuple(int(c) for c in z)
         if self.z != z:
             raise ValueError(f"module coordinates must be integers: {z}")
+
+    @classmethod
+    def _of(cls, layer, z):
+        p = object.__new__(cls)  # a checked layer and a tuple of ints
+        p.layer, p.z = layer, z
+        return p
 
     def __eq__(self, other):
         return (
@@ -222,23 +237,23 @@ class LatticeModel:
         counts = [0] * self.E.N
         z, done = p.z, 0
         for stop in sorted(want | {k}):
-            part = self._segment(LatticePoint(p.layer, z), stop - done)
+            part = self._segment(self._span.combine([*p.layer, *z]), stop - done)
             counts = [a + b for a, b in zip(counts, part)]
             z = tuple(c + sum(map(mul, row, part)) for c, row in zip(z, self.projection))
             done = stop
             if stop in want:
                 marks[stop] = (z, max(map(abs, z)))
-        return LatticePoint(p.layer, z), counts, marks
+        return LatticePoint._of(p.layer, z), counts, marks
 
-    def _segment(self, p: LatticePoint, k: int):
-        """Symbol counts of k steps from p: through the towers when the
+    def _segment(self, x: FieldElement, k: int):
+        """Symbol counts of k steps from x: through the towers when the
         model renormalizes and k reaches a level-1 tower (one step needs
         none), otherwise step by step."""
         if k > 1 and self.rho is not None:
-            counts = self.towers().counts(self.value_of(p), k)
+            counts = self.towers().counts(x, k)
             if counts is not None:
                 return counts
-        return self._step(p, k)
+        return self._step(x, k)
 
     def towers(self):
         """The model's Towers, built on first use; raises ValueError for a
@@ -249,10 +264,10 @@ class LatticeModel:
             self._towers = Towers(self)
         return self._towers
 
-    def _step(self, p: LatticePoint, k: int):
-        """Symbol counts of k single steps from p: the IET's integer walk."""
+    def _step(self, x: FieldElement, k: int):
+        """Symbol counts of k single steps from x: the IET's integer walk."""
         counts = [0] * self.E.N
-        for _ in self.E._walk(self.value_of(p), k, counts):
+        for _ in self.E._walk(x, k, counts):
             pass
         return counts
 
@@ -304,6 +319,15 @@ def first_return_model(model: LatticeModel):
     return top, im.return_words
 
 
+def scaled(U: int, err: int, B: int, e_b: int, q: int):
+    """(X, err') with |q u b - X| <= err' for every u, b with |q u - U| <= err
+    and |q b - B| <= e_b: X = floor(U B / q), and q u b - U B / q is
+    ((q u - U) q b + U (q b - B)) / q, so its size is at most
+    (err (|B| + e_b) + |U| e_b) / q, plus below 1 from the floor."""
+    X, rem = divmod(U * B, q)
+    return X, -(-(abs(U) * e_b + err * (abs(B) + e_b)) // q) + (rem > 0)
+
+
 class Towers:
     """Kakutani-Rokhlin towers of a model that renormalizes, the one owner
     of its tile tables.
@@ -319,12 +343,16 @@ class Towers:
     base of its tower, whose point one level up is (y - c_mu) * beta
     (beta = 1/rho, or 1 for the first return, given as None), in atom j.
     offsets[s] is stage s + 1's table {mu: c_mu}.  `climb` is the one
-    loop that locates level points in these tiles.
-    heights[l][j - 1] is h_l(j), the steps of E that the level-l tower
-    over letter j spans.
+    exact loop that locates level points in these tiles, and
+    `integer_climb` its twin on the integer enclosures of `_table` under
+    the bound of `scaled`; `counts` climbs on integers and hands over to
+    `climb` at the first level whose error band meets a tile bound.
+    vectors[l][j - 1] counts the letters of E in the level-l tower over
+    letter j, and heights[l][j - 1], their sum, is the steps h_l(j) it
+    spans.
     """
 
-    __slots__ = ("top", "stages", "offsets", "heights")
+    __slots__ = ("top", "stages", "offsets", "vectors", "heights", "least", "_prefixes", "_ints")
 
     def __init__(self, model: LatticeModel):
         if model.sigma is None:
@@ -341,15 +369,54 @@ class Towers:
         self.top = top
         self.stages = (first, first if top is model else top.towers().stages[1])
         self.offsets = [dict(tiles) for _, tiles, _, _ in self.stages]
-        self.heights = [[1] * model.E.N]
+        N = model.E.N
+        self.vectors = [[tuple(int(i == j) for i in range(N)) for j in range(N)]]
+        self.heights, self.least = [[1] * N], [1]  # least[l] = min(heights[l])
+        self._prefixes = {}  # (level, rule): its prefix table, built on first use
+        self._ints = None  # the _table of the field's precision
 
     def height(self, level: int):
         """[h_level(j) for each letter j], computed on first use."""
         while len(self.heights) <= level:
-            below = self.heights[-1]
-            rules = self.stages[len(self.heights) > 1][2]
-            self.heights.append([sum(below[s - 1] for s in rules[j]) for j in sorted(rules)])
+            below, rules = self.vectors[-1], self.stages[len(self.heights) > 1][2]
+            self.vectors.append([tuple(map(sum, zip(*(below[s - 1] for s in rules[j])))) for j in sorted(rules)])
+            self.heights.append(list(map(sum, self.vectors[-1])))
+            self.least.append(min(self.heights[-1]))
         return self.heights[level]
+
+    def prefixes(self, level: int, rule: int):
+        """(H, V): H[t] and V[t] are the steps of E and their letter counts
+        in the level-(level - 1) towers over the first t letters of the
+        rule's word, t = 0..|word|."""
+        table = self._prefixes.get((level, rule))
+        if table is None:
+            below, V = self.vectors[level - 1], [(0,) * len(self.heights[0])]
+            for s in self.stages[level > 1][2][rule]:
+                V.append(tuple(map(add, V[-1], below[s - 1])))
+            table = self._prefixes[level, rule] = list(map(sum, V)), V
+        return table
+
+    def _table(self):
+        """(q, stages, top) at the field's precision P and one scale
+        q = D 2^P.  A stage is (lows, highs, tiles, B, e_b): tiles[i] =
+        (mu, C, e_c) holds every y with lows[i] <= q y < highs[i], with
+        |q c_mu - C| <= e_c and |q beta - B| <= e_b (B None for a floor);
+        top is (lows, highs, moves, e_tau) of top's atoms and translations."""
+        field = self.top.field
+        if self._ints is None or self._ints[0] != field.precision:
+            E = self.top.E
+            parts = [E.rights, E.translations]
+            for cells, tiles, _, beta in self.stages:
+                parts += [cells.rights, [c for _, c in tiles], [beta or field.one]]
+            q, encs = field.enclose(list(chain(*parts)))
+            encs = iter(encs)
+            rights, steps, *parts = [list(islice(encs, len(part))) for part in parts]
+            stages = [
+                (*cell_bounds(r), [(mu, *ce) for (mu, _), ce in zip(tiles, c)], None if beta is None else B, e_b)
+                for (_, tiles, _, beta), r, c, ((B, e_b),) in zip(self.stages, parts[::3], parts[1::3], parts[2::3])
+            ]
+            self._ints = field.precision, q, stages, (*cell_bounds(rights), [s for s, _ in steps], max(e for _, e in steps))
+        return self._ints[1:]
 
     def climb(self, x: FieldElement):
         """Yield (mu, y) per level from x: mu is the tile of the level
@@ -360,54 +427,70 @@ class Towers:
             x = x - c if beta is None else (x - c) * beta
             yield mu, x
 
+    def integer_climb(self, x: FieldElement, k: int):
+        """`climb` on integers: yield (mu, X, err) per level from x, with
+        |q y - X| <= err for the point y one level up and the scale q of
+        `_table`, while the band [X - err, X + err] lies inside a tile;
+        the enclosure of x allows k steps of whole towers above."""
+        field = self.top.field
+        X, err = position(field, x, k, self._table()[0] >> field.precision)
+        q, stages, _ = self._table()
+        for lows, highs, tiles, B, e_b in chain(stages[:1], repeat(stages[1])):
+            i = bisect_right(highs, X + err)
+            if i == len(highs) or X - err < lows[i]:
+                return
+            mu, C, e_c = tiles[i]
+            X, err = X - C, err + e_c
+            if B is not None:  # (y - c) * beta; a floor has beta = 1
+                X, err = scaled(X, err, B, e_b, q)
+            yield mu, X, err
+
     def counts(self, x: FieldElement, k: int):
         """Symbol counts of k steps of the model's map from x, or None when
         k is below every level-1 tower."""
-        L = 0
-        while min(self.height(L + 1)) <= k:
-            L += 1
+        while self.least[-1] <= k:
+            self.height(len(self.least))
+        L = bisect_right(self.least, k) - 1
         if L == 0:
             return None
-        # climb: r counts k plus the steps from the base of x's level-L tower
-        r = k
-        path = []
-        for level, (mu, x) in zip(range(1, L + 1), self.climb(x)):
-            rules = self.stages[level > 1][2]
-            below = self.heights[level - 1]
-            r += sum(below[s - 1] for s in rules[mu.rule][: mu.cut])
-            path.append(mu)
-        # whole level-L steps while a tower fits; a bounded number, as the
-        # smallest level-(L + 1) tower exceeds k
-        E, h = self.top.E, self.heights[L]
-        j = path[-1].rule - 1
-        counts = [0] * len(h)
+        levels, y = list(islice(self.integer_climb(x, k), L)), None
+        if len(levels) < L:  # the band met a tile bound: climb exactly from there
+            levels += islice(self.climb(x), len(levels), L)
+            y = levels[-1][1]
+        else:
+            _, X, err = levels[-1]
+        r, minus, plus = k, [], []  # the counts are sum(plus) - sum(minus)
+        for level, (mu, *_) in enumerate(levels, 1):
+            H, V = self.prefixes(level, mu.rule)
+            r += H[mu.cut]  # r counts k plus the steps from the base of the tower
+            minus.append(V[mu.cut])
+        # whole level-L steps of the top map while a tower fits: a bounded
+        # number, as the smallest level-(L + 1) tower exceeds k
+        E, h, j = self.top.E, self.heights[L], mu.rule - 1
+        lows, highs, moves, e_tau = self._table()[2]
+        taken = [0] * len(h)
         while r >= h[j]:
             r -= h[j]
-            counts[j] += 1
-            x = x + E.translations[j]
-            j = E.locate(x)
-        # descend by heights: at each level the counts move one alphabet
-        # down (Horner in the incidence matrices), plus the letters taken
-        # minus the letters the climb found already used
+            plus.append(self.vectors[L][j])
+            taken[j] += 1
+            if y is None:
+                X, err = X + moves[j], err + e_tau
+                j = bisect_right(highs, X + err)
+                if j < len(highs) and lows[j] <= X - err:
+                    continue
+                *_, (_, y) = islice(self.climb(x), L)
+                y = E._span.combine(taken, y)
+            else:
+                y = y + E.translations[j]
+            j = E.locate(y)
+        # descend by heights: per level, the whole towers below r
         for level in range(L, 0, -1):
-            rules = self.stages[level > 1][2]
-            below = self.heights[level - 1]
-            down = [0] * len(below)
-            for i, v in enumerate(counts):
-                if v:
-                    for s in rules[i + 1]:
-                        down[s - 1] += v
-            mu = path[level - 1]
-            for s in rules[mu.rule][: mu.cut]:
-                down[s - 1] -= 1
-            for s in rules[j + 1]:
-                if below[s - 1] > r:
-                    break
-                r -= below[s - 1]
-                down[s - 1] += 1
-            j = s - 1
-            counts = down
-        return counts
+            H, V = self.prefixes(level, j + 1)
+            t = bisect_right(H, r) - 1
+            r -= H[t]
+            plus.append(V[t])
+            j = self.stages[level > 1][2][j + 1][t] - 1
+        return [sum(a) - sum(b) for a, b in zip(zip(*plus), zip(*minus))]
 
 
 def drift_vector(model: LatticeModel):

@@ -492,7 +492,7 @@ def perron_vector(M, p: IntPoly, beta: RealAlgebraic):
     return v
 
 
-def eigen_moduli_squared(p: IntPoly):
+def eigen_moduli_squared(p: IntPoly, pieces=None):
     """Squared moduli of the roots of p with multiplicities, sorted descending.
 
     Returns [(RealAlgebraic, mult), ...] with equal moduli merged.  A real
@@ -502,9 +502,12 @@ def eigen_moduli_squared(p: IntPoly):
     twice (`_pair_modulus_squared`); neither builds a number field.  The
     pair path factors a polynomial of degree n(n-1)/2 for a factor of
     degree n (15 at n = 6); `factor` has no degree limit.  A factor with
-    two or more complex pairs raises NotImplementedError.
+    two or more complex pairs raises NotImplementedError.  pieces, p's
+    irreducible factors with multiplicities when already known, spares
+    the factoring.
     """
-    _, pieces = factor(p)
+    if pieces is None:
+        _, pieces = factor(p)
     entries = []  # (RealAlgebraic usq, multiplicity)
     for q, mult in pieces:
         rroots = isolate(q)
@@ -616,6 +619,6 @@ def is_pisot(p: IntPoly) -> bool:
     roots = isolate(p)
     if not roots or not roots[-1] > 1:
         return False
-    mods = eigen_moduli_squared(p)
+    mods = eigen_moduli_squared(p, [(p, 1)])
     return mods[0][1] == 1 and (len(mods) == 1 or mods[1][0] < 1)
 

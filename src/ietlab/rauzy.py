@@ -106,14 +106,16 @@ class RauzyCycle:
 
     `steps` lists (vertex, type) pairs in walk order; `product` is the
     left-to-right product of the step matrices A, so that
-    product * (final lengths) = initial lengths along the walk.  `masks`
-    are the product's 0/1 pattern as bit-mask columns, if already known.
+    product * (final lengths) = initial lengths along the walk.  A tuple
+    of steps is kept as given, so its vertices must be tuples already.
+    `masks` are the product's 0/1 pattern as bit-mask columns, if already
+    known.
     """
 
     __slots__ = ("steps", "_product", "_charpoly", "_masks", "_qualifying")
 
     def __init__(self, steps, masks=None):
-        self.steps = tuple((tuple(v), t) for v, t in steps)
+        self.steps = steps if type(steps) is tuple else tuple((tuple(v), t) for v, t in steps)
         self._product = self._charpoly = self._qualifying = None
         self._masks = masks
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab import builders
+from ietlab import builders, polynomials
 from ietlab.algebraic import RealAlgebraic, real_roots, root_in
 from ietlab.matrices import charpoly
 from ietlab.numberfield import is_pisot
@@ -185,6 +185,19 @@ def test_cycle_product_expansion_constant():
     assert not is_pisot(cp)
     beta = real_roots(cp)[-1]
     assert float(beta) == pytest.approx(1 / 0.22777710423438124, rel=1e-10)
+
+
+def test_is_pisot_factors_p_once(monkeypatch):
+    # is_irreducible factors p, and the moduli step takes that proof as
+    # p's one factor instead of factoring p again; the other two runs
+    # isolate the squares of the real roots and the pair's modulus
+    runs = []
+    run = polynomials._factor_squarefree
+    monkeypatch.setattr(polynomials, "_factor_squarefree", lambda q: runs.append(q) or run(q))
+    assert is_pisot(P(-1, -1, 0, 1))  # the plastic number
+    assert len(runs) == 3 and runs.count(P(-1, -1, 0, 1)) == 1
+    assert not is_pisot(P(1, -1, -1, -1, 1))  # Salem
+    assert not is_pisot(P(-2, 0, 1))
 
 
 def test_is_pisot_cubic_with_complex_pair():

@@ -17,10 +17,12 @@ from ietlab.iet import IET, Permutation
 from ietlab.lattice import (
     LatticeModel,
     LatticePoint,
+    Towers,
     density_estimate,
     drift_vector,
     interval_predicate,
     liouville_check,
+    scaled,
     spectrum_check,
     unit_representative,
 )
@@ -701,6 +703,100 @@ def test_a_2_40_step_walk_takes_under_a_second(name):
     assert end.z == ledger(model, p, counts)
     x = model.value_of(end)
     assert x.sign() >= 0 and (x - model.total).sign() < 0
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_only_starts_on_a_tile_bound_climb_exactly(name, monkeypatch):
+    # a rational layer xi != 0 never meets a tile bound, so its jumps climb
+    # on integers alone; an atom left endpoint other than 0 is a tile
+    # bound at level 1 and climbs exactly, while 0 stays exactly 0 on the
+    # integers (c_mu = 0 below it at every level).  The enclosures of
+    # these walks never refine the sign table past its first 64 bits.
+    model = JUMP_MODELS[name]()
+    N = model.E.N
+    climbs = []
+    climb = Towers.climb
+    monkeypatch.setattr(Towers, "climb", lambda towers, x: climbs.append(x) or climb(towers, x))
+    starts = walk_starts(model)
+    lefts, far = starts[:N], starts[3 * N - 1:]  # past the starts within 2^-200 of an endpoint
+    rational = [x for x in far if any(model.point_of(x).layer)]
+    assert len(rational) >= 3
+    for k in (2**15, 2**21):
+        for x in lefts + rational:
+            climbs.clear()
+            model.psi_orbit(model.point_of(x), k)
+            assert bool(climbs) == (x in lefts[1:]), (x, k)
+    assert model.field.precision == 64
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypatch):
+    # y = r - tau_j, for an inner atom endpoint r of the top map and the
+    # atom j that maps onto it, lies inside its tiles, and so does
+    # x = a + s rho^(L - 1) y, whose level-L point is y through the tiles
+    # (j, 0) (s = rho when the model is its own top, else 1).  The
+    # longest walk from x that stays at level L climbs on integers, and
+    # its first whole level-L step lands on r: there the band meets an
+    # atom bound, and the exact climb gives the level point.
+    model = JUMP_MODELS[name]()
+    towers, E = model.towers(), model.E
+    top = towers.top.E
+    s = model.rho if towers.top is model else 1
+    climbs = []
+    climb = Towers.climb
+    monkeypatch.setattr(Towers, "climb", lambda towers, x: climbs.append(x) or climb(towers, x))
+    walks = 0
+    for r in top.rights[:-1]:
+        j = next(j for j, t in enumerate(top.translations) if 0 <= r - t < top.total and top.locate(r - t) == j)
+        for L in (2, 3):
+            k = min(towers.height(L + 1)) - 1  # the longest walk below level L + 1
+            if k < towers.height(L)[j]:
+                continue  # no whole step
+            x = model.window[0] + s * towers.top.rho ** (L - 1) * (r - top.translations[j])
+            assert len(list(itertools.islice(towers.integer_climb(x, k), L))) == L
+            climbs.clear()
+            end, counts, _ = model.psi_orbit(model.point_of(x), k)
+            assert len(climbs) == 1
+            word, y = apply_steps(E, x, k)
+            assert counts == [word.count(i) for i in range(1, E.N + 1)]
+            assert model.value_of(end) == y
+            walks += 1
+    assert walks >= 3
+
+
+@pytest.mark.parametrize("U, err, B, e_b", [(1000, 0, 379, 5), (-1000, 3, 379, 5), (997, 0, 384, 0), (12345, 7, -901, 2)])
+def test_scaled_holds_at_the_corners_of_the_enclosures(U, err, B, e_b):
+    # q u b against the bound of `scaled` for u and b at distance err and
+    # e_b from U / q and B / q, where the bound is nearly attained:
+    # 1000 * 384 / 256 = 1500 lies 20 above floor(1000 * 379 / 256) = 1480,
+    # against a bound of 21, and 997 * 384 / 256 = 1495.5 is 1495 but for
+    # the floor
+    q = 256
+    X, e = scaled(U, err, B, e_b, q)
+    assert X == U * B // q
+    for du, db in itertools.product((-err, err), (-e_b, e_b)):
+        u, b = Fraction(U + du, q), Fraction(B + db, q)
+        assert abs(q * u * b - X) <= e, (du, db)
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_integer_climb_encloses_the_exact_climb(name):
+    # |q y - X| <= err at every level that the integer climb places, for
+    # the tiles of the exact climb; the signs come last, as they refine
+    # the sign table that later enclosures would use
+    model = JUMP_MODELS[name]()
+    towers = model.towers()
+    claims = []
+    for x in walk_starts(model):
+        for k in (2, 2**15, 2**40):
+            levels = list(itertools.islice(towers.integer_climb(x, k), 40))
+            q = towers._table()[0]
+            for (mu, X, err), (nu, y) in zip(levels, towers.climb(x)):
+                assert mu == nu
+                claims.append((q * y, X - err, X + err))
+    assert len(claims) > 500
+    for qy, lo, hi in claims:
+        assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
 
 
 def test_module_basis_belongs_to_the_model():
