@@ -6,31 +6,32 @@ right.  Symbols are 1-based throughout, matching the usual coding
 alphabet {1..N}.
 
 Cell location.  `Cells.locate` is the one locator of a point among
-cells cut at sorted exact right endpoints; an `IET` is the Cells of its
-atoms (`atom_of`, `apply`, so also `induce`), and the Vershik coder keeps
-the Cells of its level-1 tiles.  It places one sign-table enclosure
-|q x - s| <= e of the point (`NumberField.enclosure`) by one bisection
-among integer bounds of q times the endpoints, rebuilt from
-`NumberField.enclose` whenever the table precision has grown.  Only when
-[s - e, s + e] meets the bounds of some endpoints, or of 0, does it
+cells cut at sorted exact right endpoints, and `Cells.step` maps it by
+its cell's tile: an `IET` is the Cells of its atoms, which translate
+(`atom_of`, `apply`, so also `induce`), and `lattice.Towers` climbs the
+Cells of its tiles, which also rescale.  It places one sign-table
+enclosure |q x - s| <= e of the point (`NumberField.enclosure`) by one
+bisection among integer bounds of q times the endpoints, from a table
+rebuilt by `NumberField.enclose` whenever the precision has grown.  Only
+when [s - e, s + e] meets the bounds of some endpoints, or of 0, does it
 compare exactly, and only against those endpoints (a bisection among
-them) or 0; the signs refine the table as far as they must, and the
-answer is exact either way.
+them) or 0; the signs refine the table as far as they must.
 
-Integer walks.  `orbit` and the lattice walk's stepped segments run on
-one integer position.  Beside its endpoint bounds an IET keeps integers
-m_i with |q tau_i - m_i| <= e_tau.  A walk of k steps from x encloses q x
-once, as X within e_x, at a precision 32 bits above the bit lengths of
-x's largest power coordinate and of k; a step by atom i adds m_i, so X
-stays within e_x + k max e_tau of q times the point.  An atom is taken
-from X only while that band lies inside it; otherwise x + sum c_i tau_i
-(c the atom counts so far) is formed exactly, as one `numberfield.Span`
-combination, and located by `atom_of`.
+Integer walks.  The table also encloses each tile's offset c as
+|q c - C| <= e_c, with an error of its own, and the factor beta.  `orbit`
+and the lattice walk's stepped segments run on one integer position: k
+steps from x enclose q x once, as X within e_x, 32 bits above the bit
+lengths of x's largest power coordinate and of k (`Cells.position`); a
+step by atom i adds m_i = -C_i, so X stays within e_x + k max e_c of q
+times the point.  An atom is taken from X only while that band lies
+inside it; otherwise x + sum c_i tau_i (c the atom counts so far) is
+formed exactly, as one `numberfield.Span` combination, and located.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from .numberfield import FieldElement, NumberField, Span
 
 
@@ -81,8 +82,8 @@ class Permutation:
 
 
 def translations_from(perm: Permutation, lengths):
-    """tau_i = sum of lengths placed before atom i in the image minus the
-    lengths before it in the domain."""
+    """tau_i = left end of atom i's image minus left end of atom i, with
+    the atoms laid out once in domain order and once in image order."""
     lengths = tuple(lengths)
     N = perm.N
     if len(lengths) != N:
@@ -90,68 +91,66 @@ def translations_from(perm: Permutation, lengths):
     for l in lengths:
         if l.sign() <= 0:
             raise ValueError("lengths must be positive")
-    taus = []
-    for i in range(1, N + 1):
-        before_image = [lengths[j - 1] for j in range(1, N + 1) if perm(j) < perm(i)]
-        before_domain = [lengths[j - 1] for j in range(1, i)]
-        t = lengths[0].field.zero
-        for x in before_image:
-            t = t + x
-        for x in before_domain:
-            t = t - x
-        taus.append(t)
-    return tuple(taus)
+    zero = lengths[0].field.zero
+    order = sorted(range(N), key=perm.images.__getitem__)  # the atoms in image order
+    image_lefts = dict(zip(order, accumulate((lengths[i] for i in order), initial=zero)))
+    return tuple(image_lefts[i] - left for i, left in zip(range(N), accumulate(lengths, initial=zero)))
 
 
-def cell_bounds(encs):
-    """(lows, highs) from enclosures |q r_i - s_i| <= e_i of sorted right
-    endpoints: cell i holds every x with lows[i] <= q x < highs[i]."""
-    return [0] + [s + e for s, e in encs[:-1]], [s - e for s, e in encs]
-
-
-def position(field: NumberField, x: FieldElement, k: int, d: int):
-    """(X, err) with |d 2^P x - X| <= err at the field's precision P after
-    the call, which is at least 32 bits above the bit lengths of x's
-    largest power coordinate and of k."""
-    bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
-    _, ((s, e),) = field.enclose([x], bits)
-    X, r = divmod(s * d, x.den)  # rescale |x.den 2^P x - s| <= e
-    return X, -(-e * d // x.den) + (r > 0)
+def rescale(X: int, err: int, a: int, b: int):
+    """(Y, err') with |b u - Y| <= err' for every u with |a u - X| <= err,
+    a, b > 0: Y = floor(X b / a), and b u - Y is (a u - X) b / a plus
+    below 1 from the floor."""
+    Y, r = divmod(X * b, a)
+    return Y, -(-err * b // a) + (r > 0)
 
 
 class Cells:
     """The cells [0, r_1), [r_1, r_2), ... cut at sorted exact right
-    endpoints r_1 < ... < r_n of one field."""
+    endpoints r_1 < ... < r_n of one field.  Cell i may carry a tile
+    tiles[i] = (item, c), whose map is y -> (y - c) beta for the one beta
+    of the Cells (None for 1): `step` finds the cell of a point and maps
+    it."""
 
-    __slots__ = ("field", "rights", "_bounds")
+    __slots__ = ("field", "rights", "tiles", "beta", "_ints")
 
-    def __init__(self, field: NumberField, rights):
+    def __init__(self, field: NumberField, rights, tiles=(), beta=None):
         self.field = field
         self.rights = tuple(rights)
-        self._bounds = None  # the _endpoint_bounds of the table's precision
+        self.tiles = tuple(tiles)
+        self.beta = beta
+        self._ints = None  # the _table of the field's precision
 
-    def _endpoint_bounds(self, steps=()):
-        """(P, d, lows, highs, moves, e): at the field's precision P and
-        the scale q = d * 2^P of `NumberField.enclose`, cell i holds every
-        x with lows[i] <= q x < highs[i], and |q steps[i] - moves[i]| <= e.
-        The steps' denominators must divide the endpoints' lcm."""
-        q, encs = self.field.enclose(self.rights + steps)
-        P, n = self.field.precision, len(self.rights)
-        steps = encs[n:]
-        return P, q >> P, *cell_bounds(encs[:n]), [s for s, _ in steps], max((e for _, e in steps), default=0)
+    def _table(self):
+        """(P, d, lows, highs, tiles, B, e_b, moves, e) at the field's
+        precision P and scale q = d 2^P: cell i holds every y with lows[i]
+        <= q y < highs[i], tiles[i] = (item, C, e_c) with |q c - C| <= e_c,
+        |q beta - B| <= e_b (B None for beta None), moves[i] = -C and e is
+        the largest e_c."""
+        table = self._ints
+        if table is None or table[0] != self.field.precision:
+            n, one = len(self.rights), self.field.one
+            q, encs = self.field.enclose([*self.rights, *(c for _, c in self.tiles), self.beta or one])
+            P, (B, e_b) = self.field.precision, encs.pop()
+            lows, highs = [0] + [s + e for s, e in encs[: n - 1]], [s - e for s, e in encs[:n]]
+            tiles = [(item, C, e) for (item, _), (C, e) in zip(self.tiles, encs[n:])]
+            moves, e = [-C for _, C, _ in tiles], max((e for *_, e in tiles), default=0)
+            table = self._ints = P, q >> P, lows, highs, tiles, None if self.beta is None else B, e_b, moves, e
+        return table
 
-    def _current_bounds(self):
-        """The _endpoint_bounds at the field's current precision."""
-        bounds = self._bounds
-        if bounds is None or bounds[0] != self.field.precision:
-            bounds = self._bounds = self._endpoint_bounds()
-        return bounds
+    def position(self, x: FieldElement, k: int):
+        """(X, err) with |q x - X| <= err at the table's scale q = d 2^P,
+        P at least 32 bits above the bit lengths of x's largest power
+        coordinate and of k."""
+        bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
+        _, ((s, e),) = self.field.enclose([x], bits)
+        return rescale(s, e, x.den, self._table()[1])  # |x.den 2^P x - s| <= e
 
     def locate(self, x: FieldElement) -> int:
         """0-based index of the cell holding the field element x; raises
         ValueError if x is outside [0, r_n)."""
         s, e = self.field.enclosure(x)
-        _, d, lows, highs, _, _ = self._current_bounds()
+        _, d, lows, highs, _, _, _, _, _ = self._table()
         # [lo, hi] encloses q x: rescale from x.den * 2^P to d * 2^P
         lo, hi = (s - e) * d, (s + e) * d
         if x.den != 1:
@@ -170,33 +169,31 @@ class Cells:
                 return i
         raise ValueError("point outside the domain")
 
+    def step(self, x: FieldElement, i=None):
+        """(item, image) of the tile of x's cell, or of tile i if given."""
+        item, c = self.tiles[self.locate(x) if i is None else i]
+        return item, x - c if self.beta is None else (x - c) * self.beta
+
 
 class IET(Cells):
-    """Exchange of N intervals on [0, total), the Cells of its atoms."""
+    """Exchange of N intervals on [0, total), the Cells of its atoms:
+    atom i (0-based) carries the tile (i, -tau_i), so it steps y to
+    y + tau_i."""
 
     __slots__ = ("perm", "lengths", "translations", "total", "_span")
 
     def __init__(self, perm: Permutation, lengths):
         self.perm = perm
         self.lengths = tuple(lengths)
-        field = self.lengths[0].field
         self.translations = translations_from(perm, self.lengths)
         self._span = Span(self.translations)  # forms x + sum c_i tau_i
-        rights = []
-        acc = field.zero
-        for l in self.lengths:
-            acc = acc + l
-            rights.append(acc)
-        super().__init__(field, rights)  # right endpoints of the atoms
-        self.total = acc
+        rights = tuple(accumulate(self.lengths))  # right endpoints of the atoms
+        super().__init__(self.lengths[0].field, rights, [(i, -t) for i, t in enumerate(self.translations)])
+        self.total = rights[-1]
 
     @property
     def N(self) -> int:
         return self.perm.N
-
-    def _endpoint_bounds(self):
-        # a translation is a difference of endpoints
-        return super()._endpoint_bounds(self.translations)
 
     def atoms(self):
         """[left_i, right_i) endpoints of the domain partition."""
@@ -225,10 +222,9 @@ class IET(Cells):
         """(q, X, err, lows, highs, moves): |q E^t x - X_t| <= err for
         t <= k, where X_t is X plus moves[i] for each atom i + 1 passed,
         and cell i holds every y with lows[i] <= q y < highs[i]."""
-        d = self._current_bounds()[1]
-        X, err = position(self.field, x, k, d)
-        P, _, lows, highs, moves, e_tau = self._current_bounds()
-        return d << P, X, err + k * e_tau, lows, highs, moves
+        X, err = self.position(x, k)
+        P, d, lows, highs, _, _, _, moves, e = self._table()
+        return d << P, X, err + k * e, lows, highs, moves
 
     def _walk(self, x: FieldElement, k: int, counts):
         """Yield the atoms (1-based) of k steps of E from x, adding each

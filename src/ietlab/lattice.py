@@ -20,24 +20,21 @@ over the renormalized atoms, and the self-similar map's own level-1
 tiles cut every higher level.  The level-l tower over letter j spans
 h_l(j) = |sigma_1 ... sigma_l (j)| steps, so E^k(x) follows the
 expansion of k in these heights (Dumont and Thomas' numeration by
-substitutions).  `Towers` owns the tiles, and its `climb` is the one
-exact loop that locates a point level by level; Vershik coding
-(`vershik`) climbs through it too.  A segment of k >= 2 steps climbs to
+substitutions).  `Towers` keeps both tilings and the self-similar map as
+`iet.Cells`, and its `climb` is the one exact loop through them; Vershik
+coding (`vershik`) climbs it too.  A segment of k >= 2 steps climbs to
 the highest level L whose smallest tower is at most k, takes whole
 level-L steps of the self-similar map while a tower fits, then descends
 by heights alone: per level one bisection in the prefix heights of a
 rule, whose letter counts (Parikh vectors) add up to the symbol counts.
-Its cost grows like log k.  The climb and the whole steps run on one
-integer position, as the IET's walk does: x is enclosed once, with the
-walk's bits for k, a level maps the position by integer enclosures of
-c_mu and beta under a derived error bound (`scaled`), and a whole step
-adds its atom's integer translation.  Integer bounds place the position
-while its error band lies inside a tile or atom; from the first level or
-step where the band meets a bound, the exact `climb` takes over, so
-counts and end points are exact.  A segment shorter than every level-1
-tower, a one-step segment and every segment of a model without
-renormalization step one atom at a time, on the integer walk of the IET
-(`iet`).
+Its cost grows like log k.  The tiles and atoms of the climb and the
+whole steps come from one stream: on one integer position while its
+error band lies inside a cell, as the IET's walk does (`scaled` bounds a
+level's factor), and from the first cell bound the band meets, by the
+exact `climb` from the point that the placed tiles map x to, so counts
+and end points are exact.  A segment shorter than every level-1 tower, a
+one-step segment and every segment of a model without renormalization
+step one atom at a time, on the integer walk of the IET (`iet`).
 """
 from __future__ import annotations
 
@@ -45,9 +42,9 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
-from .iet import IET, Cells, cell_bounds, check_self_similar, induce, position, tiling_order
+from .iet import IET, Cells, check_self_similar, induce, rescale, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
 from .numberfield import FieldElement, Span
@@ -292,9 +289,9 @@ def _offsets(states, rules, start, steps) -> dict:
     return table
 
 
-def _tower_tiles(E: IET, rules, offsets: dict, bases):
-    """(Cells of the tiles c_mu + base_j, [(mu, c_mu), ...] in position
-    order) for the prefixes mu = (j, t) of `offsets`, base_j = bases[j - 1]
+def _tower_tiles(E: IET, rules, offsets: dict, bases, beta):
+    """Cells of the tiles c_mu + base_j, carrying the tile (mu, c_mu) and
+    beta, for the prefixes mu = (j, t) of `offsets`, base_j = bases[j - 1]
     a (left, length) pair.  The tiles must tile E's domain, and tile mu
     must lie in the atom of its letter rules[j][t]."""
     states = list(offsets)
@@ -307,7 +304,7 @@ def _tower_tiles(E: IET, rules, offsets: dict, bases):
         a = rules[mu.rule][mu.cut]
         if E.locate(lefts[i]) != a - 1 or E.rights[a - 1] < right:
             raise AssertionError("tile leaves the atom of its letter")
-    return Cells(E.field, rights), [(states[i], offsets[states[i]]) for i in order]
+    return Cells(E.field, rights, [(states[i], offsets[states[i]]) for i in order], beta)
 
 
 def first_return_model(model: LatticeModel):
@@ -329,30 +326,24 @@ def scaled(U: int, err: int, B: int, e_b: int, q: int):
 
 
 class Towers:
-    """Kakutani-Rokhlin towers of a model that renormalizes, the one owner
-    of its tile tables.
+    """Kakutani-Rokhlin towers of a model that renormalizes.
 
     `top` is the self-similar map of the higher levels: the model itself
     when its window (a, b) has length rho*total, otherwise the
-    first-return model of that window.  Stage 1 cuts the model's domain
-    into level-1 tiles: top's tiles c_mu + rho * atom_j, or the floors
-    E^t(a + atom_j of top), t < |w_j|, of the first return's towers.
-    Stage 2 cuts top's domain by top's level-1 tiles, at every higher
-    level.  A stage is (cells, [(mu, c_mu)] in position order, rules,
-    beta): a level point y in the tile mu = (j, t) is t steps above the
-    base of its tower, whose point one level up is (y - c_mu) * beta
-    (beta = 1/rho, or 1 for the first return, given as None), in atom j.
-    offsets[s] is stage s + 1's table {mu: c_mu}.  `climb` is the one
-    exact loop that locates level points in these tiles, and
-    `integer_climb` its twin on the integer enclosures of `_table` under
-    the bound of `scaled`; `counts` climbs on integers and hands over to
-    `climb` at the first level whose error band meets a tile bound.
-    vectors[l][j - 1] counts the letters of E in the level-l tower over
-    letter j, and heights[l][j - 1], their sum, is the steps h_l(j) it
-    spans.
+    first-return model of that window.  The stages are `Cells`: stage 1
+    cuts the model's domain into level-1 tiles, top's tiles c_mu + rho *
+    atom_j or the floors E^t(a + atom_j of top), t < |w_j|, of the first
+    return's towers; stage 2 cuts top's domain by top's level-1 tiles, at
+    every higher level; and stage 3 is top's map.  A level point in the
+    tile mu = (j, t) is t steps above the base of its tower, whose point
+    one level up, (y - c_mu) * beta (beta = 1/rho, or None for a floor),
+    lies in top's atom j.  rules[s] and offsets[s] = {mu: c_mu} belong to
+    stage s + 1.  vectors[l][j - 1] counts the letters of E in the level-l
+    tower over letter j, and heights[l][j - 1], their sum, is the steps
+    h_l(j) it spans.
     """
 
-    __slots__ = ("top", "stages", "offsets", "vectors", "heights", "least", "_prefixes", "_ints")
+    __slots__ = ("top", "stages", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
 
     def __init__(self, model: LatticeModel):
         if model.sigma is None:
@@ -365,20 +356,20 @@ class Towers:
             top, rules, offsets = model, model.sigma.rules, tile_offsets(model, model.field.one)
             scale, beta = model.rho, model.rho.inverse()
         bases = [(scale * lo, scale * ln) for (lo, _), ln in zip(top.E.atoms(), top.E.lengths)]
-        first = (*_tower_tiles(model.E, rules, offsets, bases), rules, beta)
+        first = _tower_tiles(model.E, rules, offsets, bases, beta)
         self.top = top
-        self.stages = (first, first if top is model else top.towers().stages[1])
-        self.offsets = [dict(tiles) for _, tiles, _, _ in self.stages]
+        self.stages = (first, first if top is model else top.towers().stages[0], top.E)
+        self.rules = (rules, top.sigma.rules)
+        self.offsets = [dict(cells.tiles) for cells in self.stages[:2]]
         N = model.E.N
         self.vectors = [[tuple(int(i == j) for i in range(N)) for j in range(N)]]
         self.heights, self.least = [[1] * N], [1]  # least[l] = min(heights[l])
         self._prefixes = {}  # (level, rule): its prefix table, built on first use
-        self._ints = None  # the _table of the field's precision
 
     def height(self, level: int):
         """[h_level(j) for each letter j], computed on first use."""
         while len(self.heights) <= level:
-            below, rules = self.vectors[-1], self.stages[len(self.heights) > 1][2]
+            below, rules = self.vectors[-1], self.rules[len(self.heights) > 1]
             self.vectors.append([tuple(map(sum, zip(*(below[s - 1] for s in rules[j])))) for j in sorted(rules)])
             self.heights.append(list(map(sum, self.vectors[-1])))
             self.least.append(min(self.heights[-1]))
@@ -391,59 +382,67 @@ class Towers:
         table = self._prefixes.get((level, rule))
         if table is None:
             below, V = self.vectors[level - 1], [(0,) * len(self.heights[0])]
-            for s in self.stages[level > 1][2][rule]:
+            for s in self.rules[level > 1][rule]:
                 V.append(tuple(map(add, V[-1], below[s - 1])))
             table = self._prefixes[level, rule] = list(map(sum, V)), V
         return table
 
-    def _table(self):
-        """(q, stages, top) at the field's precision P and one scale
-        q = D 2^P.  A stage is (lows, highs, tiles, B, e_b): tiles[i] =
-        (mu, C, e_c) holds every y with lows[i] <= q y < highs[i], with
-        |q c_mu - C| <= e_c and |q beta - B| <= e_b (B None for a floor);
-        top is (lows, highs, moves, e_tau) of top's atoms and translations."""
-        field = self.top.field
-        if self._ints is None or self._ints[0] != field.precision:
-            E = self.top.E
-            parts = [E.rights, E.translations]
-            for cells, tiles, _, beta in self.stages:
-                parts += [cells.rights, [c for _, c in tiles], [beta or field.one]]
-            q, encs = field.enclose(list(chain(*parts)))
-            encs = iter(encs)
-            rights, steps, *parts = [list(islice(encs, len(part))) for part in parts]
-            stages = [
-                (*cell_bounds(r), [(mu, *ce) for (mu, _), ce in zip(tiles, c)], None if beta is None else B, e_b)
-                for (_, tiles, _, beta), r, c, ((B, e_b),) in zip(self.stages, parts[::3], parts[1::3], parts[2::3])
-            ]
-            self._ints = field.precision, q, stages, (*cell_bounds(rights), [s for s, _ in steps], max(e for _, e in steps))
-        return self._ints[1:]
+    @staticmethod
+    def _sequence(stages, L=None):
+        """The stage of each step: stages[0], then stages[1], up to level L
+        and then stages[2] when L is given."""
+        first, second, top = stages
+        return chain((first,), repeat(second)) if L is None else chain((first,), repeat(second, L - 1), repeat(top))
 
-    def climb(self, x: FieldElement):
-        """Yield (mu, y) per level from x: mu is the tile of the level
-        point and y the point one level up, by stage 1 at level 1 and
-        stage 2 above; raises ValueError when a point leaves the domain."""
-        for cells, tiles, _, beta in chain(self.stages[:1], repeat(self.stages[1])):
-            mu, c = tiles[cells.locate(x)]
-            x = x - c if beta is None else (x - c) * beta
-            yield mu, x
+    def climb(self, x: FieldElement, L=None, start=0):
+        """Yield (item, y) per step of the stage sequence, from the point x
+        of step `start`: the item is the tile (mu per level) or top atom
+        (0-based) holding the point, and y its image; raises ValueError
+        when a point leaves the domain."""
+        for cells in islice(self._sequence(self.stages, L), start, None):
+            item, x = cells.step(x)
+            yield item, x
 
-    def integer_climb(self, x: FieldElement, k: int):
-        """`climb` on integers: yield (mu, X, err) per level from x, with
-        |q y - X| <= err for the point y one level up and the scale q of
-        `_table`, while the band [X - err, X + err] lies inside a tile;
-        the enclosure of x allows k steps of whole towers above."""
-        field = self.top.field
-        X, err = position(field, x, k, self._table()[0] >> field.precision)
-        q, stages, _ = self._table()
-        for lows, highs, tiles, B, e_b in chain(stages[:1], repeat(stages[1])):
+    def integer_climb(self, x: FieldElement, k: int, L: int):
+        """`climb(x, L)` on integers: yield (item, X, err) per step, with
+        |q y - X| <= err for the image y and the scale q = d 2^P of the
+        step's stage table, while the band [X - err, X + err] lies inside a
+        cell; the enclosure of x allows k whole steps.  Returns the indices
+        of the tiles placed when the band meets a bound."""
+        first, second, top = self.stages
+        X, err = first.position(x, k)
+        tables = first._table(), second._table(), top._table()
+        d, placed = tables[0][1], []
+        for P, e, lows, highs, tiles, B, e_b, _, _ in self._sequence(tables, L):
+            if e != d:  # the stages' scales differ
+                X, err = rescale(X, err, d, e)
+                d = e
             i = bisect_right(highs, X + err)
             if i == len(highs) or X - err < lows[i]:
-                return
-            mu, C, e_c = tiles[i]
+                return placed
+            placed.append(i)
+            item, C, e_c = tiles[i]
             X, err = X - C, err + e_c
-            if B is not None:  # (y - c) * beta; a floor has beta = 1
-                X, err = scaled(X, err, B, e_b, q)
-            yield mu, X, err
+            if B is not None:  # (y - c) * beta
+                X, err = scaled(X, err, B, e_b, d << P)
+            yield item, X, err
+
+    def _steps(self, x: FieldElement, k: int, L: int):
+        """The steps of `climb(x, L)`, (item, ...) each: by `integer_climb`
+        while it places them, then exactly from the point that its tiles
+        map x to.  The level-L point lies in the top atom of its tile's
+        rule, so an exact climb of the tiles takes that atom unlocated."""
+        placed = yield from self.integer_climb(x, k, L)
+        for cells, i in zip(self._sequence(self.stages, L), placed):
+            _, x = cells.step(x, i)
+        n = len(placed)
+        if n < L:
+            for mu, x in islice(self.climb(x, L, n), L - n):
+                yield mu, x
+            j, x = self.stages[2].step(x, mu.rule - 1)
+            yield j, x
+            n = L + 1
+        yield from self.climb(x, L, n)
 
     def counts(self, x: FieldElement, k: int):
         """Symbol counts of k steps of the model's map from x, or None when
@@ -453,43 +452,30 @@ class Towers:
         L = bisect_right(self.least, k) - 1
         if L == 0:
             return None
-        levels, y = list(islice(self.integer_climb(x, k), L)), None
-        if len(levels) < L:  # the band met a tile bound: climb exactly from there
-            levels += islice(self.climb(x), len(levels), L)
-            y = levels[-1][1]
-        else:
-            _, X, err = levels[-1]
+        items = map(itemgetter(0), self._steps(x, k, L))
         r, minus, plus = k, [], []  # the counts are sum(plus) - sum(minus)
-        for level, (mu, *_) in enumerate(levels, 1):
+        for level, mu in zip(range(1, L + 1), items):
             H, V = self.prefixes(level, mu.rule)
             r += H[mu.cut]  # r counts k plus the steps from the base of the tower
             minus.append(V[mu.cut])
         # whole level-L steps of the top map while a tower fits: a bounded
-        # number, as the smallest level-(L + 1) tower exceeds k
-        E, h, j = self.top.E, self.heights[L], mu.rule - 1
-        lows, highs, moves, e_tau = self._table()[2]
-        taken = [0] * len(h)
-        while r >= h[j]:
-            r -= h[j]
-            plus.append(self.vectors[L][j])
-            taken[j] += 1
-            if y is None:
-                X, err = X + moves[j], err + e_tau
-                j = bisect_right(highs, X + err)
-                if j < len(highs) and lows[j] <= X - err:
-                    continue
-                *_, (_, y) = islice(self.climb(x), L)
-                y = E._span.combine(taken, y)
-            else:
-                y = y + E.translations[j]
-            j = E.locate(y)
+        # number, as the smallest level-(L + 1) tower exceeds k.  The first
+        # top atom is the rule of the last tile, so the top map's items are
+        # read only when a step is taken
+        h, j = self.heights[L], mu.rule - 1
+        if r >= h[j]:
+            for j in items:
+                if r < h[j]:
+                    break
+                r -= h[j]
+                plus.append(self.vectors[L][j])
         # descend by heights: per level, the whole towers below r
         for level in range(L, 0, -1):
             H, V = self.prefixes(level, j + 1)
             t = bisect_right(H, r) - 1
             r -= H[t]
             plus.append(V[t])
-            j = self.stages[level > 1][2][j + 1][t] - 1
+            j = self.rules[level > 1][j + 1][t] - 1
         return [sum(a) - sum(b) for a, b in zip(zip(*plus), zip(*minus))]
 
 

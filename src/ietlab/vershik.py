@@ -92,8 +92,11 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
 
     The prefixes are the tiles that `Towers.climb` finds level by level.
     A repeat of the exact level point closes the period; with none within
-    `depth` levels the code is returned undetermined (empty period).
+    `depth` levels the code is returned undetermined (empty period);
+    raises ValueError unless depth is positive.
     """
+    if depth < 1:
+        raise ValueError("depth must be positive")
     towers = model.towers()
     y = model.field.coerce(x)
     # a first-return model's start lies in the model's coordinates, and

@@ -368,7 +368,7 @@ def test_tile_cells_match_the_exact_scan(monkeypatch):
     # of them all, but takes at most two against the endpoints whose
     # bounds its enclosure meets
     model = builders.e2star_model()
-    cells = model.towers().stages[0][0]
+    cells = model.towers().stages[0]
     assert len(cells.rights) == 85
     poly, interval = model.field.minpoly, model.E.to_data()["interval"]
     rights = [r.power_coords for r in cells.rights]

@@ -23,6 +23,7 @@ from ietlab.iet import (  # noqa: E402
     iet_from_translations,
     is_irreducible_perm,
     tiling_order,
+    translations_from,
 )
 from ietlab.numberfield import NumberField  # noqa: E402
 from ietlab.polynomials import IntPoly  # noqa: E402
@@ -142,3 +143,19 @@ def test_tiling_order_rejects_a_moved_length(data, pick):
         lengths[i] = moved
         with pytest.raises(ValueError):
             tiling_order(lefts, lengths, K.zero, E.total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translations_give_back_the_permutation(pick):
+    # tau_i is the left end of atom i's image minus its left end, so the
+    # image intervals sit in the permutation's order and
+    # `iet_from_translations` reads it back, for irrational lengths too
+    N = pick.draw(st.integers(2, 6))
+    images = pick.draw(st.permutations(range(1, N + 1)))
+    assume(is_irreducible_perm(images))
+    phi = K.generator_element()
+    coeffs = pick.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=N, max_size=N))
+    lengths = [K.from_rational(Fraction(a, 3)) + b * phi for a, b in coeffs]
+    perm = Permutation(images)
+    assert iet_from_translations(lengths, translations_from(perm, lengths)).perm == perm

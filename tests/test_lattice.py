@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ietlab import builders
 from ietlab.algebraic import root_in
-from ietlab.iet import IET, Permutation
+from ietlab.iet import IET, Permutation, rescale
 from ietlab.lattice import (
     LatticeModel,
     LatticePoint,
@@ -716,7 +716,7 @@ def test_only_starts_on_a_tile_bound_climb_exactly(name, monkeypatch):
     N = model.E.N
     climbs = []
     climb = Towers.climb
-    monkeypatch.setattr(Towers, "climb", lambda towers, x: climbs.append(x) or climb(towers, x))
+    monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: climbs.append(x) or climb(towers, x, *a))
     starts = walk_starts(model)
     lefts, far = starts[:N], starts[3 * N - 1:]  # past the starts within 2^-200 of an endpoint
     rational = [x for x in far if any(model.point_of(x).layer)]
@@ -744,7 +744,7 @@ def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypat
     s = model.rho if towers.top is model else 1
     climbs = []
     climb = Towers.climb
-    monkeypatch.setattr(Towers, "climb", lambda towers, x: climbs.append(x) or climb(towers, x))
+    monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: climbs.append((x, *a)) or climb(towers, x, *a))
     walks = 0
     for r in top.rights[:-1]:
         j = next(j for j, t in enumerate(top.translations) if 0 <= r - t < top.total and top.locate(r - t) == j)
@@ -753,10 +753,12 @@ def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypat
             if k < towers.height(L)[j]:
                 continue  # no whole step
             x = model.window[0] + s * towers.top.rho ** (L - 1) * (r - top.translations[j])
-            assert len(list(itertools.islice(towers.integer_climb(x, k), L))) == L
+            assert len(list(itertools.islice(towers.integer_climb(x, k, L), L))) == L
             climbs.clear()
             end, counts, _ = model.psi_orbit(model.point_of(x), k)
-            assert len(climbs) == 1
+            # the exact climb resumes at r, past the L tiles and the atom j
+            # of the whole step, from the tile maps of the placed items
+            assert climbs == [(r, L, L + 1)]
             word, y = apply_steps(E, x, k)
             assert counts == [word.count(i) for i in range(1, E.N + 1)]
             assert model.value_of(end) == y
@@ -779,22 +781,38 @@ def test_scaled_holds_at_the_corners_of_the_enclosures(U, err, B, e_b):
         assert abs(q * u * b - X) <= e, (du, db)
 
 
+@pytest.mark.parametrize("X, err, a, b", [(1000, 0, 3, 2), (-1000, 0, 3, 2), (999, 4, 6, 4), (12345, 7, 2, 2), (-7, 5, 4, 6)])
+def test_rescale_holds_at_the_corners_of_the_enclosure(X, err, a, b):
+    # b u against the bound of `rescale` for u at the ends and the middle
+    # of the band |a u - X| <= err: 1000 * 2 / 3 = 666.67 is 666 but for
+    # the floor, and (999 + 4) * 4 / 6 = 668.67 lies 2.67 above
+    # 999 * 4 / 6 = 666 against a bound of 3
+    Y, e = rescale(X, err, a, b)
+    assert Y == X * b // a
+    for du in (-err, 0, err):
+        u = Fraction(X + du, a)
+        assert abs(b * u - Y) <= e, du
+
+
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_integer_climb_encloses_the_exact_climb(name):
-    # |q y - X| <= err at every level that the integer climb places, for
-    # the tiles of the exact climb; the signs come last, as they refine
-    # the sign table that later enclosures would use
+    # |q y - X| <= err at every step that the integer climb places, L
+    # levels and then whole steps of the top map, for the items of the
+    # exact climb and the scale q of each step's stage; the signs come
+    # last, as they refine the sign table that later enclosures would use
     model = JUMP_MODELS[name]()
     towers = model.towers()
-    claims = []
+    claims, tops = [], 0
     for x in walk_starts(model):
-        for k in (2, 2**15, 2**40):
-            levels = list(itertools.islice(towers.integer_climb(x, k), 40))
-            q = towers._table()[0]
-            for (mu, X, err), (nu, y) in zip(levels, towers.climb(x)):
+        for k, L in ((2, 1), (2**15, 8), (2**40, 40)):
+            levels = list(itertools.islice(towers.integer_climb(x, k, L), L + 20))
+            stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
+            scales = [(d << P) for P, d, *_ in (cells._table() for cells in towers.stages)]
+            for (mu, X, err), (nu, y), s in zip(levels, towers.climb(x, L), stages):
                 assert mu == nu
-                claims.append((q * y, X - err, X + err))
-    assert len(claims) > 500
+                claims.append((scales[s] * y, X - err, X + err))
+                tops += s == 2
+    assert len(claims) > 500 and tops > 200
     for qy, lo, hi in claims:
         assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
 

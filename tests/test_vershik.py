@@ -278,6 +278,16 @@ def test_enumerate_tiles_refuses_depth_zero_and_a_first_return_model(quartic_mod
         enumerate_tiles(builders.ek_model(1), 1)
 
 
+def test_encode_refuses_a_depth_below_one(quartic_model):
+    # as enumerate_tiles does, rather than return an empty undetermined code
+    _, _, model = quartic_model
+    for depth in (0, -5):
+        with pytest.raises(ValueError, match="depth must be positive"):
+            vershik_encode(model, model.total / 3, depth=depth)
+    code = vershik_encode(model, model.total / 3, depth=1)
+    assert code.t + code.T == 1
+
+
 @pytest.mark.parametrize("build, depths", TILE_DEPTHS, ids=["quartic", "e2star"])
 def test_tiles_match_the_per_node_recursion(build, depths):
     # same chains in the same order, same exact lefts and lengths
