@@ -107,16 +107,17 @@ def rescale(X: int, err: int, a: int, b: int):
 
 class Cells:
     """The cells [0, r_1), [r_1, r_2), ... cut at sorted exact right
-    endpoints r_1 < ... < r_n of one field.  Cell i may carry a tile
-    tiles[i] = (item, c), whose map is y -> (y - c) beta for the one beta
-    of the Cells (None for 1): `step` finds the cell of a point and maps
-    it."""
+    endpoints r_1 < ... < r_n of one field; lefts[i] is the left end of
+    cell i.  Cell i may carry a tile tiles[i] = (item, c), whose map is
+    y -> (y - c) beta for the one beta of the Cells (None for 1): `step`
+    finds the cell of a point and maps it."""
 
-    __slots__ = ("field", "rights", "tiles", "beta", "_ints")
+    __slots__ = ("field", "rights", "lefts", "tiles", "beta", "_ints")
 
     def __init__(self, field: NumberField, rights, tiles=(), beta=None):
         self.field = field
         self.rights = tuple(rights)
+        self.lefts = (field.zero, *self.rights[:-1])
         self.tiles = tuple(tiles)
         self.beta = beta
         self._ints = None  # the _table of the field's precision
@@ -197,7 +198,7 @@ class IET(Cells):
 
     def atoms(self):
         """[left_i, right_i) endpoints of the domain partition."""
-        return list(zip((self.field.zero,) + self.rights[:-1], self.rights))
+        return list(zip(self.lefts, self.rights))
 
     def atom_of(self, x) -> int:
         """1-based index of the atom containing x (a field element, int or

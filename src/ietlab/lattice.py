@@ -32,9 +32,12 @@ whole steps come from one stream: on one integer position while its
 error band lies inside a cell, as the IET's walk does (`scaled` bounds a
 level's factor), and from the first cell bound the band meets, by the
 exact `climb` from the point that the placed tiles map x to, so counts
-and end points are exact.  A segment shorter than every level-1 tower, a
-one-step segment and every segment of a model without renormalization
-step one atom at a time, on the integer walk of the IET (`iet`).
+and end points are exact.  A tile maps its left end to a left end one
+level up, so the climb of a point on one, as every level point of a walk
+from an atom's left end is, reads its tiles from a table.  A segment
+shorter than every level-1 tower, a one-step segment and every segment
+of a model without renormalization step one atom at a time, on the
+integer walk of the IET (`iet`).
 """
 from __future__ import annotations
 
@@ -337,13 +340,16 @@ class Towers:
     every higher level; and stage 3 is top's map.  A level point in the
     tile mu = (j, t) is t steps above the base of its tower, whose point
     one level up, (y - c_mu) * beta (beta = 1/rho, or None for a floor),
-    lies in top's atom j.  rules[s] and offsets[s] = {mu: c_mu} belong to
-    stage s + 1.  vectors[l][j - 1] counts the letters of E in the level-l
-    tower over letter j, and heights[l][j - 1], their sum, is the steps
-    h_l(j) it spans.
+    lies in top's atom j.  The tile's left end c_mu + s * left_j (s = rho,
+    or 1 for a floor) maps to left_j, where the stage-2 cell corners[j]
+    starts too, as stage-2 tiles tile top's domain inside its atoms: a
+    point on a tile's left end stays on one at every later tile level.
+    rules[s] and offsets[s] = {mu: c_mu} belong to stage s + 1.
+    vectors[l][j - 1] counts the letters of E in the level-l tower over
+    letter j; heights[l][j - 1], their sum, is the steps h_l(j) it spans.
     """
 
-    __slots__ = ("top", "stages", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
+    __slots__ = ("top", "stages", "corners", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
 
     def __init__(self, model: LatticeModel):
         if model.sigma is None:
@@ -359,6 +365,7 @@ class Towers:
         first = _tower_tiles(model.E, rules, offsets, bases, beta)
         self.top = top
         self.stages = (first, first if top is model else top.towers().stages[0], top.E)
+        self.corners = list(map(self.stages[1].lefts.index, top.E.lefts))  # exact ==, raises if absent
         self.rules = (rules, top.sigma.rules)
         self.offsets = [dict(cells.tiles) for cells in self.stages[:2]]
         N = model.E.N
@@ -394,13 +401,28 @@ class Towers:
         first, second, top = stages
         return chain((first,), repeat(second)) if L is None else chain((first,), repeat(second, L - 1), repeat(top))
 
-    def climb(self, x: FieldElement, L=None, start=0):
+    def climb(self, x: FieldElement, L=None, start=0, met=None):
         """Yield (item, y) per step of the stage sequence, from the point x
         of step `start`: the item is the tile (mu per level) or top atom
         (0-based) holding the point, and y its image; raises ValueError
-        when a point leaves the domain."""
+        when a point leaves the domain.  x is in the cell `met`, if given,
+        when it is that cell's left end.  From a corner on, the tiles up to
+        the top map follow `corners`: no locate and no field arithmetic."""
+        top, lefts, j = self.stages[2], self.stages[2].lefts, None
         for cells in islice(self._sequence(self.stages, L), start, None):
-            item, x = cells.step(x)
+            if cells is top:
+                item, x = cells.step(x)
+            elif j is not None:  # x = lefts[j], the left end of cell corners[j]
+                item = cells.tiles[self.corners[j]][0]
+                j, x = item.rule - 1, lefts[item.rule - 1]
+            else:
+                i = met if met is not None and x == cells.lefts[met] else cells.locate(x)
+                met = None
+                if x != cells.lefts[i]:
+                    item, x = cells.step(x, i)
+                else:  # a corner: the tile maps its left end to lefts[j]
+                    item = cells.tiles[i][0]
+                    j, x = item.rule - 1, lefts[item.rule - 1]
             yield item, x
 
     def integer_climb(self, x: FieldElement, k: int, L: int):
@@ -408,7 +430,8 @@ class Towers:
         |q y - X| <= err for the image y and the scale q = d 2^P of the
         step's stage table, while the band [X - err, X + err] lies inside a
         cell; the enclosure of x allows k whole steps.  Returns the indices
-        of the tiles placed when the band meets a bound."""
+        of the tiles placed and the cell whose left end the band met (the
+        last for the domain's right end) when the band meets a bound."""
         first, second, top = self.stages
         X, err = first.position(x, k)
         tables = first._table(), second._table(), top._table()
@@ -419,7 +442,7 @@ class Towers:
                 d = e
             i = bisect_right(highs, X + err)
             if i == len(highs) or X - err < lows[i]:
-                return placed
+                return placed, min(i, len(highs) - 1)
             placed.append(i)
             item, C, e_c = tiles[i]
             X, err = X - C, err + e_c
@@ -430,14 +453,15 @@ class Towers:
     def _steps(self, x: FieldElement, k: int, L: int):
         """The steps of `climb(x, L)`, (item, ...) each: by `integer_climb`
         while it places them, then exactly from the point that its tiles
-        map x to.  The level-L point lies in the top atom of its tile's
-        rule, so an exact climb of the tiles takes that atom unlocated."""
-        placed = yield from self.integer_climb(x, k, L)
+        map x to, which starts in the met cell when it is that cell's left
+        end.  The level-L point lies in the top atom of its tile's rule, so
+        an exact climb of the tiles takes that atom unlocated."""
+        placed, met = yield from self.integer_climb(x, k, L)
         for cells, i in zip(self._sequence(self.stages, L), placed):
             _, x = cells.step(x, i)
         n = len(placed)
         if n < L:
-            for mu, x in islice(self.climb(x, L, n), L - n):
+            for mu, x in islice(self.climb(x, L, n, met), L - n):
                 yield mu, x
             j, x = self.stages[2].step(x, mu.rule - 1)
             yield j, x

@@ -1,3 +1,5 @@
+import bisect
+import functools
 import importlib.util
 import itertools
 import math
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from ietlab import builders
 from ietlab.algebraic import root_in
-from ietlab.iet import IET, Permutation, rescale
+from ietlab.iet import IET, Cells, Permutation, rescale
 from ietlab.lattice import (
     LatticeModel,
     LatticePoint,
@@ -815,6 +817,82 @@ def test_integer_climb_encloses_the_exact_climb(name):
     assert len(claims) > 500 and tops > 200
     for qy, lo, hi in claims:
         assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
+
+
+def located_climb(towers, x, L=None):
+    """The climb that locates and steps every level: `Cells.step` over
+    the stage sequence, with no corner table."""
+    for cells in Towers._sequence(towers.stages, L):
+        item, x = cells.step(x)
+        yield item, x
+
+
+def level_of(towers, k):
+    """The level L that `Towers.counts` climbs to for k steps."""
+    while towers.least[-1] <= k:
+        towers.height(len(towers.least))
+    return bisect.bisect_right(towers.least, k) - 1
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_climbs_match_the_located_climb(name):
+    # the steps of a jump, integer or exact, name the items of the climb
+    # that locates every level, and the exact ones its points too; and
+    # the unbounded climb of Vershik coding matches it from 0 and from
+    # every atom left end, which climb along corners
+    model = JUMP_MODELS[name]()
+    towers = model.towers()
+    exact = 0
+    for x in walk_starts(model):
+        for k in (2, 2**15, 2**21):
+            L = level_of(towers, k)
+            if L == 0:
+                continue
+            want = list(itertools.islice(located_climb(towers, x, L), L + 3))
+            got = list(itertools.islice(towers._steps(x, k, L), L + 3))
+            assert [step[0] for step in got] == [item for item, _ in want], (x, k)
+            for step, point in zip(got, want):
+                if len(step) == 2:  # (item, y) of the exact climb
+                    assert step == point, (x, k)
+                    exact += 1
+    assert exact > 0
+    depth = 3 * level_of(towers, 2**21)
+    for x in model.E.lefts:
+        got = list(itertools.islice(towers.climb(x), depth))
+        assert got == list(itertools.islice(located_climb(towers, x), depth)), x
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_walks_from_atom_left_ends_locate_no_tile(name, monkeypatch):
+    # an atom left endpoint other than 0 is a tile's left end at level 1,
+    # so its jumps climb every tile level along corners: no tile stage
+    # locates a point, and no sign refines the table past its 64 bits
+    model = JUMP_MODELS[name]()
+    tiles = model.towers().stages[:2]
+    located = []
+    locate = Cells.locate
+    monkeypatch.setattr(Cells, "locate", lambda cells, x: located.append(cells) or locate(cells, x))
+    for k in (2**15, 2**21):
+        for x in model.E.lefts[1:]:
+            model.psi_orbit(model.point_of(x), k)
+    assert located and not [cells for cells in located if any(cells is s for s in tiles)]
+    assert model.field.precision == 64
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*JUMP_MODELS.values(), *(functools.partial(builders.ek_first_return, k) for k in (1, 2, 3))],
+)
+def test_corners_are_the_left_ends_of_the_top_atoms(build):
+    # the stage-2 cell corners[j] starts where top atom j starts, and every
+    # tile of both stages maps its left end to the left end of the top
+    # atom of its rule, exactly
+    towers = build().towers()
+    first, second, top = towers.stages
+    assert [second.lefts[i] for i in towers.corners] == list(top.lefts)
+    for cells in (first, second):
+        for i, (mu, _) in enumerate(cells.tiles):
+            assert cells.step(cells.lefts[i], i) == (mu, top.lefts[mu.rule - 1])
 
 
 def test_module_basis_belongs_to_the_model():
