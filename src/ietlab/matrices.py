@@ -244,17 +244,6 @@ def hnf_column(A):
     return H, U
 
 
-def kernel_int(A):
-    """Basis of the integer kernel {x : A x = 0}, as a list of columns."""
-    H, U = hnf_column(A)
-    m = len(A)
-    cols = []
-    for j in range(len(U)):
-        if all(H[i][j] == 0 for i in range(m)):
-            cols.append([U[i][j] for i in range(len(U))])
-    return cols
-
-
 def is_primitive(A) -> bool:
     """Primitivity of a nonnegative integer matrix, from its 0/1 pattern."""
     if any(min(row, default=0) < 0 for row in A):

@@ -10,6 +10,11 @@ integers control its arithmetic:
   j : least positive rational integer lying in J (J cap Q = j*Z),
   b : d / gcd(d, j), the modulus of the torsion coordinate.
 
+These come from the definitions on integer coordinates; O is never
+built.  d*nu_k is in O exactly when every d*nu_k*nu_i is in M, so d is
+the lcm of the coordinate denominators of the n^2 products nu_k*nu_i;
+zeta is in O exactly when every zeta*nu_i is in M.  M must contain 1.
+
 Module bases.  M is presented by a basis nu_1..nu_n of K over Q, which
 `ModuleData` owns; the field itself is plain Q(theta).  The default is the
 power basis (1, theta, ..., theta^{n-1}); models that work in a scaled
@@ -31,64 +36,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .matrices import (
-    hnf_column,
-    inverse,
-    inverse_int,
-    kernel_int,
-    mat_vec,
-    transpose,
-    unimodular_completion,
-)
+from .matrices import inverse, inverse_int, mat_vec, unimodular_completion
 from .numberfield import FieldElement, NumberField, Span
-
-
-def _integer_vector(coords, what: str):
-    out = []
-    for c in coords:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError(f"{what} has non-integer coordinate {f}")
-        out.append(f.numerator)
-    return out
-
-
-def multiplier_ring_basis(module: "ModuleData"):
-    """Basis (integer nu-coordinate columns) of O = {zeta : zeta*M in M}.
-
-    Requires 1 in M, which forces O inside M, so multipliers have integer
-    nu-coordinates.  The closure condition "x_1 T_1 + ... + x_n T_n is an
-    integer matrix" (T_k = multiplication by nu_k in nu-coordinates) is a
-    congruence on x, solved as an integer kernel problem.
-    """
-    n, basis = module.field.n, module.basis
-    one_coords = _integer_vector(module.coords(1), "1 relative to the module basis")
-    T = []
-    for k in range(n):
-        cols = [module.coords(basis[k] * basis[i]) for i in range(n)]
-        T.append([[cols[i][r] for i in range(n)] for r in range(n)])
-    D = lcm(*(c.denominator for Tk in T for row in Tk for c in row))
-    if D == 1:
-        return [[int(i == k) for i in range(n)] for k in range(n)], one_coords
-    # rows: one congruence per matrix entry; columns: x_1..x_n then slack
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            row = [int(T[k][r][c] * D) for k in range(n)]
-            row.extend(-D * int(r == i and c == j) for i in range(n) for j in range(n))
-            rows.append(row)
-    ker = kernel_int(rows)
-    xs = [col[:n] for col in ker]
-    if len(xs) != n:
-        raise ValueError("multiplier ring does not have full rank")
-    H, _ = hnf_column(transpose(xs))
-    cols = [[H[i][k] for i in range(n)] for k in range(n)]
-    return cols, one_coords
 
 
 class ModuleData:
     """The module M with basis nu (n elements of K, the power basis by
-    default) and its normalized presentation."""
+    default) and its normalized presentation: d from the products
+    nu_k*nu_i, j from the integer coordinates of 1 (a ValueError if 1 is
+    not in M) and the unimodular W with first column (j/d)*coords(1)."""
 
     def __init__(self, K: NumberField, basis=None):
         self.field = K
@@ -103,24 +59,20 @@ class ModuleData:
         Vinv = inverse(V)  # raises if the basis is dependent
         self._den = lcm(*(c.denominator for row in Vinv for c in row))
         self._inv = [[int(c * self._den) for c in row] for row in Vinv]
-        order_cols, one_coords = multiplier_ring_basis(self)
-        self.order_basis = order_cols
-        self.one_coords = one_coords
-        # nu-coordinates of an element, mapped to its O-coordinates
-        self.order_inverse = inverse(transpose(order_cols))
-        # d: least d with d*nu_k in O for every k, i.e. d*O^-1 integral
-        d = lcm(*(c.denominator for row in self.order_inverse for c in row))
-        self.d = d
+        # d: least d with d*nu_k*nu_i in M for all k, i, i.e. d*M inside O
+        self.d = d = lcm(*(q // gcd(q, *w) for nu in self.basis for w, q in self._images(nu)[0]))
 
-        # J = d*M has nu-coordinate lattice d*Z^n; integers q in J need
-        # q*one_coords in d*Z^n
-        j = lcm(1, *(d // gcd(d, c) for c in one_coords))
-        self.j = j
+        w, q = self.scaled_coords(1)
+        if any(v % q for v in w):
+            raise ValueError(f"1 is not in the module: its coordinates are {self.coords(1)}")
+        one = [v // q for v in w]
+        # J = d*M has nu-coordinate lattice d*Z^n; integers c in J need
+        # c*one in d*Z^n
+        self.j = j = lcm(1, *(d // gcd(d, c) for c in one))
         self.b = d // gcd(d, j)
 
-        # primitive first basis vector (j/d)*one_coords, completed
-        v = _integer_vector([Fraction(j * c, d) for c in one_coords], "internal: j*1 in J")
-        self.W = unimodular_completion(v)
+        # primitive first basis vector (j/d)*one, completed
+        self.W = unimodular_completion([j * c // d for c in one])
         self.Winv = inverse_int(self.W)
         # nu' basis as field elements: nu-coordinates are d * (columns of W)
         span = Span(self.basis)
@@ -139,13 +91,19 @@ class ModuleData:
         w, q = self.scaled_coords(x)
         return tuple(Fraction(v, q) for v in w)
 
+    def _images(self, zeta: FieldElement):
+        """The scaled coordinates (w, q) of zeta*nu_k for every k, and
+        whether all are integral, i.e. zeta*M lies in M."""
+        cols = [self.scaled_coords(zeta * nu) for nu in self.basis]
+        return cols, not any(v % q for w, q in cols for v in w)
+
     def mult_matrix(self, zeta: FieldElement):
         """Integer matrix of multiplication by zeta on the basis nu.
 
         Column k holds the nu-coordinates of zeta*nu_k; raises ValueError
         if one is not an integer (zeta does not stabilize the module)."""
-        cols = [self.scaled_coords(zeta * nu) for nu in self.basis]
-        if any(v % q for w, q in cols for v in w):
+        cols, integral = self._images(zeta)
+        if not integral:
             raise ValueError("element does not stabilize the module")
         return [[w[i] // q for w, q in cols] for i in range(self.field.n)]
 
@@ -168,8 +126,9 @@ class ModuleData:
         return (m[0] % self.b,) + m[1:]
 
     def in_order(self, zeta: FieldElement) -> bool:
-        """Membership of zeta in the multiplier ring O."""
-        return all(c.denominator == 1 for c in mat_vec(self.order_inverse, self.coords(zeta)))
+        """Membership of zeta in the multiplier ring O: zeta*nu_k in M for
+        every k, read from the same products as `mult_matrix`."""
+        return self._images(zeta)[1]
 
 
 def module_normalize(K: NumberField, basis=None) -> ModuleData:

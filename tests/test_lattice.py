@@ -941,6 +941,13 @@ def test_a_window_outside_the_domain_is_refused_at_construction():
     assert LatticeModel(E, r, window=(0, E.total)).window == (0, E.total)
 
 
+def test_a_factor_outside_the_multiplier_ring_is_refused(quartic_iet):
+    # r/2 times 1 is not in the power-basis module Z[r]
+    K, r, E = quartic_iet
+    with pytest.raises(ValueError, match="does not multiply the module"):
+        LatticeModel(E, rho=r / 2)
+
+
 @st.composite
 def unimodular(draw, n):
     """An n x n integer matrix of determinant +-1: the identity under a

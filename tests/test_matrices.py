@@ -14,7 +14,6 @@ from ietlab.matrices import (
     inverse,
     inverse_int,
     is_primitive,
-    kernel_int,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -332,34 +331,6 @@ def test_hnf_spans_the_lattice_of_sympy_hnf():
         mine = column_lattice(A)
         assert len(mine) == S.cols, A
         assert mine == column_lattice([[int(v) for v in S.row(i)] for i in range(m)]), A
-
-
-def test_kernel_int():
-    A = [[1, 2, 3], [2, 4, 6]]
-    ker = kernel_int(A)
-    assert len(ker) == 2
-    for v in ker:
-        assert mat_vec(A, v) == [0, 0]
-    assert kernel_int([[1, 0], [0, 1]]) == []
-
-
-def test_kernel_spans_integer_solutions():
-    # x + 2y + 4z = 0 has integer solutions like (2, -3, 1); the kernel
-    # basis must reach them with integer coefficients
-    A = [[1, 2, 4]]
-    ker = kernel_int(A)
-    assert len(ker) == 2
-    target = [2, -3, 1]
-    K = transpose(ker)  # 3x2, columns are the basis
-    rows = [i for i in range(3)]
-    for i in rows:
-        for j in rows:
-            if i < j and det([[K[i][0], K[i][1]], [K[j][0], K[j][1]]]) != 0:
-                c = solve([[K[i][0], K[i][1]], [K[j][0], K[j][1]]], [target[i], target[j]])
-                assert all(x.denominator == 1 for x in c)
-                assert mat_vec(K, c) == [Fraction(t) for t in target]
-                return
-    raise AssertionError("kernel basis degenerate")
 
 
 def test_is_primitive():

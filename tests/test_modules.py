@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from ietlab.algebraic import root_in
+from ietlab.algebraic import isolate, root_in
+from ietlab.builders import QUARTIC_POLY, SEVEN_PRODUCT, family_poly
+from ietlab.matrices import det, solve
 from ietlab.modules import ModuleData, module_normalize
-from ietlab.numberfield import NumberField, Span
+from ietlab.numberfield import NumberField, perron_pair
 from ietlab.polynomials import IntPoly
 
 
@@ -80,22 +83,98 @@ def test_mixed_index_module():
 
 
 def test_order_closed_under_multiplication():
+    # the multiplier ring of the half lattice Z[lam]/2 is Z[lam]
     K = cubic_field()
+    lam = K.generator_element()
     md = module_normalize(K, half_basis(K))
     rng = random.Random(7)
-    basis_elems = [Span(md.basis).combine(col) for col in md.order_basis]
+    ring_basis = [K.one, lam, lam * lam]
     for _ in range(10):
         a = sum(
-            (rng.randrange(-2, 3) * e for e in basis_elems), start=K.zero
+            (rng.randrange(-2, 3) * e for e in ring_basis), start=K.zero
         )
         b = sum(
-            (rng.randrange(-2, 3) * e for e in basis_elems), start=K.zero
+            (rng.randrange(-2, 3) * e for e in ring_basis), start=K.zero
         )
         assert md.in_order(a * b)
         # multipliers indeed map the module into itself: m_coords raises
         # for a non-member
         md.m_coords(a * md.basis[0])
         md.m_coords(a * md.basis[1])
+
+
+def _primes(n):
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+
+
+def definition_fields():
+    """The quartic, e2* and E_1..E_3 fields, built as the models build them."""
+    yield NumberField(root_in(QUARTIC_POLY, Fraction(1, 5), Fraction(1, 4)))
+    yield perron_pair([list(row) for row in SEVEN_PRODUCT])[1][0].field
+    for k in (1, 2, 3):
+        yield NumberField(isolate(family_poly(k))[0])
+
+
+def test_module_invariants_meet_their_definitions():
+    """d, j, b, W and `in_order` against their definitions, with module
+    membership read by solving for the basis coordinates."""
+    rng = random.Random(20)
+    rejected = 0
+    for K in definition_fields():
+        n, theta = K.n, K.generator_element()
+        powers = [theta**i for i in range(n)]
+        for trial in range(12):
+            basis = [
+                sum((rng.randrange(-3, 4) * t for t in powers), start=K.zero) / rng.randrange(1, 5)
+                for _ in range(n)
+            ]
+            if trial % 3:  # a scaled 1 first: these contain 1 unless scaled up
+                basis[0] = K.one / rng.choice((1, 2, 3, Fraction(1, 2)))
+            V = [[nu.power_coords[i] for nu in basis] for i in range(n)]
+            if det(V) == 0:
+                continue
+
+            def in_m(x):
+                return all(c.denominator == 1 for c in solve(V, K.coerce(x).power_coords))
+
+            if not in_m(1):
+                rejected += 1
+                with pytest.raises(ValueError):
+                    ModuleData(K, basis)
+                continue
+            md = ModuleData(K, basis)
+            d, j = md.d, md.j
+            products = [nu * mu for nu in basis for mu in basis]
+            assert all(in_m(d * x) for x in products)
+            for p in _primes(d):
+                assert not all(in_m(d // p * x) for x in products)
+            assert in_m(Fraction(j, d))
+            for p in _primes(j):
+                assert not in_m(Fraction(j // p, d))
+            assert md.b == d // gcd(d, j)
+            assert det(md.W) in (1, -1)
+            assert [row[0] for row in md.W] == [j * c / d for c in md.coords(1)]
+            samples = [rng.randrange(-3, 4) + K.zero for _ in range(2)]
+            samples += [
+                sum((rng.randrange(-2, 3) * d * nu for nu in basis), start=K.zero) / s
+                for s in (1, 1, 2, 3)
+            ]
+            samples += [sum((rng.randrange(-2, 3) * t for t in powers), start=K.zero) for _ in range(2)]
+            for zeta in samples:
+                member = all(in_m(zeta * nu) for nu in basis)
+                assert md.in_order(zeta) == member
+                if member:
+                    md.mult_matrix(zeta)
+                else:
+                    with pytest.raises(ValueError):
+                        md.mult_matrix(zeta)
+    assert rejected
 
 
 def test_module_without_one_is_rejected():
