@@ -18,7 +18,6 @@ from functools import total_ordering
 
 from .polynomials import (
     IntPoly,
-    count_roots,
     factor,
     root_bound,
     sign_variations,
@@ -221,9 +220,7 @@ def root_in(p: IntPoly, lo, hi) -> "RealAlgebraic":
     lo, hi = Fraction(lo), Fraction(hi)
     if p(lo) == 0 or p(hi) == 0:
         raise ValueError("endpoint is a root; shrink the interval")
-    if count_roots(p, lo, hi) != 1:
+    inside = [r for r in real_roots(p) if r._cmp_fraction(lo) > 0 and r._cmp_fraction(hi) < 0]
+    if len(inside) != 1:
         raise ValueError("interval does not isolate a single root")
-    for r in real_roots(p):
-        if r._cmp_fraction(lo) > 0 and r._cmp_fraction(hi) < 0:
-            return r
-    raise ValueError("no root in the interval")
+    return inside[0]

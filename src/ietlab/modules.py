@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .matrices import inverse, inverse_int, mat_vec, unimodular_completion
+from .matrices import identity, inverse_int, mat_vec, solve_fraction_free, unimodular_completion
 from .numberfield import FieldElement, NumberField, Span
 
 
@@ -54,11 +54,15 @@ class ModuleData:
         self.basis = [K.coerce(nu) for nu in basis]
         if len(self.basis) != n:
             raise ValueError("basis size must equal the field degree")
-        # nu-coordinates of x are _inv x.num / (_den x.den), _inv integer
-        V = [[nu.power_coords[i] for nu in self.basis] for i in range(n)]
-        Vinv = inverse(V)  # raises if the basis is dependent
-        self._den = lcm(*(c.denominator for row in Vinv for c in row))
-        self._inv = [[int(c * self._den) for c in row] for row in Vinv]
+        # nu-coordinates of x are _inv x.num / (_den x.den), _inv integer:
+        # span.rows is D V for the power coordinates V of the basis, so
+        # V^-1 = D X^T / det, reduced by g, which takes det's sign
+        span = Span(self.basis)
+        X, det = solve_fraction_free(span.rows, identity(n))  # raises if the basis is dependent
+        DX = [[span.den * x for x in col] for col in X]
+        g = gcd(det, *(v for col in DX for v in col)) * (1 if det > 0 else -1)
+        self._den = det // g
+        self._inv = [[col[i] // g for col in DX] for i in range(n)]
         # d: least d with d*nu_k*nu_i in M for all k, i, i.e. d*M inside O
         self.d = d = lcm(*(q // gcd(q, *w) for nu in self.basis for w, q in self._images(nu)[0]))
 
@@ -75,7 +79,6 @@ class ModuleData:
         self.W = unimodular_completion([j * c // d for c in one])
         self.Winv = inverse_int(self.W)
         # nu' basis as field elements: nu-coordinates are d * (columns of W)
-        span = Span(self.basis)
         self.nu_prime = [span.combine([d * self.W[i][k] for i in range(n)]) for k in range(n)]
         self.units = [nu / d for nu in self.nu_prime]  # the points nu'_k / d
         self._span = Span(self.units)

@@ -121,14 +121,6 @@ class IntPoly:
             return self
         return IntPoly(x // c for x in self.coeffs)
 
-    def reciprocal(self) -> "IntPoly":
-        """Coefficient reversal x^deg * p(1/x)."""
-        return IntPoly(reversed(self.coeffs))
-
-    def is_self_reciprocal(self) -> bool:
-        """Nonzero and a palindrome: x^deg * p(1/x) = p."""
-        return bool(self.coeffs) and self.reciprocal() == self
-
     def __repr__(self):
         if not self.coeffs:
             return "IntPoly(0)"
@@ -512,38 +504,3 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
         for k, c in enumerate(b):
             S[n + i][i + k] = c
     return int(det(S))
-
-
-def trace_polynomial(p: IntPoly) -> IntPoly:
-    """For a self-reciprocal p of even degree 2g, the degree-g polynomial q
-    with x^g * q(x + 1/x) = p(x)."""
-    if not p.is_self_reciprocal() or p.degree % 2 != 0 or p.degree < 2:
-        raise ValueError("needs a self-reciprocal polynomial of even degree")
-    g = p.degree // 2
-    rest = list(p.coeffs)
-    out = [0] * (g + 1)
-    x2p1 = IntPoly((1, 0, 1))
-    for m in range(g, -1, -1):
-        a = rest[g + m]
-        out[m] = a
-        col = IntPoly([0] * (g - m) + [1])
-        for _ in range(m):
-            col = col * x2p1
-        for k, c in enumerate(col.coeffs):
-            rest[k] -= a * c
-    if any(rest):
-        raise AssertionError("trace polynomial extraction left a remainder")
-    return IntPoly(out)
-
-
-def power_sum_poly(T: int) -> IntPoly:
-    """p_T with p_T(x + 1/x) = x^T + x^(-T): p_0 = 2, p_1 = y,
-    p_T = y*p_(T-1) - p_(T-2)."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if T == 0:
-        return IntPoly((2,))
-    prev, cur = IntPoly((2,)), X
-    for _ in range(T - 1):
-        prev, cur = cur, X * cur - prev
-    return cur

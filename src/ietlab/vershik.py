@@ -24,7 +24,6 @@ from .algebraic import RealAlgebraic
 from .lattice import LatticeModel, tile_offsets
 from .matrices import charpoly, det, identity, inverse, mat_pow, mat_sub, mat_vec, solve
 from .numberfield import FieldElement, eigen_moduli_squared, root_power
-from .polynomials import IntPoly, power_sum_poly, resultant, trace_polynomial
 from .substitution import Prefix
 
 
@@ -214,30 +213,17 @@ def random_consistent_code(model: LatticeModel, rng) -> VershikCode:
 
 
 def d_T(model: LatticeModel, T: int) -> int:
-    """|det(I - R^T)|, the denominator bound for period-T points.
-
-    With nonzero drift the spectrum of R splits into reciprocal pairs,
-    and the determinant is cross-checked against the trace-polynomial
-    resultant for the pairs.
-    """
+    """|det(I - R^T)|, the denominator bound for period-T points, by one
+    Bareiss determinant.  For monic chi_R it equals |Res(chi_R, x^T - 1)|
+    = |prod(lambda^T - 1)|, the identity the tests check it against."""
     if model.R is None:
         raise ValueError("model has no scaling matrix")
     if T < 1:
         raise ValueError("T must be positive")
-    RT = mat_pow(model.R, T)
-    n = model.n
-    M = mat_sub(identity(n), RT)
-    val = det(M)
+    val = det(mat_sub(identity(model.n), mat_pow(model.R, T)))
     if val == 0:
         raise ValueError("I - R^T is singular")
-    result = abs(int(val))
-    chi = charpoly(model.R)
-    if not model.drift.is_zero and chi.is_self_reciprocal() and chi.degree % 2 == 0:
-        q = trace_polynomial(chi)
-        cross = abs(resultant(q, power_sum_poly(T) - IntPoly((2,))))
-        if cross != result:
-            raise AssertionError("reciprocal-pair cross-check failed")
-    return result
+    return abs(val)
 
 
 class ExponentReport:

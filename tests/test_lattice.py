@@ -965,14 +965,18 @@ def unimodular(draw, n):
 
 
 def basis_invariants(model):
-    """(d, j, b), the drift's nullity, charpoly(R) and d_T(1..3) where R
-    exists, and the field point 1,000 steps after total/3."""
+    """(d, j, b), the drift's nullity, charpoly(R) and d_T(1..5) where R
+    exists, and the field point and symbol counts 1,000, 2^15 and 2^21
+    steps after total/3 (the long walks climb the towers on integers)."""
     m = model.module
     out = [(m.d, m.j, m.b), model.drift.is_zero]
     if model.R is not None:
-        out += [charpoly(model.R), [d_T(model, T) for T in (1, 2, 3)]]
-    end, _, _ = model.psi_orbit(model.point_of(model.total / 3), 1000)
-    return out + [model.value_of(end)]
+        out += [charpoly(model.R), [d_T(model, T) for T in range(1, 6)]]
+    start = model.point_of(model.total / 3)
+    for k in (1000, 1 << 15, 1 << 21):
+        end, counts, _ = model.psi_orbit(start, k)
+        out += [model.value_of(end), counts]
+    return out
 
 
 BASIS_MODELS = {

@@ -77,6 +77,21 @@ def test_arithmetic_field_axioms_randomized():
             assert b * b.inverse() == K.one
 
 
+@pytest.mark.parametrize("make", [quartic_field, lambda: e2star_model().field], ids=["quartic", "e2star"])
+def test_negative_powers_and_abs(make):
+    K = make()
+    rng = random.Random(11)
+    xs = [K.generator_element()]
+    xs += [K.from_power_coords([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K.n)]) for _ in range(6)]
+    for x in filter(None, xs):
+        for k in (1, 2, 3):
+            assert x ** -k * x ** k == K.one
+        pos = x if x > 0 else -x
+        assert abs(-pos) == pos
+        assert abs(pos) == pos
+    assert abs(K.zero) == K.zero
+
+
 def test_rho_is_a_unit():
     K = quartic_field()
     rho = K.generator_element()

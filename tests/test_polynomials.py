@@ -65,13 +65,6 @@ def test_content_and_primitive():
     assert p.primitive_part().lc > 0
 
 
-def test_reciprocal():
-    p = P(1, -3, 0, 1)
-    assert p.reciprocal() == P(1, 0, -3, 1)
-    assert P(-1, 3, 3, -1).is_self_reciprocal()
-    assert not p.is_self_reciprocal()
-
-
 def test_poly_gcd():
     a = P(-1, 0, 1)  # (x-1)(x+1)
     b = P(1, 2, 1)  # (x+1)^2

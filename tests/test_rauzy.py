@@ -159,7 +159,7 @@ def test_self_reciprocal_filter_on_survey_hits():
     for cyc in enumerate_cycles(cls, 9):
         if cyc.is_qualifying():
             p = cyc.charpoly()
-            assert p == p.reciprocal()
+            assert p.coeffs == p.coeffs[::-1]
 
 
 def test_seven_interval_class_sizes(rauzy_graph):

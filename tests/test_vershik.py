@@ -7,7 +7,10 @@ import pytest
 from ietlab import builders
 from ietlab.iet import IET, Permutation
 from ietlab.lattice import LatticeModel, first_return_model, unit_representative
+from ietlab.matrices import charpoly
 from ietlab.numberfield import FieldElement, NumberField
+from ietlab.polynomials import IntPoly, resultant
+from ietlab.rauzy import class_of, enumerate_cycles, self_similar_from_cycle
 from ietlab.substitution import Prefix
 from ietlab.vershik import (
     VershikCode,
@@ -324,6 +327,31 @@ def test_d_T_golden(golden_model):
     # R is the golden companion matrix, so |det(I - R^T)| = L_{2T} - 2
     # (Lucas numbers L_2, L_4, ... = 3, 7, 18, 47, 123)
     assert [d_T(model, T) for T in range(1, 6)] == [1, 5, 16, 45, 121]
+
+
+def test_d_T_is_the_resultant_of_chi_R_and_x_T_minus_1():
+    # for monic chi_R, |Res(chi_R, x^T - 1)| = |prod(lambda^T - 1)|
+    # = |det(I - R^T)| for any integer R, palindromic chi_R or not; on
+    # quartic, e2*, the first returns of E_1..E_3 and the cap-10 (4321)
+    # census loops whose model builds over the power basis (the others
+    # have translations outside that module)
+    models = {"quartic": builders.quartic_model(), "e2star": builders.e2star_model()}
+    models.update((f"ek{k} first return", builders.ek_first_return(k)) for k in (1, 2, 3))
+    for i, c in enumerate(c for c in enumerate_cycles(class_of((4, 3, 2, 1)), 10) if c.is_qualifying()):
+        try:
+            models[f"census {i}"] = LatticeModel(*self_similar_from_cycle(c))
+        except ValueError:
+            pass
+    assert len(models) == 7
+    for name, model in models.items():
+        chi = charpoly(model.R)
+        assert chi.lc == 1, name
+        if not model.drift.is_zero:
+            # nonzero drift: the spectrum of R splits into reciprocal pairs
+            assert chi.coeffs == chi.coeffs[::-1], name
+        for T in range(1, 6):
+            x_T_minus_1 = IntPoly((-1,) + (0,) * (T - 1) + (1,))
+            assert d_T(model, T) == abs(resultant(chi, x_T_minus_1)), (name, T)
 
 
 def test_exponent_quartic(quartic_model):
