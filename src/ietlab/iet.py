@@ -21,7 +21,7 @@ Integer walks.  The table also encloses each tile's offset c as
 |q c - C| <= e_c, with an error of its own, and the factor beta.  `orbit`
 and the lattice walk's stepped segments run on one integer position: k
 steps from x enclose q x once, as X within e_x, 32 bits above the bit
-lengths of x's largest power coordinate and of k (`Cells.position`); a
+lengths of x's largest power coordinate and of k (`IET._certificate`); a
 step by atom i adds m_i = -C_i, so X stays within e_x + k max e_c of q
 times the point.  An atom is taken from X only while that band lies
 inside it; otherwise x + sum c_i tau_i (c the atom counts so far) is
@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from operator import index
 from .numberfield import FieldElement, NumberField, Span
 
 
@@ -97,6 +98,14 @@ def translations_from(perm: Permutation, lengths):
     return tuple(image_lefts[i] - left for i, left in zip(range(N), accumulate(lengths, initial=zero)))
 
 
+def step_count(k, name: str = "k") -> int:
+    """k by `operator.index` (True is 1); TypeError naming it otherwise."""
+    try:
+        return index(k)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(k).__name__}") from None
+
+
 def rescale(X: int, err: int, a: int, b: int):
     """(Y, err') with |b u - Y| <= err' for every u with |a u - X| <= err,
     a, b > 0: Y = floor(X b / a), and b u - Y is (a u - X) b / a plus
@@ -138,14 +147,6 @@ class Cells:
             moves, e = [-C for _, C, _ in tiles], max((e for *_, e in tiles), default=0)
             table = self._ints = P, q >> P, lows, highs, tiles, None if self.beta is None else B, e_b, moves, e
         return table
-
-    def position(self, x: FieldElement, k: int):
-        """(X, err) with |q x - X| <= err at the table's scale q = d 2^P,
-        P at least 32 bits above the bit lengths of x's largest power
-        coordinate and of k."""
-        bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
-        _, ((s, e),) = self.field.enclose([x], bits)
-        return rescale(s, e, x.den, self._table()[1])  # |x.den 2^P x - s| <= e
 
     def locate(self, x: FieldElement) -> int:
         """0-based index of the cell holding the field element x; raises
@@ -223,14 +224,17 @@ class IET(Cells):
         """(q, X, err, lows, highs, moves): |q E^t x - X_t| <= err for
         t <= k, where X_t is X plus moves[i] for each atom i + 1 passed,
         and cell i holds every y with lows[i] <= q y < highs[i]."""
-        X, err = self.position(x, k)
-        P, d, lows, highs, _, _, _, moves, e = self._table()
-        return d << P, X, err + k * e, lows, highs, moves
+        bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
+        _, ((s, e),) = self.field.enclose([x], bits)  # |x.den 2^P x - s| <= e
+        P, d, lows, highs, _, _, _, moves, e_c = self._table()
+        X, err = rescale(s, e, x.den, d)
+        return d << P, X, err + k * e_c, lows, highs, moves
 
     def _walk(self, x: FieldElement, k: int, counts):
         """Yield the atoms (1-based) of k steps of E from x, adding each
         step to counts (all 0 at the start); raises ValueError for k < 0
-        or when the orbit leaves the domain."""
+        or when the orbit leaves the domain, TypeError for a non-integer k."""
+        k = step_count(k)
         if k < 0:
             raise ValueError("k must be >= 0")
         _, X, err, lows, highs, moves = self._certificate(x, k)

@@ -7,9 +7,10 @@ translation and the atom i is selected by the real position of the point.
 Layers xi + M (rational torsion residues) are invariant, so a model pins
 one layer and walks Z^n.
 
-Walks.  `psi_orbit` cuts a walk at its checkpoints, and each segment
-either jumps through the towers or steps; z_k = z_0 + projection * counts
-either way, and the coordinates are always exact integers.
+Walks.  `psi_orbit` cuts a walk at its checkpoints, if any, and each
+segment either jumps through the towers from its lattice point or steps
+from its field point; z_k = z_0 + projection * counts either way, and the
+coordinates are always exact integers.
 
 Jumps.  A model renormalizes when it carries a scaling factor rho and a
 window (a, b) whose first-return map is self-similar with that factor:
@@ -28,11 +29,13 @@ level-L steps of the self-similar map while a tower fits, then descends
 by heights alone: per level one bisection in the prefix heights of a
 rule, whose letter counts (Parikh vectors) add up to the symbol counts.
 Its cost grows like log k.  The tiles and atoms of the climb and the
-whole steps come from one stream: on one integer position while its
-error band lies inside a cell, as the IET's walk does (`scaled` bounds a
-level's factor), and from the first cell bound the band meets, by the
-exact `climb` from the point that the placed tiles map x to, so counts
-and end points are exact.  A tile maps its left end to a left end one
+whole steps come from one stream, `integer_climb`: on one integer
+position while its error band lies inside a cell, as the IET's walk does
+(`scaled` bounds a level's factor), and from the first cell bound the
+band meets, by the exact `climb` from the point that the placed tiles map
+x to, so counts and end points are exact.  The position starts from the
+lattice point (`LatticeModel.position`), so x is formed only where a band
+meets a bound.  A tile maps its left end to a left end one
 level up, so the climb of a point on one, as every level point of a walk
 from an atom's left end is, reads its tiles from a table.  A segment
 shorter than every level-1 tower, a one-step segment and every segment
@@ -45,9 +48,9 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 
-from .iet import IET, Cells, check_self_similar, induce, rescale, tiling_order
+from .iet import IET, Cells, check_self_similar, induce, rescale, step_count, tiling_order
 from .matrices import charpoly, mat_mul, mat_vec
 from .modules import ModuleData, module_normalize
 from .numberfield import FieldElement, Span
@@ -57,9 +60,10 @@ from .substitution import Prefix, PrefixGraph
 
 class LatticePoint:
     """A layer representative xi (rational nu-coordinates in [0,1)) plus
-    integer module coordinates z; a non-integral z raises ValueError."""
+    integer module coordinates z; a non-integral z raises ValueError.  The
+    layer is also kept over one denominator M, xi = a / M, as (M, a)."""
 
-    __slots__ = ("layer", "z")
+    __slots__ = ("layer", "z", "_over")
 
     def __init__(self, layer, z):
         z = tuple(z)
@@ -67,12 +71,14 @@ class LatticePoint:
         self.z = tuple(int(c) for c in z)
         if self.z != z:
             raise ValueError(f"module coordinates must be integers: {z}")
+        M = math.lcm(*(c.denominator for c in self.layer))
+        self._over = M, tuple(c.numerator * (M // c.denominator) for c in self.layer)
 
     @classmethod
-    def _of(cls, layer, z):
-        p = object.__new__(cls)  # a checked layer and a tuple of ints
-        p.layer, p.z = layer, z
-        return p
+    def _of(cls, p, z):
+        q = object.__new__(cls)  # a point on p's layer, z a tuple of ints
+        q.layer, q._over, q.z = p.layer, p._over, z
+        return q
 
     def __eq__(self, other):
         return (
@@ -135,6 +141,7 @@ class LatticeModel:
         self.prefix_graph = None  # the substitution's prefix automaton
         self._Rnu = None
         self._towers = None  # built by towers() on first use
+        self._ints = None  # the _table of the field's precision
         if rho is None:
             if window is not None:
                 raise ValueError("a window needs a scaling factor")
@@ -211,8 +218,30 @@ class LatticeModel:
     def enclose(self, xs=(), bits: int = 0):
         """(q, enclosures): NumberField.enclose of the points xs followed
         by the unit module points nu'_k / d, all at one precision of at
-        least `bits`."""
-        return self.field.enclose([*xs, *self.module.units], bits)
+        least `bits`; without xs, the units' pairs of `_table`."""
+        return self.field.enclose([*xs, *self.module.units], bits) if xs else self._table(bits)[1:3]
+
+    def _table(self, bits: int = 0):
+        """(P, q, unit pairs, mids, errs) at the precision P >= bits, rebuilt
+        when it has grown: |q v - mids[i]| <= errs[i] for the basis nu_i and
+        then the units, v the i-th."""
+        table = self._ints
+        if table is None or table[0] != self.field.precision or table[0] < bits:
+            q, pairs = self.field.enclose([*self.module.basis, *self.module.units], bits)
+            table = self._ints = self.field.precision, q, pairs[self.n:], *zip(*pairs)
+        return table
+
+    def position(self, p: LatticePoint, k: int, cells: Cells):
+        """(X, err), |q x - X| <= err, for the point x of p at the scale q =
+        d 2^P of the cells' table: with xi = a / M and `_table` at D 2^P,
+        X = sum a_i m_i + M sum z_k m_k, err = sum |a_i| e_i + M sum |z_k| e_k,
+        rescaled from M D to d.  P is at least 32 bits above the bit lengths
+        of k and of sum |xi_i| + sum |z_k|, the size of x in those terms."""
+        M, a = p._over
+        c = (*a, *p.z) if M == 1 else (*a, *(M * v for v in p.z))
+        P, q, _, mids, errs = self._table((sum(map(abs, c)) // M).bit_length() + k.bit_length() + 32)
+        X, err = sum(map(mul, c, mids)), sum(map(mul, map(abs, c), errs))
+        return rescale(X, err, M * (q >> P), cells._table()[1])
 
     # -- dynamics --------------------------------------------------------
 
@@ -225,35 +254,35 @@ class LatticeModel:
         checkpoints cut the walk into segments.  A segment of two or more
         steps of a model that renormalizes jumps through its towers (built
         at the first such segment) when it reaches the smallest level-1
-        tower; every other segment steps one atom at a time on the IET's
-        integer walk.  Both give the same counts.
+        tower, from the segment's lattice point (`Towers.counts`); every
+        other segment steps one atom at a time on the IET's integer walk.
+        Both give the same counts.  k and the checkpoints are integers.
         """
+        k = step_count(k)
         if k < 0:
             raise ValueError("k must be >= 0")
-        want = set(checkpoints)
+        if not checkpoints:
+            return (*self._segment(p, k), {})
+        want = {step_count(s, "checkpoint") for s in checkpoints}
         if any(not 1 <= s <= k for s in want):
             raise ValueError("checkpoints must lie in 1..k")
-        marks = {}
-        counts = [0] * self.E.N
-        z, done = p.z, 0
+        marks, counts, done = {}, [0] * self.E.N, 0
         for stop in sorted(want | {k}):
-            part = self._segment(self._span.combine([*p.layer, *z]), stop - done)
-            counts = [a + b for a, b in zip(counts, part)]
-            z = tuple(c + sum(map(mul, row, part)) for c, row in zip(z, self.projection))
-            done = stop
+            p, part = self._segment(p, stop - done)
+            counts, done = list(map(add, counts, part)), stop
             if stop in want:
-                marks[stop] = (z, max(map(abs, z)))
-        return LatticePoint._of(p.layer, z), counts, marks
+                marks[stop] = (p.z, max(map(abs, p.z)))
+        return p, counts, marks
 
-    def _segment(self, x: FieldElement, k: int):
-        """Symbol counts of k steps from x: through the towers when the
-        model renormalizes and k reaches a level-1 tower (one step needs
-        none), otherwise step by step."""
-        if k > 1 and self.rho is not None:
-            counts = self.towers().counts(x, k)
-            if counts is not None:
-                return counts
-        return self._step(x, k)
+    def _segment(self, p: LatticePoint, k: int):
+        """(end point, symbol counts) of k steps from p: through the towers
+        when the model renormalizes and k reaches a level-1 tower (one step
+        needs none), otherwise step by step."""
+        counts = self.towers().counts(p, k) if k > 1 and self.rho is not None else None
+        if counts is None:
+            counts = self._step(self.value_of(p), k)
+        z = tuple(c + sum(map(mul, row, counts)) for c, row in zip(p.z, self.projection))
+        return LatticePoint._of(p, z), counts
 
     def towers(self):
         """The model's Towers, built on first use; raises ValueError for a
@@ -329,7 +358,7 @@ def scaled(U: int, err: int, B: int, e_b: int, q: int):
 
 
 class Towers:
-    """Kakutani-Rokhlin towers of a model that renormalizes.
+    """Kakutani-Rokhlin towers of a model that renormalizes, `model`.
 
     `top` is the self-similar map of the higher levels: the model itself
     when its window (a, b) has length rho*total, otherwise the
@@ -349,7 +378,7 @@ class Towers:
     letter j; heights[l][j - 1], their sum, is the steps h_l(j) it spans.
     """
 
-    __slots__ = ("top", "stages", "corners", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
+    __slots__ = ("model", "top", "stages", "corners", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
 
     def __init__(self, model: LatticeModel):
         if model.sigma is None:
@@ -363,7 +392,7 @@ class Towers:
             scale, beta = model.rho, model.rho.inverse()
         bases = [(scale * lo, scale * ln) for (lo, _), ln in zip(top.E.atoms(), top.E.lengths)]
         first = _tower_tiles(model.E, rules, offsets, bases, beta)
-        self.top = top
+        self.model, self.top = model, top
         self.stages = (first, first if top is model else top.towers().stages[0], top.E)
         self.corners = list(map(self.stages[1].lefts.index, top.E.lefts))  # exact ==, raises if absent
         self.rules = (rules, top.sigma.rules)
@@ -425,15 +454,15 @@ class Towers:
                     j, x = item.rule - 1, lefts[item.rule - 1]
             yield item, x
 
-    def integer_climb(self, x: FieldElement, k: int, L: int):
-        """`climb(x, L)` on integers: yield (item, X, err) per step, with
-        |q y - X| <= err for the image y and the scale q = d 2^P of the
-        step's stage table, while the band [X - err, X + err] lies inside a
-        cell; the enclosure of x allows k whole steps.  Returns the indices
-        of the tiles placed and the cell whose left end the band met (the
-        last for the domain's right end) when the band meets a bound."""
+    def integer_climb(self, X: int, err: int, L: int, point):
+        """The steps of `climb(x, L)` from |q x - X| <= err, q the scale
+        d 2^P of stage 1: (item, X, err) per step, |q y - X| <= err for the
+        image y at its stage's scale, while the band lies inside a cell, and
+        from the first bound it meets, (item, y) by the exact climb from the
+        point that the placed tiles map point() = x to, which starts in the
+        met cell when it is that cell's left end.  The level-L point lies in
+        the top atom of its tile's rule, so that exact step locates no atom."""
         first, second, top = self.stages
-        X, err = first.position(x, k)
         tables = first._table(), second._table(), top._table()
         d, placed = tables[0][1], []
         for P, e, lows, highs, tiles, B, e_b, _, _ in self._sequence(tables, L):
@@ -442,24 +471,16 @@ class Towers:
                 d = e
             i = bisect_right(highs, X + err)
             if i == len(highs) or X - err < lows[i]:
-                return placed, min(i, len(highs) - 1)
+                break
             placed.append(i)
             item, C, e_c = tiles[i]
             X, err = X - C, err + e_c
             if B is not None:  # (y - c) * beta
                 X, err = scaled(X, err, B, e_b, d << P)
             yield item, X, err
-
-    def _steps(self, x: FieldElement, k: int, L: int):
-        """The steps of `climb(x, L)`, (item, ...) each: by `integer_climb`
-        while it places them, then exactly from the point that its tiles
-        map x to, which starts in the met cell when it is that cell's left
-        end.  The level-L point lies in the top atom of its tile's rule, so
-        an exact climb of the tiles takes that atom unlocated."""
-        placed, met = yield from self.integer_climb(x, k, L)
+        x, n, met = point(), len(placed), min(i, len(highs) - 1)
         for cells, i in zip(self._sequence(self.stages, L), placed):
             _, x = cells.step(x, i)
-        n = len(placed)
         if n < L:
             for mu, x in islice(self.climb(x, L, n, met), L - n):
                 yield mu, x
@@ -468,17 +489,19 @@ class Towers:
             n = L + 1
         yield from self.climb(x, L, n)
 
-    def counts(self, x: FieldElement, k: int):
-        """Symbol counts of k steps of the model's map from x, or None when
-        k is below every level-1 tower."""
+    def counts(self, p: LatticePoint, k: int):
+        """Symbol counts of k steps of the model's map from the lattice
+        point p, or None when k is below every level-1 tower; p's field
+        point is formed only if the climb's band meets a cell bound."""
         while self.least[-1] <= k:
             self.height(len(self.least))
         L = bisect_right(self.least, k) - 1
         if L == 0:
             return None
-        items = map(itemgetter(0), self._steps(x, k, L))
+        steps = self.integer_climb(*self.model.position(p, k, self.stages[0]), L, lambda: self.model.value_of(p))
         r, minus, plus = k, [], []  # the counts are sum(plus) - sum(minus)
-        for level, mu in zip(range(1, L + 1), items):
+        for level, step in zip(range(1, L + 1), steps):
+            mu = step[0]
             H, V = self.prefixes(level, mu.rule)
             r += H[mu.cut]  # r counts k plus the steps from the base of the tower
             minus.append(V[mu.cut])
@@ -488,7 +511,8 @@ class Towers:
         # read only when a step is taken
         h, j = self.heights[L], mu.rule - 1
         if r >= h[j]:
-            for j in items:
+            for step in steps:
+                j = step[0]
                 if r < h[j]:
                     break
                 r -= h[j]

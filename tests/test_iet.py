@@ -117,6 +117,16 @@ def test_orbit_and_staircase_reject_negative_lengths(quartic_iet):
     assert E.orbit(K.zero, 0) == ((), K.zero)
 
 
+def test_orbit_rejects_non_integer_lengths(quartic_iet):
+    # a float or a Fraction k is refused by name at the entry, and True
+    # counts as one step
+    K, _, E = quartic_iet
+    for k in (2.5, 3.0, Fraction(5, 2), Fraction(3)):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            E.orbit(K.zero, k)
+    assert E.orbit(K.zero, True) == E.orbit(K.zero, 1)
+
+
 def test_iet_from_translations_round_trip():
     K = golden_field()
     phi = K.generator_element()

@@ -619,6 +619,22 @@ def test_psi_orbit_rejects_negative_lengths_and_stray_checkpoints(quartic_lattic
     assert model.psi_orbit(p, 0) == (p, [0] * 4, {})
 
 
+@pytest.mark.parametrize("name", ["quartic", "ek1"])
+def test_psi_orbit_rejects_non_integer_lengths_and_checkpoints(jump_models, name):
+    # floats and Fractions are refused by name before any step, on the
+    # stepped and the jumping path alike; True counts as one step
+    model = jump_models[name]
+    p = model.point_of(model.E.rights[0] / 3)
+    for k in (3.0, 2.5, Fraction(7, 2), Fraction(4), 2.0**15):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            model.psi_orbit(p, k)
+    for stop in (2.0, Fraction(2), Fraction(5, 2)):
+        with pytest.raises(TypeError, match="checkpoint must be an integer"):
+            model.psi_orbit(p, 5, checkpoints=(stop,))
+    assert model.psi_orbit(p, True) == model.psi_orbit(p, 1)
+    assert model.psi_orbit(p, 5, checkpoints=(True, 3)) == model.psi_orbit(p, 5, checkpoints=(1, 3))
+
+
 def test_building_and_one_step_build_no_towers(monkeypatch):
     # paper_report builds E_k models that never walk, and bench setup
     # walks one step: neither may pay for towers or first-return models
@@ -707,6 +723,130 @@ def test_a_2_40_step_walk_takes_under_a_second(name):
     assert x.sign() >= 0 and (x - model.total).sign() < 0
 
 
+def jump_steps(model, towers, x, k, L):
+    """The steps of a k-step jump from x to level L: `integer_climb` from
+    the start of x's lattice point at stage 1's scale."""
+    return towers.integer_climb(*model.position(model.point_of(x), k, towers.stages[0]), L, lambda: x)
+
+
+def integer_steps(model, towers, x, k, L):
+    """The steps of the jump that its band places on integers: those
+    before the first (item, y) of the exact climb."""
+    return itertools.takewhile(lambda step: len(step) == 3, jump_steps(model, towers, x, k, L))
+
+
+def start_claims(model, cells, points, k):
+    """(q x, X - err, X + err) for the start (X, err) of each lattice point
+    at the scale q of the cells' table, for the exact checks of the caller."""
+    claims = []
+    for p in points:
+        X, err = model.position(p, k, cells)
+        P, d, *_ = cells._table()
+        assert P == model.field.precision
+        claims.append(((d << P) * model.value_of(p), X - err, X + err))
+    return claims
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_a_walk_start_encloses_its_point(name):
+    # |q x - X| <= err for the start that a jump takes from the lattice
+    # coordinates, at the scale of stage 1 (d = 2 for E_k) and of the
+    # IET's atoms, on atom left ends, layer-0 points, rational layers with
+    # denominators 3 to 6 (the rational points j / M among them, whose
+    # start is exact but for the rescale's floor) and |z| up to 2^40; at
+    # 64 bits, where the small points keep the table, and again at 256
+    model = JUMP_MODELS[name]()
+    rng = random.Random(f"starts/{name}")
+    n, first = model.n, model.towers().stages[0]
+    small = [model.point_of(x) for x in model.E.lefts]
+    small += [model.point_of(Fraction(j, M)) for M in (3, 4, 5, 6) for j in range(1, M)]
+    for M in (1, 3, 4, 5, 6):
+        layer = [Fraction(rng.randrange(M), M) for _ in range(n)]
+        small.append(LatticePoint(layer, [rng.randint(-9, 9) for _ in range(n)]))
+    large = [LatticePoint([Fraction(rng.randrange(M), M) for _ in range(n)],
+                          [rng.randint(-(2**40), 2**40) for _ in range(n)]) for M in (1, 1, 3, 4, 5, 6)]
+    assert any(any(p.layer) for p in small) and any(p.layer == (0,) * n for p in small)
+    claims = []
+    for bits in (64, 256):
+        model.enclose(bits=bits)
+        for points in (small, large):
+            for cells in (first, model.E):
+                claims += start_claims(model, cells, points, 2**15)
+            assert model.field.precision == bits or points is large
+    # signs last: they refine the sign table, which later starts would use
+    for qx, lo, hi in claims:
+        assert (qx - lo).sign() >= 0 >= (qx - hi).sign()
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_jumps_form_a_field_point_only_on_a_miss(name, monkeypatch):
+    # a walk from a rational layer climbs on integers from its lattice
+    # coordinates alone, and one from an atom left end other than 0, whose
+    # band meets a tile bound at level 1, forms its point once
+    model = JUMP_MODELS[name]()
+    model.towers()
+    far = walk_starts(model)[3 * model.E.N - 1:]  # past the starts within 2^-200 of an endpoint
+    rational = [p for p in map(model.point_of, far) if any(p.layer)]
+    lefts = [model.point_of(x) for x in model.E.lefts[1:]]
+    assert len(rational) >= 3
+    combined = []
+    combine = Span.combine
+    monkeypatch.setattr(Span, "combine", lambda span, *a: combined.append(a) or combine(span, *a))
+    for k in (2**15, 2**21):
+        for p in rational:
+            model.psi_orbit(p, k)
+        assert not combined
+        for p in lefts:
+            model.psi_orbit(p, k)
+            assert len(combined) == 1, (p, k)
+            combined.clear()
+
+
+def tripled(cells):
+    """A copy of the cells whose integer table works at three times its
+    scale: every bound, offset and factor enclosure and d times 3."""
+    copy = Cells(cells.field, cells.rights, cells.tiles, cells.beta)
+    P, d, lows, highs, tiles, B, e_b, moves, e = cells._table()
+    tiles = [(item, 3 * C, 3 * e_c) for item, C, e_c in tiles]
+    copy._ints = (P, 3 * d, [3 * v for v in lows], [3 * v for v in highs], tiles,
+                  None if B is None else 3 * B, 3 * e_b, [3 * m for m in moves], 3 * e)
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
+    # stage 1 and the top map at three times the scale of stage 2: the
+    # climb rescales from 3d to d after level 1 (a floor) and from d to
+    # 3d at the top map, and still encloses every exact level point, and
+    # the walks that climb it keep the exact counts and ends
+    import ietlab.lattice
+
+    model, plain = JUMP_MODELS[name](), JUMP_MODELS[name]()
+    towers = model.towers()
+    model.enclose(bits=128)  # no start below refines past the tripled tables
+    first, second, top = towers.stages
+    towers.stages = (tripled(first), second, tripled(top))
+    scales = [d << P for P, d, *_ in (cells._table() for cells in towers.stages)]
+    assert scales[0] == scales[2] == 3 * scales[1]
+    rescaled = []
+    monkeypatch.setattr(ietlab.lattice, "rescale", lambda *a: rescaled.append(a) or rescale(*a))
+    claims = []
+    for x in walk_starts(model):
+        for k, L in ((2**15, 8), (2**40, 40)):
+            levels = list(itertools.islice(integer_steps(model, towers, x, k, L), L + 20))
+            stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
+            for (mu, X, err), (nu, y), s in zip(levels, towers.climb(x, L), stages):
+                assert mu == nu
+                claims.append((scales[s] * y, X - err, X + err))
+        for k in (2**15, 2**21):
+            assert model.psi_orbit(model.point_of(x), k) == plain.psi_orbit(plain.point_of(x), k), (x, k)
+    d = second._table()[1]
+    assert {(a, b) for _, _, a, b in rescaled} >= {(3 * d, d), (d, 3 * d)}
+    assert [e << P for P, e, *_ in (cells._table() for cells in towers.stages)] == scales  # still tripled
+    for qy, lo, hi in claims:
+        assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
+
+
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_only_starts_on_a_tile_bound_climb_exactly(name, monkeypatch):
     # a rational layer xi != 0 never meets a tile bound, so its jumps climb
@@ -755,7 +895,7 @@ def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypat
             if k < towers.height(L)[j]:
                 continue  # no whole step
             x = model.window[0] + s * towers.top.rho ** (L - 1) * (r - top.translations[j])
-            assert len(list(itertools.islice(towers.integer_climb(x, k, L), L))) == L
+            assert len(list(itertools.islice(integer_steps(model, towers, x, k, L), L))) == L
             climbs.clear()
             end, counts, _ = model.psi_orbit(model.point_of(x), k)
             # the exact climb resumes at r, past the L tiles and the atom j
@@ -807,7 +947,7 @@ def test_integer_climb_encloses_the_exact_climb(name):
     claims, tops = [], 0
     for x in walk_starts(model):
         for k, L in ((2, 1), (2**15, 8), (2**40, 40)):
-            levels = list(itertools.islice(towers.integer_climb(x, k, L), L + 20))
+            levels = list(itertools.islice(integer_steps(model, towers, x, k, L), L + 20))
             stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
             scales = [(d << P) for P, d, *_ in (cells._table() for cells in towers.stages)]
             for (mu, X, err), (nu, y), s in zip(levels, towers.climb(x, L), stages):
@@ -849,7 +989,7 @@ def test_climbs_match_the_located_climb(name):
             if L == 0:
                 continue
             want = list(itertools.islice(located_climb(towers, x, L), L + 3))
-            got = list(itertools.islice(towers._steps(x, k, L), L + 3))
+            got = list(itertools.islice(jump_steps(model, towers, x, k, L), L + 3))
             assert [step[0] for step in got] == [item for item, _ in want], (x, k)
             for step, point in zip(got, want):
                 if len(step) == 2:  # (item, y) of the exact climb
