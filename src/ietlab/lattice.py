@@ -218,17 +218,17 @@ class LatticeModel:
     def enclose(self, xs=(), bits: int = 0):
         """(q, enclosures): NumberField.enclose of the points xs followed
         by the unit module points nu'_k / d, all at one precision of at
-        least `bits`; without xs, the units' pairs of `_table`."""
-        return self.field.enclose([*xs, *self.module.units], bits) if xs else self._table(bits)[1:3]
+        least `bits`."""
+        return self.field.enclose([*xs, *self.module.units], bits)
 
     def _table(self, bits: int = 0):
-        """(P, q, unit pairs, mids, errs) at the precision P >= bits, rebuilt
-        when it has grown: |q v - mids[i]| <= errs[i] for the basis nu_i and
-        then the units, v the i-th."""
+        """(P, q, mids, errs) at the precision P >= bits, rebuilt when it
+        has grown: |q v - mids[i]| <= errs[i] for the basis nu_i and then
+        the units, v the i-th."""
         table = self._ints
         if table is None or table[0] != self.field.precision or table[0] < bits:
             q, pairs = self.field.enclose([*self.module.basis, *self.module.units], bits)
-            table = self._ints = self.field.precision, q, pairs[self.n:], *zip(*pairs)
+            table = self._ints = self.field.precision, q, *zip(*pairs)
         return table
 
     def position(self, p: LatticePoint, k: int, cells: Cells):
@@ -239,7 +239,7 @@ class LatticeModel:
         of k and of sum |xi_i| + sum |z_k|, the size of x in those terms."""
         M, a = p._over
         c = (*a, *p.z) if M == 1 else (*a, *(M * v for v in p.z))
-        P, q, _, mids, errs = self._table((sum(map(abs, c)) // M).bit_length() + k.bit_length() + 32)
+        P, q, mids, errs = self._table((sum(map(abs, c)) // M).bit_length() + k.bit_length() + 32)
         X, err = sum(map(mul, c, mids)), sum(map(mul, map(abs, c), errs))
         return rescale(X, err, M * (q >> P), cells._table()[1])
 
@@ -261,15 +261,14 @@ class LatticeModel:
         k = step_count(k)
         if k < 0:
             raise ValueError("k must be >= 0")
-        if not checkpoints:
-            return (*self._segment(p, k), {})
         want = {step_count(s, "checkpoint") for s in checkpoints}
         if any(not 1 <= s <= k for s in want):
             raise ValueError("checkpoints must lie in 1..k")
-        marks, counts, done = {}, [0] * self.E.N, 0
+        marks, counts, done = {}, None, 0
         for stop in sorted(want | {k}):
             p, part = self._segment(p, stop - done)
-            counts, done = list(map(add, counts, part)), stop
+            counts = part if counts is None else list(map(add, counts, part))
+            done = stop
             if stop in want:
                 marks[stop] = (p.z, max(map(abs, p.z)))
         return p, counts, marks
@@ -454,15 +453,17 @@ class Towers:
                     j, x = item.rule - 1, lefts[item.rule - 1]
             yield item, x
 
-    def integer_climb(self, X: int, err: int, L: int, point):
-        """The steps of `climb(x, L)` from |q x - X| <= err, q the scale
-        d 2^P of stage 1: (item, X, err) per step, |q y - X| <= err for the
-        image y at its stage's scale, while the band lies inside a cell, and
-        from the first bound it meets, (item, y) by the exact climb from the
-        point that the placed tiles map point() = x to, which starts in the
-        met cell when it is that cell's left end.  The level-L point lies in
-        the top atom of its tile's rule, so that exact step locates no atom."""
+    def integer_climb(self, p: LatticePoint, k: int, L: int):
+        """The steps of `climb(x, L)` from the point x of p, its start
+        enclosed for k whole steps (`LatticeModel.position`): (item, X, err)
+        per step, |q y - X| <= err for the image y at its stage's scale
+        q = d 2^P, while the band lies inside a cell, and from the first
+        bound it meets, (item, y) by the exact climb from the point that the
+        placed tiles map x to, which starts in the met cell when it is that
+        cell's left end.  The level-L point lies in the top atom of its
+        tile's rule, so that exact step locates no atom."""
         first, second, top = self.stages
+        X, err = self.model.position(p, k, first)
         tables = first._table(), second._table(), top._table()
         d, placed = tables[0][1], []
         for P, e, lows, highs, tiles, B, e_b, _, _ in self._sequence(tables, L):
@@ -478,7 +479,7 @@ class Towers:
             if B is not None:  # (y - c) * beta
                 X, err = scaled(X, err, B, e_b, d << P)
             yield item, X, err
-        x, n, met = point(), len(placed), min(i, len(highs) - 1)
+        x, n, met = self.model.value_of(p), len(placed), min(i, len(highs) - 1)
         for cells, i in zip(self._sequence(self.stages, L), placed):
             _, x = cells.step(x, i)
         if n < L:
@@ -498,7 +499,7 @@ class Towers:
         L = bisect_right(self.least, k) - 1
         if L == 0:
             return None
-        steps = self.integer_climb(*self.model.position(p, k, self.stages[0]), L, lambda: self.model.value_of(p))
+        steps = self.integer_climb(p, k, L)
         r, minus, plus = k, [], []  # the counts are sum(plus) - sum(minus)
         for level, step in zip(range(1, L + 1), steps):
             mu = step[0]

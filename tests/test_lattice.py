@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from operator import mul
@@ -725,8 +726,8 @@ def test_a_2_40_step_walk_takes_under_a_second(name):
 
 def jump_steps(model, towers, x, k, L):
     """The steps of a k-step jump from x to level L: `integer_climb` from
-    the start of x's lattice point at stage 1's scale."""
-    return towers.integer_climb(*model.position(model.point_of(x), k, towers.stages[0]), L, lambda: x)
+    x's lattice point."""
+    return towers.integer_climb(model.point_of(x), k, L)
 
 
 def integer_steps(model, towers, x, k, L):
@@ -818,7 +819,9 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
     # stage 1 and the top map at three times the scale of stage 2: the
     # climb rescales from 3d to d after level 1 (a floor) and from d to
     # 3d at the top map, and still encloses every exact level point, and
-    # the walks that climb it keep the exact counts and ends
+    # the walks that climb it keep the exact counts and ends.  Only the
+    # climb's own rescales are recorded: the start's rescale to stage 1
+    # (`LatticeModel.position`) may also go from d to 3d
     import ietlab.lattice
 
     model, plain = JUMP_MODELS[name](), JUMP_MODELS[name]()
@@ -829,7 +832,14 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
     scales = [d << P for P, d, *_ in (cells._table() for cells in towers.stages)]
     assert scales[0] == scales[2] == 3 * scales[1]
     rescaled = []
-    monkeypatch.setattr(ietlab.lattice, "rescale", lambda *a: rescaled.append(a) or rescale(*a))
+    climb = Towers.integer_climb.__code__
+
+    def recorded(*a):
+        if sys._getframe(1).f_code is climb:
+            rescaled.append(a)
+        return rescale(*a)
+
+    monkeypatch.setattr(ietlab.lattice, "rescale", recorded)
     claims = []
     for x in walk_starts(model):
         for k, L in ((2**15, 8), (2**40, 40)):
