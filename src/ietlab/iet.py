@@ -226,8 +226,12 @@ class IET(Cells):
         and cell i holds every y with lows[i] <= q y < highs[i]."""
         bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
         _, ((s, e),) = self.field.enclose([x], bits)  # |x.den 2^P x - s| <= e
+        return self._band(s, e, x.den, k)
+
+    def _band(self, X: int, err: int, q: int, k: int):
+        """`_certificate` for a start x with |q x - X| <= err."""
         P, d, lows, highs, _, _, _, moves, e_c = self._table()
-        X, err = rescale(s, e, x.den, d)
+        X, err = rescale(X, err, q, d)
         return d << P, X, err + k * e_c, lows, highs, moves
 
     def _walk(self, x: FieldElement, k: int, counts):
@@ -237,7 +241,14 @@ class IET(Cells):
         k = step_count(k)
         if k < 0:
             raise ValueError("k must be >= 0")
-        _, X, err, lows, highs, moves = self._certificate(x, k)
+        return self._steps(self._certificate(x, k), k, counts, x)
+
+    def _steps(self, certificate, k: int, counts, x):
+        """Yield the atoms of k steps from the start x that a `_certificate`
+        encloses, adding each step to counts; x may instead be a function
+        that forms it, called at the first step the certificate cannot
+        place."""
+        _, X, err, lows, highs, moves = certificate
         N = self.N
         # atom i + 1 is certain for X in [lows[i], highs[i])
         lows = [b + err for b in lows]
@@ -246,6 +257,8 @@ class IET(Cells):
             # bisect_right returns N or an index with X < highs[i], sorted or not
             i = bisect_right(highs, X)
             if i == N or X < lows[i]:
+                if not isinstance(x, FieldElement):
+                    x = x()
                 i = self.atom_of(self._span.combine(counts, x)) - 1
             counts[i] += 1
             X += moves[i]

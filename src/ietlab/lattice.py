@@ -8,9 +8,9 @@ Layers xi + M (rational torsion residues) are invariant, so a model pins
 one layer and walks Z^n.
 
 Walks.  `psi_orbit` cuts a walk at its checkpoints, if any, and each
-segment either jumps through the towers from its lattice point or steps
-from its field point; z_k = z_0 + projection * counts either way, and the
-coordinates are always exact integers.
+segment either jumps through the towers or steps one atom at a time, both
+from its lattice point; z_k = z_0 + projection * counts either way, and
+the coordinates are always exact integers.
 
 Jumps.  A model renormalizes when it carries a scaling factor rho and a
 window (a, b) whose first-return map is self-similar with that factor:
@@ -29,18 +29,24 @@ level-L steps of the self-similar map while a tower fits, then descends
 by heights alone: per level one bisection in the prefix heights of a
 rule, whose letter counts (Parikh vectors) add up to the symbol counts.
 Its cost grows like log k.  The tiles and atoms of the climb and the
-whole steps come from one stream, `integer_climb`: on one integer
+whole steps come from one stream, `integer_climb`, on one integer
 position while its error band lies inside a cell, as the IET's walk does
-(`scaled` bounds a level's factor), and from the first cell bound the
-band meets, by the exact `climb` from the point that the placed tiles map
-x to, so counts and end points are exact.  The position starts from the
-lattice point (`LatticeModel.position`), so x is formed only where a band
-meets a bound.  A tile maps its left end to a left end one
-level up, so the climb of a point on one, as every level point of a walk
-from an atom's left end is, reads its tiles from a table.  A segment
-shorter than every level-1 tower, a one-step segment and every segment
-of a model without renormalization step one atom at a time, on the
-integer walk of the IET (`iet`).
+(`scaled` bounds a level's factor); the position starts from the lattice
+point (`LatticeModel.position`).  A tile maps its left end to a left end
+one level up, so a point on one, a corner, climbs the tiles by a table.
+Where a band meets a bound, the integers decide whether the point is
+that cell's left end: rho acts on the coordinates of the module's units
+by the integer matrix R, so the point that the placed tiles and steps
+send to the bound has exact rational coordinates, compared with the
+start's.  A corner below level L climbs by the table to a top atom's left
+end, as a whole step onto one lands there, and the whole steps go on on
+integers from that left end; any other bound hands over to the exact
+`climb` from the point that the placed tiles or steps map the start to,
+so counts and end points are exact and a field point is formed only
+there.  A segment shorter than every level-1 tower, a one-step segment
+and every segment of a model without renormalization step one atom at a
+time, on the integer walk of the IET (`iet`), its start enclosed from
+the lattice point too.
 """
 from __future__ import annotations
 
@@ -60,8 +66,9 @@ from .substitution import Prefix, PrefixGraph
 
 class LatticePoint:
     """A layer representative xi (rational nu-coordinates in [0,1)) plus
-    integer module coordinates z; a non-integral z raises ValueError.  The
-    layer is also kept over one denominator M, xi = a / M, as (M, a)."""
+    integer module coordinates z; a non-integral z or a layer coordinate
+    outside [0, 1) raises ValueError, so each point has one (layer, z).
+    The layer is also kept over one denominator M, xi = a / M, as (M, a)."""
 
     __slots__ = ("layer", "z", "_over")
 
@@ -71,6 +78,8 @@ class LatticePoint:
         self.z = tuple(int(c) for c in z)
         if self.z != z:
             raise ValueError(f"module coordinates must be integers: {z}")
+        if not all(0 <= c < 1 for c in self.layer):
+            raise ValueError(f"layer coordinates must lie in [0, 1): {layer}")
         M = math.lcm(*(c.denominator for c in self.layer))
         self._over = M, tuple(c.numerator * (M // c.denominator) for c in self.layer)
 
@@ -279,7 +288,7 @@ class LatticeModel:
         needs none), otherwise step by step."""
         counts = self.towers().counts(p, k) if k > 1 and self.rho is not None else None
         if counts is None:
-            counts = self._step(self.value_of(p), k)
+            counts = self._step(p, k)
         z = tuple(c + sum(map(mul, row, counts)) for c, row in zip(p.z, self.projection))
         return LatticePoint._of(p, z), counts
 
@@ -292,10 +301,13 @@ class LatticeModel:
             self._towers = Towers(self)
         return self._towers
 
-    def _step(self, x: FieldElement, k: int):
-        """Symbol counts of k single steps from x: the IET's integer walk."""
-        counts = [0] * self.E.N
-        for _ in self.E._walk(x, k, counts):
+    def _step(self, p: LatticePoint, k: int):
+        """Symbol counts of k single steps from p: the IET's integer walk,
+        its start enclosed from the lattice coordinates (`position`), so
+        the field point is formed only at an exact fallback."""
+        E, counts = self.E, [0] * self.E.N
+        certificate = E._band(*self.position(p, k, E), E._table()[1], k)  # a start at E's scale
+        for _ in E._steps(certificate, k, counts, lambda: self.value_of(p)):
             pass
         return counts
 
@@ -372,12 +384,17 @@ class Towers:
     or 1 for a floor) maps to left_j, where the stage-2 cell corners[j]
     starts too, as stage-2 tiles tile top's domain inside its atoms: a
     point on a tile's left end stays on one at every later tile level.
+    Whether a point is a cell's left end is decided on integers
+    (`_corner`): top's R, the matrix of rho on the unit coordinates of
+    the basis the model shares with top, sends those of y to those of
+    rho y, and `_unit_tables`, built at the first decision, holds every
+    offset and cell left end of the three stages in those coordinates.
     rules[s] and offsets[s] = {mu: c_mu} belong to stage s + 1.
     vectors[l][j - 1] counts the letters of E in the level-l tower over
     letter j; heights[l][j - 1], their sum, is the steps h_l(j) it spans.
     """
 
-    __slots__ = ("model", "top", "stages", "corners", "rules", "offsets", "vectors", "heights", "least", "_prefixes")
+    __slots__ = ("model", "top", "stages", "corners", "rules", "offsets", "vectors", "heights", "least", "_prefixes", "_units")
 
     def __init__(self, model: LatticeModel):
         if model.sigma is None:
@@ -400,6 +417,7 @@ class Towers:
         self.vectors = [[tuple(int(i == j) for i in range(N)) for j in range(N)]]
         self.heights, self.least = [[1] * N], [1]  # least[l] = min(heights[l])
         self._prefixes = {}  # (level, rule): its prefix table, built on first use
+        self._units = None  # built by _unit_tables() on first use
 
     def height(self, level: int):
         """[h_level(j) for each letter j], computed on first use."""
@@ -429,12 +447,11 @@ class Towers:
         first, second, top = stages
         return chain((first,), repeat(second)) if L is None else chain((first,), repeat(second, L - 1), repeat(top))
 
-    def climb(self, x: FieldElement, L=None, start=0, met=None):
+    def climb(self, x: FieldElement, L=None, start=0):
         """Yield (item, y) per step of the stage sequence, from the point x
         of step `start`: the item is the tile (mu per level) or top atom
         (0-based) holding the point, and y its image; raises ValueError
-        when a point leaves the domain.  x is in the cell `met`, if given,
-        when it is that cell's left end.  From a corner on, the tiles up to
+        when a point leaves the domain.  From a corner on, the tiles up to
         the top map follow `corners`: no locate and no field arithmetic."""
         top, lefts, j = self.stages[2], self.stages[2].lefts, None
         for cells in islice(self._sequence(self.stages, L), start, None):
@@ -444,8 +461,7 @@ class Towers:
                 item = cells.tiles[self.corners[j]][0]
                 j, x = item.rule - 1, lefts[item.rule - 1]
             else:
-                i = met if met is not None and x == cells.lefts[met] else cells.locate(x)
-                met = None
+                i = cells.locate(x)
                 if x != cells.lefts[i]:
                     item, x = cells.step(x, i)
                 else:  # a corner: the tile maps its left end to lefts[j]
@@ -453,39 +469,107 @@ class Towers:
                     j, x = item.rule - 1, lefts[item.rule - 1]
             yield item, x
 
+    def _unit_tables(self):
+        """(D, per stage (R, or None for a stage without beta, the offsets
+        c, the cell left ends)): the points in unit coordinates (on nu'_k /
+        d, so integers on the module) as numerators over one D, built on
+        first use."""
+        if self._units is None:
+            m, (first, second, top) = self.model.module, self.stages
+            distinct = (first, top) if second is first else self.stages
+            coords = [[m.scaled_coords(x) for x in (*(c for _, c in cells.tiles), *cells.lefts)] for cells in distinct]
+            D = math.lcm(*(q for xs in coords for _, q in xs))
+            tables = []
+            for cells, xs in zip(distinct, coords):
+                units, n = [mat_vec(m.Winv, [v * (D // q) for v in w]) for w, q in xs], len(cells.tiles)
+                tables.append((self.top.R if cells.beta is not None else None, units[:n], units[n:]))
+            self._units = D, (tables[0], tables[-2], tables[-1])
+        return self._units
+
+    def _corner(self, p: LatticePoint, j, placed, met: int, L: int) -> bool:
+        """Whether the cells `placed`, one index per step of the stage
+        sequence up to level L from the point of p (or of the top map
+        alone from top's lefts[j], if j is given), map it to the left end
+        of cell met one step on, decided on unit coordinates: backwards,
+        the map of cell mu sends y to c_mu + rho y (c_mu + y without beta),
+        whose coordinates are those of c_mu plus R times those of y, and
+        p's are W^-1 a / M + z for its layer a / M."""
+        D, units = self._unit_tables()
+        if j is None:
+            (M, a), zs = p._over, p.z
+            if any(a):
+                a = mat_vec(self.model.module.Winv, a)
+        else:
+            M, a, zs, L = D, units[2][2][j], repeat(0), 0
+        n = len(placed)
+        v = units[2 if n >= L else n > 0][2][met]
+        for t in range(n - 1, -1, -1):
+            R, offsets, _ = units[2 if t >= L else t > 0]
+            if R is not None:
+                v = [sum(map(mul, row, v)) for row in R]
+            v = list(map(add, offsets[placed[t]], v))
+        return all(M * c == D * (b + M * z) for c, b, z in zip(v, a, zs))
+
     def integer_climb(self, p: LatticePoint, k: int, L: int):
         """The steps of `climb(x, L)` from the point x of p, its start
         enclosed for k whole steps (`LatticeModel.position`): (item, X, err)
         per step, |q y - X| <= err for the image y at its stage's scale
-        q = d 2^P, while the band lies inside a cell, and from the first
-        bound it meets, (item, y) by the exact climb from the point that the
-        placed tiles map x to, which starts in the met cell when it is that
-        cell's left end.  The level-L point lies in the top atom of its
-        tile's rule, so that exact step locates no atom."""
+        q = d 2^P, while the band lies inside a cell.  When the band meets
+        a bound, `_corner` decides on integers whether the point is that
+        cell's left end.  At a corner below level L the tiles up to level
+        L follow `corners` as (item,) and the point is top's lefts[j], j
+        the last tile's rule; at a corner of the top map it is top's
+        lefts[j] for the met atom j.  The whole steps go on from the
+        enclosure of lefts[j], which top's table holds as a cell bound, as
+        (j, X, err) again.  At any other bound the steps are (item, y) of
+        the exact climb from the point that the placed tiles or steps map
+        x (or the last lefts[j]) to.  The level-L point lies in the top
+        atom of its tile's rule, so that exact step locates no atom."""
         first, second, top = self.stages
         X, err = self.model.position(p, k, first)
         tables = first._table(), second._table(), top._table()
-        d, placed = tables[0][1], []
-        for P, e, lows, highs, tiles, B, e_b, _, _ in self._sequence(tables, L):
-            if e != d:  # the stages' scales differ
-                X, err = rescale(X, err, d, e)
-                d = e
-            i = bisect_right(highs, X + err)
-            if i == len(highs) or X - err < lows[i]:
+        steps, d, placed, j = self._sequence(tables, L), tables[0][1], [], None
+        while True:
+            for P, e, lows, highs, tiles, B, e_b, _, _ in steps:
+                if e != d:  # the stages' scales differ
+                    X, err = rescale(X, err, d, e)
+                    d = e
+                i = bisect_right(highs, X + err)
+                if i == len(highs) or X - err < lows[i]:
+                    break
+                placed.append(i)
+                item, C, e_c = tiles[i]
+                X, err = X - C, err + e_c
+                if B is not None:  # (y - c) * beta
+                    X, err = scaled(X, err, B, e_b, d << P)
+                yield item, X, err
+            if i == len(highs) or not self._corner(p, j, placed, i, L):
                 break
-            placed.append(i)
-            item, C, e_c = tiles[i]
+            if j is None and len(placed) < L:  # a tile's corner
+                cells = self.stages[len(placed) > 0]
+                for _ in range(len(placed), L):
+                    item = cells.tiles[i][0]
+                    yield (item,)
+                    cells, i = second, self.corners[item.rule - 1]
+                i = item.rule - 1
+            # the point is top's lefts[i]: lows[i] and highs[i - 1] are
+            # s + e and s - e for the enclosure (s, e) of q lefts[i]
+            j, (P, d, lows, highs, tiles, *_) = i, tables[2]
+            X, err = ((lows[j] + highs[j - 1]) >> 1, (lows[j] - highs[j - 1]) >> 1) if j else (0, 0)
+            _, C, e_c = tiles[j]
             X, err = X - C, err + e_c
-            if B is not None:  # (y - c) * beta
-                X, err = scaled(X, err, B, e_b, d << P)
-            yield item, X, err
-        x, n, met = self.model.value_of(p), len(placed), min(i, len(highs) - 1)
-        for cells, i in zip(self._sequence(self.stages, L), placed):
+            steps, placed = repeat(tables[2]), [j]
+            yield j, X, err
+        if j is None:
+            x, stages, n = self.model.value_of(p), self._sequence(self.stages, L), len(placed)
+        else:
+            x, stages, n = top.lefts[j], repeat(top), L + len(placed)
+        for cells, i in zip(stages, placed):
             _, x = cells.step(x, i)
         if n < L:
-            for mu, x in islice(self.climb(x, L, n, met), L - n):
+            for mu, x in islice(self.climb(x, L, n), L - n):
                 yield mu, x
-            j, x = self.stages[2].step(x, mu.rule - 1)
+            j, x = top.step(x, mu.rule - 1)
             yield j, x
             n = L + 1
         yield from self.climb(x, L, n)
@@ -493,7 +577,8 @@ class Towers:
     def counts(self, p: LatticePoint, k: int):
         """Symbol counts of k steps of the model's map from the lattice
         point p, or None when k is below every level-1 tower; p's field
-        point is formed only if the climb's band meets a cell bound."""
+        point is formed only if the climb's band meets a cell bound off
+        the cell's left end."""
         while self.least[-1] <= k:
             self.height(len(self.least))
         L = bisect_right(self.least, k) - 1

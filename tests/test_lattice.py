@@ -1,7 +1,9 @@
 import bisect
 import functools
+import hashlib
 import importlib.util
 import itertools
+import json
 import math
 import random
 import sys
@@ -197,6 +199,15 @@ def test_lattice_point_rejects_non_integral_z():
     with pytest.raises(ValueError):
         LatticePoint((0, 0), (0, 2.7))
     assert LatticePoint((0, 0), (Fraction(4, 2), 2.0)).z == (2, 2)
+
+
+def test_lattice_point_rejects_a_layer_outside_0_1():
+    # (1, 0) + z is the point (0, 0) + z + the first basis vector, so only
+    # [0, 1) gives each point one (layer, z)
+    for layer in ((1, 0), (0, -Fraction(1, 3)), (Fraction(4, 3), 0)):
+        with pytest.raises(ValueError, match=r"layer coordinates must lie in \[0, 1\)"):
+            LatticePoint(layer, (0, 0))
+    assert LatticePoint((0, Fraction(2, 3)), (1, 0)).layer == (0, Fraction(2, 3))
 
 
 def test_layer_split_and_scale(golden_model):
@@ -710,6 +721,44 @@ def test_walks_compose(jump_models, name, zfree, third, a, b):
     assert end.z == ledger(model, p, counts)
 
 
+def domain_point(model, rng, den):
+    """A field point in [0, total) with power coordinates in (1/den)Z."""
+    g = model.field.generator_element()
+    while True:
+        x = sum((g**i * Fraction(rng.randint(-3 * den, 3 * den), den) for i in range(model.n)), model.field.zero)
+        x = x - math.floor(float(x))
+        if x.sign() >= 0 and (x - model.total).sign() < 0:
+            return x
+
+
+def pinned_starts(model):
+    """The model's atom left ends, 6 points of layer 0 and 10 of rational
+    layers xi != 0, drawn as the lattice_walk benchmark draws its starts."""
+    starts = [model.point_of(x) for x in model.E.lefts]
+    rng = random.Random(f"starts/{model.name}")
+    starts += [model.point_of(domain_point(model, rng, 1)) for _ in range(6)]
+    while len(starts) < model.E.N + 16:
+        p = model.point_of(domain_point(model, rng, rng.choice((3, 4, 5, 6))))
+        if any(p.layer):
+            starts.append(p)
+    return starts
+
+
+def test_walk_outputs_are_pinned():
+    # (end, counts) of every pinned start and walk length, one sha256
+    # prefix per walk and one over their concatenation: the exact walks,
+    # which no change to how jumps or steps are computed may move
+    parts = []
+    for model in [builders.quartic_model(), builders.e2star_model(), *map(builders.ek_model, (1, 2, 4))]:
+        for p in pinned_starts(model):
+            for k in (2, 3, 7, 100, 999, 12345, 2**15, 2**18, 2**21):
+                end, counts, _ = model.psi_orbit(p, k)
+                text = json.dumps([[[str(c) for c in end.layer], list(end.z)], counts], separators=(",", ":"))
+                parts.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert len(parts) == 112 * 9
+    assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == "379c6e53e71b7064"
+
+
 @pytest.mark.parametrize("name", ["quartic", "e2star", "ek2"])
 def test_a_2_40_step_walk_takes_under_a_second(name):
     model = JUMP_MODELS[name]()
@@ -779,28 +828,79 @@ def test_a_walk_start_encloses_its_point(name):
         assert (qx - lo).sign() >= 0 >= (qx - hi).sign()
 
 
+def meets_a_corner(towers, x, L):
+    """Whether the climb that locates every level reaches a cell's left
+    end below level L: an oracle for the corners that jumps decide on
+    integers."""
+    for cells in itertools.islice(Towers._sequence(towers.stages), L):
+        i = cells.locate(x)
+        if x == cells.lefts[i]:
+            return True
+        _, x = cells.step(x, i)
+    return False
+
+
+def corner_starts(model):
+    """The field points of the pinned layer-0 starts (`pinned_starts`)
+    whose 2^15-step jump meets a corner below its level.  The search
+    refines the model's sign table, so callers walk on a fresh model."""
+    towers, N = model.towers(), model.E.N
+    L = level_of(towers, 2**15)
+    starts = [model.value_of(p) for p in pinned_starts(model)[N : N + 6]]
+    return [x for x in starts if meets_a_corner(towers, x, L)]
+
+
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_jumps_form_a_field_point_only_on_a_miss(name, monkeypatch):
     # a walk from a rational layer climbs on integers from its lattice
-    # coordinates alone, and one from an atom left end other than 0, whose
-    # band meets a tile bound at level 1, forms its point once
+    # coordinates alone; one from an atom left end, whose band meets a
+    # tile bound at level 1, or from a layer-0 point whose band meets one
+    # higher up, is at a corner, which the integers decide, so it forms
+    # no point either; one from within 2^-200 of an atom left end meets
+    # the same bound off the corner and forms its point
+    corners = corner_starts(JUMP_MODELS[name]())
     model = JUMP_MODELS[name]()
     model.towers()
-    far = walk_starts(model)[3 * model.E.N - 1:]  # past the starts within 2^-200 of an endpoint
-    rational = [p for p in map(model.point_of, far) if any(p.layer)]
-    lefts = [model.point_of(x) for x in model.E.lefts[1:]]
-    assert len(rational) >= 3
+    corners = list(map(model.point_of, corners))
+    starts = walk_starts(model)
+    N = model.E.N
+    rational = [p for p in map(model.point_of, starts[3 * N - 1:]) if any(p.layer)]
+    lefts = [model.point_of(x) for x in model.E.lefts]
+    near = [model.point_of(x) for x in starts[N : 3 * N - 1]]
+    assert len(rational) >= 3 and corners
     combined = []
     combine = Span.combine
     monkeypatch.setattr(Span, "combine", lambda span, *a: combined.append(a) or combine(span, *a))
     for k in (2**15, 2**21):
-        for p in rational:
+        for p in rational + lefts + corners:
             model.psi_orbit(p, k)
-        assert not combined
-        for p in lefts:
+            assert not combined, (p, k)
+        for p in near:
             model.psi_orbit(p, k)
-            assert len(combined) == 1, (p, k)
+            assert combined, (p, k)
             combined.clear()
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_short_walks_form_no_field_point(name, monkeypatch):
+    # 1-, 2- and 3-step walks below every level-1 tower step from the
+    # lattice coordinates: from a rational layer no atom is in doubt, so
+    # no point is formed, and the counts are the exact orbit's
+    model = JUMP_MODELS[name]()
+    least = min(model.towers().height(1))
+    far = walk_starts(model)[3 * model.E.N - 1:]
+    starts = [(x, model.point_of(x)) for x in far if any(model.point_of(x).layer)]
+    want = {(x, k): model.E.orbit(x, k)[0] for x, _ in starts for k in (1, 2, 3)}
+    combined = []
+    combine = Span.combine
+    monkeypatch.setattr(Span, "combine", lambda span, *a: combined.append(a) or combine(span, *a))
+    for x, p in starts:
+        for k in (1, 2, 3):
+            if k >= least:
+                continue
+            _, counts, _ = model.psi_orbit(p, k)
+            assert counts == [want[x, k].count(i) for i in range(1, model.E.N + 1)], (x, k)
+    assert not combined
 
 
 def tripled(cells):
@@ -859,62 +959,104 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_only_starts_on_a_tile_bound_climb_exactly(name, monkeypatch):
-    # a rational layer xi != 0 never meets a tile bound, so its jumps climb
-    # on integers alone; an atom left endpoint other than 0 is a tile
-    # bound at level 1 and climbs exactly, while 0 stays exactly 0 on the
-    # integers (c_mu = 0 below it at every level).  The enclosures of
-    # these walks never refine the sign table past its first 64 bits.
+    # a rational layer xi != 0 never meets a tile bound, and an atom left
+    # end or a layer-0 corner start meets one at a corner, so their jumps
+    # climb nothing exactly (0 stays exactly 0 on the integers, as c_mu
+    # = 0 below it at every level), nor do the whole steps after the
+    # corner, which meet an atom bound only on its left end.  The
+    # enclosures of these walks never refine the sign table past its
+    # first 64 bits.  A start within 2^-200 of an atom left end meets the
+    # same tile bound off the corner and climbs exactly from there
+    corners = corner_starts(JUMP_MODELS[name]())
     model = JUMP_MODELS[name]()
     N = model.E.N
     climbs = []
     climb = Towers.climb
-    monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: climbs.append(x) or climb(towers, x, *a))
+    monkeypatch.setattr(Towers, "climb", lambda towers, x, L, start=0: climbs.append(start < L) or climb(towers, x, L, start))
     starts = walk_starts(model)
     lefts, far = starts[:N], starts[3 * N - 1:]  # past the starts within 2^-200 of an endpoint
     rational = [x for x in far if any(model.point_of(x).layer)]
     assert len(rational) >= 3
     for k in (2**15, 2**21):
-        for x in lefts + rational:
+        for x in lefts + corners + rational:
             climbs.clear()
             model.psi_orbit(model.point_of(x), k)
-            assert bool(climbs) == (x in lefts[1:]), (x, k)
+            assert not climbs, (x, k)
     assert model.field.precision == 64
+    for x in starts[N : 3 * N - 1]:
+        climbs.clear()
+        model.psi_orbit(model.point_of(x), 2**15)
+        assert climbs[0], x
+
+
+def whole_steps_onto_bounds(model, towers):
+    """(x, r, L, k, f) per inner atom endpoint r of the top map and L in
+    (2, 3): y = r - tau_j, for the atom j that maps onto r, lies inside
+    its tiles, and so does x = a + f y, f = s rho^(L - 1) (s = rho when
+    the model is its own top, else 1), whose level-L point is y through
+    the tiles (j, 0); k, the longest walk below level L + 1, takes a
+    whole level-L step from y, onto r."""
+    top = towers.top.E
+    s = model.rho if towers.top is model else 1
+    for r in top.rights[:-1]:
+        j = next(j for j, t in enumerate(top.translations) if 0 <= r - t < top.total and top.locate(r - t) == j)
+        for L in (2, 3):
+            k = min(towers.height(L + 1)) - 1
+            if k >= towers.height(L)[j]:
+                f = s * towers.top.rho ** (L - 1)
+                yield model.window[0] + f * (r - top.translations[j]), r, L, k, f
 
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypatch):
-    # y = r - tau_j, for an inner atom endpoint r of the top map and the
-    # atom j that maps onto it, lies inside its tiles, and so does
-    # x = a + s rho^(L - 1) y, whose level-L point is y through the tiles
-    # (j, 0) (s = rho when the model is its own top, else 1).  The
-    # longest walk from x that stays at level L climbs on integers, and
-    # its first whole level-L step lands on r: there the band meets an
-    # atom bound, and the exact climb gives the level point.
+    # from x + 2^-200 (`whole_steps_onto_bounds`) the longest walk that
+    # stays at level L climbs on integers, and its first whole level-L
+    # step lands 2^-200 / f past r: there the band meets an atom bound
+    # off its corner, and the exact climb gives the level point
     model = JUMP_MODELS[name]()
     towers, E = model.towers(), model.E
-    top = towers.top.E
-    s = model.rho if towers.top is model else 1
     climbs = []
     climb = Towers.climb
     monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: climbs.append((x, *a)) or climb(towers, x, *a))
     walks = 0
-    for r in top.rights[:-1]:
-        j = next(j for j, t in enumerate(top.translations) if 0 <= r - t < top.total and top.locate(r - t) == j)
-        for L in (2, 3):
-            k = min(towers.height(L + 1)) - 1  # the longest walk below level L + 1
-            if k < towers.height(L)[j]:
-                continue  # no whole step
-            x = model.window[0] + s * towers.top.rho ** (L - 1) * (r - top.translations[j])
-            assert len(list(itertools.islice(integer_steps(model, towers, x, k, L), L))) == L
-            climbs.clear()
-            end, counts, _ = model.psi_orbit(model.point_of(x), k)
-            # the exact climb resumes at r, past the L tiles and the atom j
-            # of the whole step, from the tile maps of the placed items
-            assert climbs == [(r, L, L + 1)]
-            word, y = apply_steps(E, x, k)
-            assert counts == [word.count(i) for i in range(1, E.N + 1)]
-            assert model.value_of(end) == y
-            walks += 1
+    for x, r, L, k, f in whole_steps_onto_bounds(model, towers):
+        x = x + TINY
+        assert len(list(itertools.islice(integer_steps(model, towers, x, k, L), L))) == L
+        climbs.clear()
+        end, counts, _ = model.psi_orbit(model.point_of(x), k)
+        # the exact climb resumes past the L tiles and the atom j of the
+        # whole step, from the tile maps of the placed items
+        assert climbs == [(r + f.inverse() * TINY, L, L + 1)]
+        word, y = apply_steps(E, x, k)
+        assert counts == [word.count(i) for i in range(1, E.N + 1)]
+        assert model.value_of(end) == y
+        walks += 1
+    assert walks >= 3
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_a_whole_step_onto_an_atom_bound_stays_on_integers(name, apply_steps, monkeypatch):
+    # from x itself (`whole_steps_onto_bounds`) the first whole level-L
+    # step lands on r, a top atom's left end, which `_corner` decides on
+    # integers: the top map goes on from the enclosure of r, with no
+    # exact climb and no field point
+    model = JUMP_MODELS[name]()
+    towers, E = model.towers(), model.E
+    used = []
+    climb, combine = Towers.climb, Span.combine
+    monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: used.append(x) or climb(towers, x, *a))
+    monkeypatch.setattr(Span, "combine", lambda span, *a: used.append(a) or combine(span, *a))
+    walks = 0
+    for x, r, L, k, f in whole_steps_onto_bounds(model, towers):
+        steps = list(itertools.islice(jump_steps(model, towers, x, k, L), L + 2))
+        assert [len(step) for step in steps] == [3] * (L + 2)
+        used.clear()
+        end, counts, _ = model.psi_orbit(model.point_of(x), k)
+        assert not used, (x, L)
+        word, y = apply_steps(E, x, k)
+        assert counts == [word.count(i) for i in range(1, E.N + 1)]
+        assert model.value_of(end) == y
+        walks += 1
     assert walks >= 3
 
 
@@ -949,22 +1091,25 @@ def test_rescale_holds_at_the_corners_of_the_enclosure(X, err, a, b):
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_integer_climb_encloses_the_exact_climb(name):
     # |q y - X| <= err at every step that the integer climb places, L
-    # levels and then whole steps of the top map, for the items of the
-    # exact climb and the scale q of each step's stage; the signs come
-    # last, as they refine the sign table that later enclosures would use
+    # levels and then whole steps of the top map, also those that go on
+    # from a corner's top atom, for the items of the exact climb and the
+    # scale q of each step's stage; the signs come last, as they refine
+    # the sign table that later enclosures would use
     model = JUMP_MODELS[name]()
     towers = model.towers()
-    claims, tops = [], 0
+    claims, tops, resumed = [], 0, 0
     for x in walk_starts(model):
         for k, L in ((2, 1), (2**15, 8), (2**40, 40)):
-            levels = list(itertools.islice(integer_steps(model, towers, x, k, L), L + 20))
+            levels = list(itertools.islice(jump_steps(model, towers, x, k, L), L + 20))
             stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
             scales = [(d << P) for P, d, *_ in (cells._table() for cells in towers.stages)]
-            for (mu, X, err), (nu, y), s in zip(levels, towers.climb(x, L), stages):
-                assert mu == nu
-                claims.append((scales[s] * y, X - err, X + err))
-                tops += s == 2
-    assert len(claims) > 500 and tops > 200
+            for t, (step, (nu, y), s) in enumerate(zip(levels, towers.climb(x, L), stages)):
+                assert step[0] == nu
+                if len(step) == 3:
+                    claims.append((scales[s] * y, step[1] - step[2], step[1] + step[2]))
+                    tops += s == 2
+                    resumed += len(levels[0]) == 1 and t >= L
+    assert len(claims) > 500 and tops > 200 and resumed > 20
     for qy, lo, hi in claims:
         assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
 
@@ -1014,18 +1159,23 @@ def test_climbs_match_the_located_climb(name):
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_walks_from_atom_left_ends_locate_no_tile(name, monkeypatch):
-    # an atom left endpoint other than 0 is a tile's left end at level 1,
-    # so its jumps climb every tile level along corners: no tile stage
-    # locates a point, and no sign refines the table past its 64 bits
+    # an atom left endpoint is a tile's left end at level 1, and a layer-0
+    # corner start reaches one higher up, so their jumps climb every tile
+    # level along corners and take the top map's whole steps on integers:
+    # no stage locates or steps a point, and no sign refines the table
+    # past its 64 bits
+    corners = corner_starts(JUMP_MODELS[name]())
     model = JUMP_MODELS[name]()
-    tiles = model.towers().stages[:2]
-    located = []
-    locate = Cells.locate
-    monkeypatch.setattr(Cells, "locate", lambda cells, x: located.append(cells) or locate(cells, x))
+    model.towers()
+    starts = [model.point_of(x) for x in [*model.E.lefts, *corners]]
+    used = []
+    locate, step = Cells.locate, Cells.step
+    monkeypatch.setattr(Cells, "locate", lambda cells, x: used.append(cells) or locate(cells, x))
+    monkeypatch.setattr(Cells, "step", lambda cells, x, i=None: used.append(cells) or step(cells, x, i))
     for k in (2**15, 2**21):
-        for x in model.E.lefts[1:]:
-            model.psi_orbit(model.point_of(x), k)
-    assert located and not [cells for cells in located if any(cells is s for s in tiles)]
+        for p in starts:
+            model.psi_orbit(p, k)
+    assert not used
     assert model.field.precision == 64
 
 
@@ -1114,19 +1264,28 @@ def unimodular(draw, n):
     return U
 
 
-def basis_invariants(model):
+def basis_invariants(model, corner):
     """(d, j, b), the drift's nullity, charpoly(R) and d_T(1..5) where R
-    exists, and the field point and symbol counts 1,000, 2^15 and 2^21
-    steps after total/3 (the long walks climb the towers on integers)."""
+    exists, the field point and symbol counts 1,000, 2^15 and 2^21 steps
+    after total/3 (the long walks climb the towers on integers), and 2^15
+    and 2^21 steps after every atom left end and after the field point
+    corner, whose jumps meet a corner at a tile bound; and the number of
+    field points these walks form, none when `_corner` decides every
+    corner on the unit coordinates of the tiles, which depend on the
+    basis."""
     m = model.module
     out = [(m.d, m.j, m.b), model.drift.is_zero]
     if model.R is not None:
         out += [charpoly(model.R), [d_T(model, T) for T in range(1, 6)]]
-    start = model.point_of(model.total / 3)
-    for k in (1000, 1 << 15, 1 << 21):
-        end, counts, _ = model.psi_orbit(start, k)
+    walks = [(model.total / 3, k) for k in (1000, 1 << 15, 1 << 21)]
+    walks += [(x, k) for x in (*model.E.lefts, corner) for k in (1 << 15, 1 << 21)]
+    formed, combine = [], Span.combine
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Span, "combine", lambda span, *a: formed.append(a) or combine(span, *a))
+        ends = [model.psi_orbit(model.point_of(x), k)[:2] for x, k in walks]
+    for end, counts in ends:
         out += [model.value_of(end), counts]
-    return out
+    return out + [len(formed)]
 
 
 BASIS_MODELS = {
@@ -1138,9 +1297,13 @@ BASIS_MODELS = {
 
 @pytest.fixture(scope="module")
 def basis_models():
-    """{name: (model, its basis_invariants)} of the BASIS_MODELS."""
-    models = {name: build() for name, build in BASIS_MODELS.items()}
-    return {name: (model, basis_invariants(model)) for name, model in models.items()}
+    """{name: (model, a layer-0 corner start, its basis_invariants)} of
+    the BASIS_MODELS."""
+    out = {}
+    for name, build in BASIS_MODELS.items():
+        model, corner = build(), corner_starts(build())[0]
+        out[name] = model, corner, basis_invariants(model, corner)
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(BASIS_MODELS))
@@ -1148,10 +1311,10 @@ def basis_models():
 @given(data=st.data())
 def test_invariants_do_not_depend_on_the_module_basis(basis_models, name, data):
     # nu * U for a unimodular U is another Z-basis of the same module M
-    model, expected = basis_models[name]
+    model, corner, expected = basis_models[name]
     nu, n = model.module.basis, model.n
     U = data.draw(unimodular(n))
     basis = [sum((nu[k] * U[k][i] for k in range(n)), model.field.zero) for i in range(n)]
     again = LatticeModel(model.E, model.rho, window=model.window, basis=basis)
     assert again.module.basis == basis
-    assert basis_invariants(again) == expected
+    assert basis_invariants(again, corner) == expected
