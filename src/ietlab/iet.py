@@ -19,21 +19,26 @@ them) or 0; the signs refine the table as far as they must.
 
 Integer walks.  The table also encloses each tile's offset c as
 |q c - C| <= e_c, with an error of its own, and the factor beta.  `orbit`
-and the lattice walk's stepped segments run on one integer position: k
-steps from x enclose q x once, as X within e_x, 32 bits above the bit
-lengths of x's largest power coordinate and of k (`IET._certificate`); a
-step by atom i adds m_i = -C_i, so X stays within e_x + k max e_c of q
-times the point.  An atom is taken from X only while that band lies
-inside it; otherwise x + sum c_i tau_i (c the atom counts so far) is
-formed exactly, as one `numberfield.Span` combination, and located.
+and the lattice walk's stepped segments run one loop (`IET._walk`) on
+one integer position.  It starts once as X within e_x of q x: from x by
+one `NumberField.enclosure`, 32 bits above the bit lengths of x's
+largest power coordinate and of k (`IET._start`), or from a lattice point
+(`lattice.LatticeModel.position`).  A step by atom i adds m_i = -C_i, so
+X stays within e_x + k max e_c of q times the point.  An atom is taken
+from X only while that band lies inside it; otherwise x + sum c_i tau_i
+(c the atom counts so far) is formed exactly and located (`atom_of`).
+E^k x is formed from the counts alone, as one integer combination of the
+translations' numerators reduced once (`IET._moved`).
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from operator import index
-from .numberfield import FieldElement, NumberField, Span
+from operator import index, mul
+
+from .numberfield import FieldElement, NumberField, Span, _reduced
 
 
 def is_irreducible_perm(images) -> bool:
@@ -188,7 +193,7 @@ class IET(Cells):
         self.perm = perm
         self.lengths = tuple(lengths)
         self.translations = translations_from(perm, self.lengths)
-        self._span = Span(self.translations)  # forms x + sum c_i tau_i
+        self._span = Span(self.translations)  # its rows form x + sum c_i tau_i (`_moved`)
         rights = tuple(accumulate(self.lengths))  # right endpoints of the atoms
         super().__init__(self.lengths[0].field, rights, [(i, -t) for i, t in enumerate(self.translations)])
         self.total = rights[-1]
@@ -213,56 +218,56 @@ class IET(Cells):
     __call__ = apply
 
     def orbit(self, x, k: int):
-        """(coding word of length k, E^k x) by the integer walk; E^k x is
-        x + sum c_i tau_i, formed once from the atom counts c."""
+        """(coding word of length k, E^k x) by the integer walk (`_walk`);
+        E^k x is formed once from the atom counts (`_moved`)."""
         x = self.field.coerce(x)
-        counts = [0] * self.N
-        word = tuple(self._walk(x, k, counts))
-        return word, self._span.combine(counts, x)
+        word, counts = self._walk(x, k)
+        return tuple(word), self._moved(x, counts)
 
-    def _certificate(self, x: FieldElement, k: int):
-        """(q, X, err, lows, highs, moves): |q E^t x - X_t| <= err for
-        t <= k, where X_t is X plus moves[i] for each atom i + 1 passed,
-        and cell i holds every y with lows[i] <= q y < highs[i]."""
+    def _start(self, x: FieldElement, k: int):
+        """(X, err) with |q x - X| <= err at the table's scale q = d 2^P
+        (`_table`), P at least 32 bits above the bit lengths of x's
+        largest power coordinate and of k."""
         bits = (max(map(abs, x.num)) // x.den).bit_length() + k.bit_length() + 32
-        _, ((s, e),) = self.field.enclose([x], bits)  # |x.den 2^P x - s| <= e
-        return self._band(s, e, x.den, k)
+        s, e = self.field.enclosure(x, bits)  # |x.den 2^P x - s| <= e
+        return rescale(s, e, x.den, self._table()[1])
 
-    def _band(self, X: int, err: int, q: int, k: int):
-        """`_certificate` for a start x with |q x - X| <= err."""
-        P, d, lows, highs, _, _, _, moves, e_c = self._table()
-        X, err = rescale(X, err, q, d)
-        return d << P, X, err + k * e_c, lows, highs, moves
-
-    def _walk(self, x: FieldElement, k: int, counts):
-        """Yield the atoms (1-based) of k steps of E from x, adding each
-        step to counts (all 0 at the start); raises ValueError for k < 0
-        or when the orbit leaves the domain, TypeError for a non-integer k."""
+    def _walk(self, x, k: int, start=None):
+        """(atoms, counts) of k steps of E from x: the atoms (1-based) in a
+        list and the steps by each, from start = (X, err), |q x - X| <= err
+        at the table's scale q, by default `_start(x, k)`; then x may be a
+        function that forms the start, called at the first step the band
+        cannot place.  Raises ValueError for k < 0 or when the orbit leaves
+        the domain, TypeError for a non-integer k."""
         k = step_count(k)
         if k < 0:
             raise ValueError("k must be >= 0")
-        return self._steps(self._certificate(x, k), k, counts, x)
-
-    def _steps(self, certificate, k: int, counts, x):
-        """Yield the atoms of k steps from the start x that a `_certificate`
-        encloses, adding each step to counts; x may instead be a function
-        that forms it, called at the first step the certificate cannot
-        place."""
-        _, X, err, lows, highs, moves = certificate
-        N = self.N
-        # atom i + 1 is certain for X in [lows[i], highs[i])
-        lows = [b + err for b in lows]
-        highs = [b - err for b in highs]
+        X, err = self._start(x, k) if start is None else start
+        _, _, lows, highs, _, _, _, moves, e_c = self._table()
+        # X plus the moves of t <= k steps lies within err + k e_c of q E^t x,
+        # so atom i + 1 is certain for X in [lows[i], highs[i]) shrunk by that
+        err += k * e_c
+        lows, highs = [b + err for b in lows], [b - err for b in highs]
+        N, word, counts = self.N, [], [0] * self.N
         for _ in range(k):
             # bisect_right returns N or an index with X < highs[i], sorted or not
             i = bisect_right(highs, X)
             if i == N or X < lows[i]:
                 if not isinstance(x, FieldElement):
                     x = x()
-                i = self.atom_of(self._span.combine(counts, x)) - 1
-            counts[i] += 1
+                i = self.atom_of(self._moved(x, counts)) - 1
             X += moves[i]
-            yield i + 1
+            counts[i] += 1
+            word.append(i + 1)
+        return word, counts
+
+    def _moved(self, x: FieldElement, counts) -> FieldElement:
+        """x + sum counts[i] tau_i for integer counts: one integer
+        combination of the translations' numerators, reduced once."""
+        D, rows = self._span.den, self._span.rows
+        g = math.gcd(x.den, D)
+        a, b = D // g, x.den // g  # the lcm a x.den = b D
+        return _reduced(self.field, [a * v + b * sum(map(mul, counts, row)) for v, row in zip(x.num, rows)], a * x.den)
 
     def to_data(self) -> dict:
         """JSON-ready data: the generator and the lengths in power
@@ -347,10 +352,7 @@ def iet_from_translations(lengths, translations) -> IET:
 
 def staircase_discrepancy(E: IET, x, k: int):
     """Cumulative symbol counts s and their deviation D = s - k*lengths."""
-    word, _ = E.orbit(x, k)
-    s = [0] * E.N
-    for sym in word:
-        s[sym - 1] += 1
+    _, s = E._walk(E.field.coerce(x), k)
     D = [s[i] - k * E.lengths[i] for i in range(E.N)]
     return s, D
 

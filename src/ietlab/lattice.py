@@ -45,8 +45,8 @@ integers from that left end; any other bound hands over to the exact
 so counts and end points are exact and a field point is formed only
 there.  A segment shorter than every level-1 tower, a one-step segment
 and every segment of a model without renormalization step one atom at a
-time, on the integer walk of the IET (`iet`), its start enclosed from
-the lattice point too.
+time, by the step loop of `IET.orbit` (`iet`), its start enclosed from
+the lattice point too, and keep only its counts.
 """
 from __future__ import annotations
 
@@ -305,11 +305,7 @@ class LatticeModel:
         """Symbol counts of k single steps from p: the IET's integer walk,
         its start enclosed from the lattice coordinates (`position`), so
         the field point is formed only at an exact fallback."""
-        E, counts = self.E, [0] * self.E.N
-        certificate = E._band(*self.position(p, k, E), E._table()[1], k)  # a start at E's scale
-        for _ in E._steps(certificate, k, counts, lambda: self.value_of(p)):
-            pass
-        return counts
+        return self.E._walk(lambda: self.value_of(p), k, self.position(p, k, self.E))[1]
 
 
 def tile_offsets(model: LatticeModel, scale) -> dict:

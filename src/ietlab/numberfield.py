@@ -36,9 +36,9 @@ nonzero, P doubles: the generator is refined and the table rebuilt, for
 every later call too (`NumberField.precision` reads P).  A nonzero
 numerator means x != 0, so the loop ends.  A rational generator (n = 1)
 has the exact table m_0 = 1, r = 0.  `NumberField.enclosure` hands the
-same certificate (s, e) to callers that keep a position as an integer,
-and `NumberField.enclose` hands it out for several elements at one scale
-and at a precision no lower than asked for: `iet.Cells` brackets a
+same certificate (s, e), at a precision no lower than asked for, to
+callers that keep a position as an integer, and `NumberField.enclose`
+hands it out for several elements at one scale: `iet.Cells` brackets a
 point between integer bounds of IET atom or Vershik tile endpoints, and
 the IET walk and `unit_representative` move and bound integer positions.
 
@@ -180,33 +180,34 @@ class NumberField:
         work at now; it only ever grows."""
         return self._enc.bits
 
-    def enclosure(self, x: "FieldElement"):
+    def enclosure(self, x: "FieldElement", bits: int = 0):
         """(s, e) with |2^P x.den x - s| <= e for an element x sharing the
-        generator, from this field's sign table at P = `precision` after
-        the call (the first call builds the table); e = 0 for a rational
-        x.  Another field with the same generator may keep its own table
-        at another P, so a caller compares only pairs from one field."""
-        return self._enc.approx(x.num)
+        generator, from this field's sign table at P = `precision` >= bits
+        after the call (the first call builds the table; a rational
+        generator's is exact at P = 0); e = 0 for a rational x.  Another
+        field with the same generator may keep its own table at another
+        P, so a caller compares only pairs from one field."""
+        enc = self._enc
+        while enc.bits < bits and self.n > 1:
+            enc.refine()
+        return enc.approx(x.num)
 
     def enclose(self, xs, bits: int = 0):
         """(q, [(s, e), ...]) with |q x - s| <= e for each x in xs.
 
-        Every pair comes from one table precision P >= bits (a rational
-        generator's table is exact at P = 0), with q = 2^P times the lcm
-        of the denominators, so integer positions built from them can be
-        added and compared.  A rational x has e = 0.
+        Every pair comes from one table precision P >= bits (`enclosure`),
+        with q = 2^P times the lcm of the denominators, so integer
+        positions built from them can be added and compared.  A rational x
+        has e = 0.
         """
         xs = [self.coerce(x) for x in xs]
-        enc = self._enc
-        while enc.bits < bits and self.n > 1:
-            enc.refine()
         den = math.lcm(*(x.den for x in xs))
         out = []
         for x in xs:
-            s, e = self.enclosure(x)
+            s, e = self.enclosure(x, bits)
             f = den // x.den
             out.append((s * f, e * f))
-        return den << enc.bits, out
+        return den << self._enc.bits, out
 
     # -- integer arithmetic ---------------------------------------------
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -105,6 +107,13 @@ def test_staircase_discrepancy(quartic_iet):
     k = 25
     s, _ = staircase_discrepancy(E, K.from_rational(Fraction(1, 3)), k)
     assert sum(s) == k
+    # s comes from the walk's counts: those of the coding word
+    x, k = E.total / 3, 3000
+    word, _ = E.orbit(x, k)
+    s, D = staircase_discrepancy(E, x, k)
+    assert s == [word.count(i) for i in range(1, 5)]
+    for i in range(4):
+        assert K.from_rational(s[i]) == k * E.lengths[i] + D[i]
 
 
 def test_orbit_and_staircase_reject_negative_lengths(quartic_iet):
@@ -464,13 +473,35 @@ def test_walk_certificate_covers_the_drift_of_long_walks(build, monkeypatch, app
     # 1,296 (e2*)
     data = build().E.to_data()
     monkeypatch.setattr(numberfield, "_START_BITS", 16)
-    enclose = NumberField.enclose
-    monkeypatch.setattr(NumberField, "enclose", lambda self, xs, bits=0: enclose(self, xs))
+    enclosure = NumberField.enclosure
+    monkeypatch.setattr(NumberField, "enclosure", lambda self, x, bits=0: enclosure(self, x))
     E = IET.from_data(data)
     assert E.field.precision == 16
     for x in (E.field.zero, E.total / 3):
-        walk = tuple(E._walk(x, 3000, [0] * E.N))
-        assert walk == apply_steps(E, x, 3000)[0]
+        assert E.orbit(x, 3000) == apply_steps(E, x, 3000)
+
+
+def pinned_orbit_starts(model):
+    """The atom left ends, the points 2^-200 either side of each inner
+    atom bound, and the `unit_representative` points of [-2, 2]^(n - 1)."""
+    E, eps = model.E, Fraction(1, 2**200)
+    starts = [*E.lefts, *(r + s * eps for r in E.rights[:-1] for s in (-1, 1))]
+    return starts + [unit_representative(model, z) for z in itertools.product(range(-2, 3), repeat=model.n - 1)]
+
+
+def test_orbit_outputs_are_pinned():
+    # (word, E^k x) of every pinned start and length, one sha256 prefix per
+    # orbit and one over their concatenation: the exact orbits, which no
+    # change to how the walk is computed may move
+    parts = []
+    for model in (builders.quartic_model(), builders.e2star_model(), builders.ek_model(1), builders.ek_model(4)):
+        for x in pinned_orbit_starts(model):
+            for k in (0, 1, 2, 3, 7, 48, 100, 1000):
+                word, y = model.E.orbit(x, k)
+                text = json.dumps([word, [str(c) for c in y.power_coords]], separators=(",", ":"))
+                parts.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert len(parts) == 267 * 8
+    assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == "e0495705602ff7a3"
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ietlab import builders
 from ietlab.algebraic import root_in
-from ietlab.iet import IET, Cells, Permutation, rescale
+from ietlab.iet import IET, Cells, Permutation, iet_from_translations, rescale
 from ietlab.lattice import (
     LatticeModel,
     LatticePoint,
@@ -311,6 +311,15 @@ def test_density_counts_residues():
     assert density_estimate(model, member, 4) == 1
 
 
+def walk_certificate(E, x, k):
+    """(q, X, err, lows, highs, moves) of a k-step walk of E from x: its
+    start (`IET._start`) at the scale q of the table, with the band err +
+    k e_c that `IET._walk` keeps for every step up to k."""
+    X, err = E._start(x, k)
+    P, d, lows, highs, *_, moves, e_c = E._table()
+    return d << P, X, err + k * e_c, lows, highs, moves
+
+
 def test_position_certificate_holds_exactly(walk_models):
     # |q * value - X| <= err at p and after one step by any atom, for
     # |z| <= 10^6 and for |z| near 2^100, where the table's first
@@ -323,7 +332,7 @@ def test_position_certificate_holds_exactly(walk_models):
         for bound in (10**6,) * 10 + (2**100,) * 4:
             layer = tuple(Fraction(rng.randrange(6), 6) for _ in range(model.n))
             z = tuple(rng.randint(-bound, bound) for _ in range(model.n))
-            q, X, err, lows, highs, moves = E._certificate(model.value_of(LatticePoint(layer, z)), 1)
+            q, X, err, lows, highs, moves = walk_certificate(E, model.value_of(LatticePoint(layer, z)), 1)
             assert err * 2**30 < q  # the bound is far below the atom lengths
             assert lows[0] == 0
             claims += [(q * r, hi, lo) for r, hi, lo in zip(E.rights, highs, lows[1:])]
@@ -358,7 +367,7 @@ def test_walk_matches_the_exact_orbit_at_every_step(build, m, monkeypatch):
             E = model.E
             x = E.rights[i] + sign * model.rho**m
             p = model.point_of(x)
-            q, _, err, *_ = E._certificate(model.value_of(p), 1)
+            q, _, err, *_ = walk_certificate(E, model.value_of(p), 1)
             calls.clear()
             end, counts, marks = model.psi_orbit(p, k, checkpoints=range(1, k + 1))
             assert calls  # the fallback chose an atom
@@ -383,7 +392,7 @@ def test_signs_after_each_scaled_position_stay_fast():
     for _ in range(10):
         z = tuple(rng.randint(-(10**6), 10**6) for _ in range(model.n))
         p = LatticePoint((0,) * model.n, z)
-        q, X, err, *_ = model.E._certificate(model.value_of(p), 0)
+        q, X, err, *_ = walk_certificate(model.E, model.value_of(p), 0)
         qv = q * model.value_of(p)
         assert (qv - X - err).sign() <= 0 <= (qv - X + err).sign()
     assert time.perf_counter() - start < 2.0
@@ -757,6 +766,64 @@ def test_walk_outputs_are_pinned():
                 parts.append(hashlib.sha256(text.encode()).hexdigest()[:16])
     assert len(parts) == 112 * 9
     assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == "379c6e53e71b7064"
+
+
+def inverse_model(model):
+    """The lattice model of E^-1 over the module basis, factor and window
+    of the model of E: E^-1 exchanges E's image intervals, in image order,
+    by -tau.  Its first return to the window is the inverse of E's."""
+    E = model.E
+    order = image_order(E)
+    inverse = iet_from_translations([E.lengths[i] for i in order], [-E.translations[i] for i in order])
+    return LatticeModel(inverse, model.rho, window=model.window, basis=model.module.basis)
+
+
+def image_order(E):
+    """E's atoms (0-based) in the order of their images: atom r of E^-1
+    is the image of E's atom image_order(E)[r]."""
+    return sorted(range(E.N), key=E.perm.images.__getitem__)
+
+
+# the models whose inverse walks are checked
+INVERSE_MODELS = {
+    "quartic": builders.quartic_model,
+    "e2star": builders.e2star_model,
+    "ek2": lambda: builders.ek_model(2),
+    "ek4": lambda: builders.ek_model(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_MODELS))
+def test_inverse_orbits_come_back(name):
+    # E^-1 undoes k exact steps of E letter by letter, from the atom left
+    # ends, where the walk's band meets a bound, and 2^-200 beside them
+    model = INVERSE_MODELS[name]()
+    E, inverse, order = model.E, inverse_model(model).E, image_order(model.E)
+    eps = Fraction(1, 2**200)
+    for x in (*E.lefts, E.lefts[0] + eps, *(c + s * eps for c in E.lefts[1:] for s in (-1, 1))):
+        for k in (1, 2, 7, 100, 3000):
+            word, y = E.orbit(x, k)
+            back, z = inverse.orbit(y, k)
+            assert z == x, (x, k)
+            assert [order[a - 1] + 1 for a in reversed(back)] == list(word), (x, k)
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_MODELS))
+def test_inverse_walks_come_back(name):
+    # psi^-k(psi^k(p)) = p through both models' towers, with psi^-k's
+    # counts those of psi^k read in image order, up to k near 2^61: the
+    # levels above those of every other walk test
+    model = INVERSE_MODELS[name]()
+    inverse, order = inverse_model(model), image_order(model.E)
+    assert inverse.module.nu_prime == model.module.nu_prime  # one lattice
+    rng = random.Random(f"inverse/{name}")
+    for p in pinned_starts(model):
+        for j in (1, 2, 5, 15, 21, 40, 60):
+            k = 2**j + rng.randrange(2**j)
+            end, counts, _ = model.psi_orbit(p, k)
+            back, inverse_counts, _ = inverse.psi_orbit(end, k)
+            assert back == p, (p, k)
+            assert inverse_counts == [counts[i] for i in order], (p, k)
 
 
 @pytest.mark.parametrize("name", ["quartic", "e2star", "ek2"])
