@@ -139,15 +139,15 @@ class Cells:
     def _table(self):
         """(P, d, lows, highs, tiles, B, e_b, moves, e) at the field's
         precision P and scale q = d 2^P: cell i holds every y with lows[i]
-        <= q y < highs[i], tiles[i] = (item, C, e_c) with |q c - C| <= e_c,
-        |q beta - B| <= e_b (B None for beta None), moves[i] = -C and e is
-        the largest e_c."""
+        <= q y < highs[i], lows[n] >= q r_n for the n cells, tiles[i] =
+        (item, C, e_c) with |q c - C| <= e_c, |q beta - B| <= e_b (B None
+        for beta None), moves[i] = -C and e is the largest e_c."""
         table = self._ints
         if table is None or table[0] != self.field.precision:
             n, one = len(self.rights), self.field.one
             q, encs = self.field.enclose([*self.rights, *(c for _, c in self.tiles), self.beta or one])
             P, (B, e_b) = self.field.precision, encs.pop()
-            lows, highs = [0] + [s + e for s, e in encs[: n - 1]], [s - e for s, e in encs[:n]]
+            lows, highs = [0] + [s + e for s, e in encs[:n]], [s - e for s, e in encs[:n]]
             tiles = [(item, C, e) for (item, _), (C, e) in zip(self.tiles, encs[n:])]
             moves, e = [-C for _, C, _ in tiles], max((e for *_, e in tiles), default=0)
             table = self._ints = P, q >> P, lows, highs, tiles, None if self.beta is None else B, e_b, moves, e

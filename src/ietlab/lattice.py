@@ -22,31 +22,28 @@ tiles cut every higher level.  The level-l tower over letter j spans
 h_l(j) = |sigma_1 ... sigma_l (j)| steps, so E^k(x) follows the
 expansion of k in these heights (Dumont and Thomas' numeration by
 substitutions).  `Towers` keeps both tilings and the self-similar map as
-`iet.Cells`, and its `climb` is the one exact loop through them; Vershik
-coding (`vershik`) climbs it too.  A segment of k >= 2 steps climbs to
-the highest level L whose smallest tower is at most k, takes whole
-level-L steps of the self-similar map while a tower fits, then descends
-by heights alone: per level one bisection in the prefix heights of a
-rule, whose letter counts (Parikh vectors) add up to the symbol counts.
-Its cost grows like log k.  The tiles and atoms of the climb and the
-whole steps come from one stream, `integer_climb`, on one integer
-position while its error band lies inside a cell, as the IET's walk does
-(`scaled` bounds a level's factor); the position starts from the lattice
-point (`LatticeModel.position`).  A tile maps its left end to a left end
-one level up, so a point on one, a corner, climbs the tiles by a table.
-Where a band meets a bound, the integers decide whether the point is
-that cell's left end: rho acts on the coordinates of the module's units
-by the integer matrix R, so the point that the placed tiles and steps
-send to the bound has exact rational coordinates, compared with the
-start's.  A corner below level L climbs by the table to a top atom's left
-end, as a whole step onto one lands there, and the whole steps go on on
-integers from that left end; any other bound hands over to the exact
-`climb` from the point that the placed tiles or steps map the start to,
-so counts and end points are exact and a field point is formed only
-there.  A segment shorter than every level-1 tower, a one-step segment
-and every segment of a model without renormalization step one atom at a
-time, by the step loop of `IET.orbit` (`iet`), its start enclosed from
-the lattice point too, and keep only its counts.
+`iet.Cells`.  A segment of k >= 2 steps climbs to the highest level L
+whose smallest tower is at most k, takes whole level-L steps of the
+self-similar map while a tower fits, then descends by heights alone: per
+level one bisection in the prefix heights of a rule, whose letter counts
+(Parikh vectors) add up to the symbol counts.  Its cost grows like log k.
+The climb and the whole steps (`integer_climb`) run on one integer
+position from the lattice point (`LatticeModel.position`) while its
+error band lies inside a cell, as the IET's walk does (`scaled` bounds a
+level's factor).  Where a band meets a bound, the integers decide
+whether the point is that cell's left end, a corner: rho acts on the
+coordinates of the module's units by the integer matrix R, so the point
+that the placed cells send to the bound has exact rational coordinates.
+A tile maps its left end to a left end one level up, so a corner climbs
+the tiles by a table, and the whole steps go on from a top atom's left
+end.  Any other bound restarts the climb at twice the sign table's
+precision, the filtered exact predicate of exact geometric computation
+(Shewchuk, DCG 1997; Yap, CGTA 1997), so a jump forms no field point;
+the field climb `Towers.climb` serves Vershik coding (`vershik`).  A
+segment shorter than every level-1 tower, a one-step segment and every
+segment of a model without renormalization step one atom at a time, by
+the step loop of `IET.orbit` (`iet`), its start enclosed from the
+lattice point too, and keep only its counts.
 """
 from __future__ import annotations
 
@@ -384,7 +381,8 @@ class Towers:
     (`_corner`): top's R, the matrix of rho on the unit coordinates of
     the basis the model shares with top, sends those of y to those of
     rho y, and `_unit_tables`, built at the first decision, holds every
-    offset and cell left end of the three stages in those coordinates.
+    offset and cell bound of the three stages in those coordinates.
+    Jumps climb on integers (`integer_climb`), codes in the field (`climb`).
     rules[s] and offsets[s] = {mu: c_mu} belong to stage s + 1.
     vectors[l][j - 1] counts the letters of E in the level-l tower over
     letter j; heights[l][j - 1], their sum, is the steps h_l(j) it spans.
@@ -443,17 +441,14 @@ class Towers:
         first, second, top = stages
         return chain((first,), repeat(second)) if L is None else chain((first,), repeat(second, L - 1), repeat(top))
 
-    def climb(self, x: FieldElement, L=None, start=0):
-        """Yield (item, y) per step of the stage sequence, from the point x
-        of step `start`: the item is the tile (mu per level) or top atom
-        (0-based) holding the point, and y its image; raises ValueError
-        when a point leaves the domain.  From a corner on, the tiles up to
-        the top map follow `corners`: no locate and no field arithmetic."""
-        top, lefts, j = self.stages[2], self.stages[2].lefts, None
-        for cells in islice(self._sequence(self.stages, L), start, None):
-            if cells is top:
-                item, x = cells.step(x)
-            elif j is not None:  # x = lefts[j], the left end of cell corners[j]
+    def climb(self, x: FieldElement):
+        """Yield (mu, y) per level of Vershik coding from the field point
+        x: the tile holding the level point and the point one level up;
+        raises ValueError when x leaves the domain.  From a corner on, the
+        tiles follow `corners`: no locate and no field arithmetic."""
+        lefts, j = self.stages[2].lefts, None
+        for cells in self._sequence(self.stages):
+            if j is not None:  # x = lefts[j], the left end of cell corners[j]
                 item = cells.tiles[self.corners[j]][0]
                 j, x = item.rule - 1, lefts[item.rule - 1]
             else:
@@ -467,13 +462,13 @@ class Towers:
 
     def _unit_tables(self):
         """(D, per stage (R, or None for a stage without beta, the offsets
-        c, the cell left ends)): the points in unit coordinates (on nu'_k /
+        c, the cell left ends and the domain's end)): the points in unit coordinates (on nu'_k /
         d, so integers on the module) as numerators over one D, built on
         first use."""
         if self._units is None:
             m, (first, second, top) = self.model.module, self.stages
             distinct = (first, top) if second is first else self.stages
-            coords = [[m.scaled_coords(x) for x in (*(c for _, c in cells.tiles), *cells.lefts)] for cells in distinct]
+            coords = [[m.scaled_coords(x) for x in (*(c for _, c in cells.tiles), *cells.lefts, cells.rights[-1])] for cells in distinct]
             D = math.lcm(*(q for xs in coords for _, q in xs))
             tables = []
             for cells, xs in zip(distinct, coords):
@@ -507,24 +502,26 @@ class Towers:
         return all(M * c == D * (b + M * z) for c, b, z in zip(v, a, zs))
 
     def integer_climb(self, p: LatticePoint, k: int, L: int):
-        """The steps of `climb(x, L)` from the point x of p, its start
-        enclosed for k whole steps (`LatticeModel.position`): (item, X, err)
-        per step, |q y - X| <= err for the image y at its stage's scale
-        q = d 2^P, while the band lies inside a cell.  When the band meets
-        a bound, `_corner` decides on integers whether the point is that
-        cell's left end.  At a corner below level L the tiles up to level
-        L follow `corners` as (item,) and the point is top's lefts[j], j
-        the last tile's rule; at a corner of the top map it is top's
-        lefts[j] for the met atom j.  The whole steps go on from the
-        enclosure of lefts[j], which top's table holds as a cell bound, as
-        (j, X, err) again.  At any other bound the steps are (item, y) of
-        the exact climb from the point that the placed tiles or steps map
-        x (or the last lefts[j]) to.  The level-L point lies in the top
-        atom of its tile's rule, so that exact step locates no atom."""
+        """The steps from the point x of p, its start enclosed for k whole
+        steps (`LatticeModel.position`), through the stage sequence up to
+        level L and then the top map: (item, X, err) per step, the tile
+        (mu) or top atom (0-based) holding the point and |q y - X| <= err
+        for its image y at its stage's scale q = d 2^P.  Where the band
+        meets a bound, `_corner` decides whether the point is that cell's
+        left end.  A corner below level L yields the tiles up to level L
+        by `corners` as (item,); the point is then top's lefts[j], j the
+        last tile's rule, or the met atom's at a corner of the top map,
+        and the whole steps go on from its enclosure, a bound of top's
+        table.  At any other bound, or past the last, the climb starts
+        again from p at twice the precision and yields only the steps not
+        yet given: the steps it placed are exact, so a new pass repeats
+        them, and a point off a bound is apart from it at some precision.
+        That needs a table that refines, n >= 2; no renormalizing model
+        over Q is known.  A start outside the domain raises ValueError."""
         first, second, top = self.stages
         X, err = self.model.position(p, k, first)
         tables = first._table(), second._table(), top._table()
-        steps, d, placed, j = self._sequence(tables, L), tables[0][1], [], None
+        steps, d, placed, j, given = self._sequence(tables, L), tables[0][1], [], None, 0
         while True:
             for P, e, lows, highs, tiles, B, e_b, _, _ in steps:
                 if e != d:  # the stages' scales differ
@@ -541,6 +538,7 @@ class Towers:
                 yield item, X, err
             if i == len(highs) or not self._corner(p, j, placed, i, L):
                 break
+            given = max(given + len(placed), L)  # the steps given before the next
             if j is None and len(placed) < L:  # a tile's corner
                 cells = self.stages[len(placed) > 0]
                 for _ in range(len(placed), L):
@@ -556,25 +554,16 @@ class Towers:
             X, err = X - C, err + e_c
             steps, placed = repeat(tables[2]), [j]
             yield j, X, err
-        if j is None:
-            x, stages, n = self.model.value_of(p), self._sequence(self.stages, L), len(placed)
-        else:
-            x, stages, n = top.lefts[j], repeat(top), L + len(placed)
-        for cells, i in zip(stages, placed):
-            _, x = cells.step(x, i)
-        if n < L:
-            for mu, x in islice(self.climb(x, L, n), L - n):
-                yield mu, x
-            j, x = top.step(x, mu.rule - 1)
-            yield j, x
-            n = L + 1
-        yield from self.climb(x, L, n)
+        # a start below 0, from q total on (lows[-1] bounds it) or on total
+        if not (given or placed) and (X + err < 0 or X - err >= lows[-1] or i == len(highs) and self._corner(p, j, placed, i, L)):
+            raise ValueError("point outside the domain")
+        self.model._table(2 * self.model.field.precision)
+        yield from islice(self.integer_climb(p, k, L), given + len(placed), None)
 
     def counts(self, p: LatticePoint, k: int):
         """Symbol counts of k steps of the model's map from the lattice
-        point p, or None when k is below every level-1 tower; p's field
-        point is formed only if the climb's band meets a cell bound off
-        the cell's left end."""
+        point p (`integer_climb`, no field point), or None when k is
+        below every level-1 tower."""
         while self.least[-1] <= k:
             self.height(len(self.least))
         L = bisect_right(self.least, k) - 1

@@ -7,13 +7,13 @@ level-1 tile E^t(a + rho * atom_j) = c_mu + rho * atom_j with t below the
 length of the j-th return word, and mu = (j, t) is a prefix of the
 substitution.  The tile of the level point y reads off mu, and
 (y - c_mu) / rho is the point of the next level, so the levels encode the
-point as a path in the prefix automaton: `lattice.Towers.climb`, shared
-with the lattice walk's jumps.  A model with a self-similar first return
-(E_k) codes its floor first.  Eventually periodic codes are exactly the
-points whose level points repeat, and the periodic part is the fixed
-point of a contraction, so decoding is a closed-form geometric sum in the
-field.  Depth-k tiles sum per-level terms rho^L * c_mu: `enumerate_tiles`
-adds entries of one `lattice.tile_offsets` table per level.
+point as a path in the prefix automaton, which `lattice.Towers.climb`
+finds in the field.  A model with a self-similar first return (E_k)
+codes its floor first.  Eventually periodic codes are exactly the points
+whose level points repeat, and the periodic part is the fixed point of a
+contraction, so decoding is a closed-form geometric sum in the field.
+Depth-k tiles sum per-level terms rho^L * c_mu: `enumerate_tiles` adds
+entries of one `lattice.tile_offsets` table per level.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 
 from .algebraic import RealAlgebraic
+from .iet import step_count
 from .lattice import LatticeModel, tile_offsets
 from .matrices import charpoly, det, identity, inverse, mat_pow, mat_sub, mat_vec, solve
 from .numberfield import FieldElement, eigen_moduli_squared, root_power
@@ -92,8 +93,9 @@ def vershik_encode(model: LatticeModel, x, depth: int = 512) -> VershikCode:
     The prefixes are the tiles that `Towers.climb` finds level by level.
     A repeat of the exact level point closes the period; with none within
     `depth` levels the code is returned undetermined (empty period);
-    raises ValueError unless depth is positive.
+    raises TypeError or ValueError unless depth is a positive integer.
     """
+    depth = step_count(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be positive")
     towers = model.towers()
@@ -162,6 +164,7 @@ def enumerate_tiles(model: LatticeModel, depth: int):
     and (rho^k * left_j, rho^k * length_j) per rule take all the products.
     """
     _require_self_similar(model)
+    depth = step_count(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be positive")
     E = model.E
@@ -218,6 +221,7 @@ def d_T(model: LatticeModel, T: int) -> int:
     = |prod(lambda^T - 1)|, the identity the tests check it against."""
     if model.R is None:
         raise ValueError("model has no scaling matrix")
+    T = step_count(T, "T")
     if T < 1:
         raise ValueError("T must be positive")
     val = det(mat_sub(identity(model.n), mat_pow(model.R, T)))

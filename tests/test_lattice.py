@@ -768,6 +768,23 @@ def test_walk_outputs_are_pinned():
     assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == "379c6e53e71b7064"
 
 
+def test_near_bound_walk_outputs_are_pinned():
+    # (end, counts) from the points within 2^-200 of every atom left end,
+    # whose jumps meet a bound off its left end, digested as the pinned
+    # walks are: no change to how such a miss is decided may move them
+    parts = []
+    for model in [builders.quartic_model(), builders.e2star_model(), *map(builders.ek_model, (1, 2, 4))]:
+        N = model.E.N
+        for x in walk_starts(model)[N : 3 * N - 1]:
+            p = model.point_of(x)
+            for k in (2, 3, 7, 100, 2500, 2**15, 2**21, 2**40):
+                end, counts, _ = model.psi_orbit(p, k)
+                text = json.dumps([[[str(c) for c in end.layer], list(end.z)], counts], separators=(",", ":"))
+                parts.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert len(parts) == 59 * 8
+    assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == "8bdfecead08dea53"
+
+
 def inverse_model(model):
     """The lattice model of E^-1 over the module basis, factor and window
     of the model of E: E^-1 exchanges E's image intervals, in image order,
@@ -812,12 +829,15 @@ def test_inverse_orbits_come_back(name):
 def test_inverse_walks_come_back(name):
     # psi^-k(psi^k(p)) = p through both models' towers, with psi^-k's
     # counts those of psi^k read in image order, up to k near 2^61: the
-    # levels above those of every other walk test
+    # levels above those of every other walk test.  The starts within
+    # 2^-200 of an atom left end meet a bound off its left end
     model = INVERSE_MODELS[name]()
     inverse, order = inverse_model(model), image_order(model.E)
     assert inverse.module.nu_prime == model.module.nu_prime  # one lattice
     rng = random.Random(f"inverse/{name}")
-    for p in pinned_starts(model):
+    N = model.E.N
+    near = [model.point_of(x) for x in walk_starts(model)[N : 3 * N - 1]]
+    for p in pinned_starts(model) + near:
         for j in (1, 2, 5, 15, 21, 40, 60):
             k = 2**j + rng.randrange(2**j)
             end, counts, _ = model.psi_orbit(p, k)
@@ -846,10 +866,13 @@ def jump_steps(model, towers, x, k, L):
     return towers.integer_climb(model.point_of(x), k, L)
 
 
-def integer_steps(model, towers, x, k, L):
-    """The steps of the jump that its band places on integers: those
-    before the first (item, y) of the exact climb."""
-    return itertools.takewhile(lambda step: len(step) == 3, jump_steps(model, towers, x, k, L))
+def scaled_steps(towers, steps, L):
+    """(step, stage, q) per step of a jump to level L: the stage (0, 1, 2)
+    of the stage sequence and the scale q = d 2^P of its table, read as
+    the step is yielded, since a restart raises P mid-stream."""
+    for step, s in zip(steps, itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))):
+        P, d, *_ = towers.stages[s]._table()
+        yield step, s, d << P
 
 
 def start_claims(model, cells, points, k):
@@ -924,7 +947,8 @@ def test_jumps_form_a_field_point_only_on_a_miss(name, monkeypatch):
     # tile bound at level 1, or from a layer-0 point whose band meets one
     # higher up, is at a corner, which the integers decide, so it forms
     # no point either; one from within 2^-200 of an atom left end meets
-    # the same bound off the corner and forms its point
+    # the same bound off the corner, and its climb starts again at a
+    # finer sign table, on integers too: none forms its point
     corners = corner_starts(JUMP_MODELS[name]())
     model = JUMP_MODELS[name]()
     model.towers()
@@ -942,10 +966,76 @@ def test_jumps_form_a_field_point_only_on_a_miss(name, monkeypatch):
         for p in rational + lefts + corners:
             model.psi_orbit(p, k)
             assert not combined, (p, k)
+    assert model.field.precision == 64
+    for k in (2**15, 2**21):
         for p in near:
             model.psi_orbit(p, k)
-            assert combined, (p, k)
-            combined.clear()
+            assert not combined, (p, k)
+    assert model.field.precision > 64
+
+
+def test_a_denied_corner_restarts_to_the_same_walk(monkeypatch):
+    # `_corner` answering False once, at its n-th call, for every n, makes
+    # the climb start again at twice the precision from a point on a
+    # bound, as if it were off it: from the atom left ends and the
+    # layer-0 corner starts, at 2^15 and 2^40 steps, every walk equals
+    # the undenied one.  Each case walks a fresh model, since each restart
+    # doubles the shared sign table.  Some denials come after a corner of
+    # the top map, the only restarts there in the tests
+    corner = Towers._corner
+    calls, deny, forced = [], [0], {}
+
+    def denied(towers, p, j, placed, met, L):
+        calls.append(j)
+        answer = corner(towers, p, j, placed, met, L)
+        if answer and len(calls) == deny[0]:
+            forced[towers.model.name].append(j is not None)  # after a corner of the top map
+            return False
+        return answer
+
+    for name, build in sorted(JUMP_MODELS.items()):
+        ref = build()
+        starts = [ref.point_of(x) for x in [*ref.E.lefts, *corner_starts(build())]]
+        forced[ref.name] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Towers, "_corner", denied)
+            for p in starts:
+                for k in (2**15, 2**40):
+                    deny[0], calls[:] = 0, []
+                    want = build().psi_orbit(p, k)
+                    for n in range(1, len(calls) + 1):
+                        deny[0], calls[:] = n, []
+                        assert build().psi_orbit(p, k) == want, (name, p, k, n)
+        assert len(forced[ref.name]) >= len(starts), name
+    assert any(map(any, forced.values()))
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_MODELS))
+def test_jumps_from_outside_the_domain_raise(name, monkeypatch):
+    # a start below 0 or from total on never settles in a cell: its climb
+    # raises once the band lies outside the domain, or at once for total
+    # itself, whose band meets the last bound at every precision, while a
+    # start just inside total restarts and walks.  A spy stops a climb that
+    # restarts more than a few times instead of refining without end
+    model = JUMP_MODELS[name]()
+    k = 2**15
+    assert level_of(model.towers(), k) > 0
+    climbs = []
+    climb = Towers.integer_climb
+
+    def bounded(towers, p, k, L):
+        climbs.append(p)
+        assert len(climbs) <= 4, "restarts do not end"
+        return climb(towers, p, k, L)
+
+    monkeypatch.setattr(Towers, "integer_climb", bounded)
+    total = model.total
+    end, counts, _ = model.psi_orbit(model.point_of(total - TINY), k)
+    assert sum(counts) == k and len(climbs) > 1
+    for x in (total, total + TINY, -TINY, 2 * total):
+        climbs.clear()
+        with pytest.raises(ValueError, match="point outside the domain"):
+            model.psi_orbit(model.point_of(x), k)
 
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
@@ -988,12 +1078,14 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
     # 3d at the top map, and still encloses every exact level point, and
     # the walks that climb it keep the exact counts and ends.  Only the
     # climb's own rescales are recorded: the start's rescale to stage 1
-    # (`LatticeModel.position`) may also go from d to 3d
+    # (`LatticeModel.position`) may also go from d to 3d.  The sign table
+    # starts at 256 bits, where no walk below restarts: a restart would
+    # rebuild the tripled tables at a finer precision
     import ietlab.lattice
 
     model, plain = JUMP_MODELS[name](), JUMP_MODELS[name]()
     towers = model.towers()
-    model.enclose(bits=128)  # no start below refines past the tripled tables
+    model.enclose(bits=256)
     first, second, top = towers.stages
     towers.stages = (tripled(first), second, tripled(top))
     scales = [d << P for P, d, *_ in (cells._table() for cells in towers.stages)]
@@ -1010,15 +1102,16 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
     claims = []
     for x in walk_starts(model):
         for k, L in ((2**15, 8), (2**40, 40)):
-            levels = list(itertools.islice(integer_steps(model, towers, x, k, L), L + 20))
-            stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
-            for (mu, X, err), (nu, y), s in zip(levels, towers.climb(x, L), stages):
-                assert mu == nu
-                claims.append((scales[s] * y, X - err, X + err))
+            levels = list(scaled_steps(towers, itertools.islice(jump_steps(model, towers, x, k, L), L + 20), L))
+            for (step, s, q), (nu, y) in zip(levels, located_climb(towers, x, L)):
+                assert step[0] == nu and q == scales[s]
+                if len(step) == 3:  # not a tile of a corner
+                    claims.append((q * y, step[1] - step[2], step[1] + step[2]))
         for k in (2**15, 2**21):
             assert model.psi_orbit(model.point_of(x), k) == plain.psi_orbit(plain.point_of(x), k), (x, k)
     d = second._table()[1]
     assert {(a, b) for _, _, a, b in rescaled} >= {(3 * d, d), (d, 3 * d)}
+    assert model.field.precision == 256  # no restart
     assert [e << P for P, e, *_ in (cells._table() for cells in towers.stages)] == scales  # still tripled
     for qy, lo, hi in claims:
         assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
@@ -1028,32 +1121,31 @@ def test_climb_rescales_between_stages_of_different_scale(name, monkeypatch):
 def test_only_starts_on_a_tile_bound_climb_exactly(name, monkeypatch):
     # a rational layer xi != 0 never meets a tile bound, and an atom left
     # end or a layer-0 corner start meets one at a corner, so their jumps
-    # climb nothing exactly (0 stays exactly 0 on the integers, as c_mu
-    # = 0 below it at every level), nor do the whole steps after the
-    # corner, which meet an atom bound only on its left end.  The
-    # enclosures of these walks never refine the sign table past its
-    # first 64 bits.  A start within 2^-200 of an atom left end meets the
-    # same tile bound off the corner and climbs exactly from there
+    # never restart (0 stays exactly 0 on the integers, as c_mu = 0 below
+    # it at every level), nor do the whole steps after the corner, which
+    # meet an atom bound only on its left end.  The enclosures of these
+    # walks never refine the sign table past its first 64 bits.  A start
+    # within 2^-200 of an atom left end meets the same tile bound off the
+    # corner and restarts at a finer table.  No jump climbs exactly
     corners = corner_starts(JUMP_MODELS[name]())
     model = JUMP_MODELS[name]()
     N = model.E.N
     climbs = []
     climb = Towers.climb
-    monkeypatch.setattr(Towers, "climb", lambda towers, x, L, start=0: climbs.append(start < L) or climb(towers, x, L, start))
+    monkeypatch.setattr(Towers, "climb", lambda towers, x: climbs.append(x) or climb(towers, x))
     starts = walk_starts(model)
     lefts, far = starts[:N], starts[3 * N - 1:]  # past the starts within 2^-200 of an endpoint
     rational = [x for x in far if any(model.point_of(x).layer)]
     assert len(rational) >= 3
     for k in (2**15, 2**21):
         for x in lefts + corners + rational:
-            climbs.clear()
             model.psi_orbit(model.point_of(x), k)
             assert not climbs, (x, k)
     assert model.field.precision == 64
     for x in starts[N : 3 * N - 1]:
-        climbs.clear()
         model.psi_orbit(model.point_of(x), 2**15)
-        assert climbs[0], x
+        assert not climbs, x
+    assert model.field.precision > 64
 
 
 def whole_steps_onto_bounds(model, towers):
@@ -1079,21 +1171,31 @@ def test_a_whole_step_onto_an_atom_bound_goes_exact(name, apply_steps, monkeypat
     # from x + 2^-200 (`whole_steps_onto_bounds`) the longest walk that
     # stays at level L climbs on integers, and its first whole level-L
     # step lands 2^-200 / f past r: there the band meets an atom bound
-    # off its corner, and the exact climb gives the level point
-    model = JUMP_MODELS[name]()
-    towers, E = model.towers(), model.E
-    climbs = []
-    climb = Towers.climb
-    monkeypatch.setattr(Towers, "climb", lambda towers, x, *a: climbs.append((x, *a)) or climb(towers, x, *a))
+    # off its corner, and the climb starts again at a finer sign table,
+    # which the L tiles and the whole step were placed without.  Each
+    # case walks a fresh model, whose table starts at 64 bits.  No walk
+    # climbs exactly or forms a field point, and the counts and end
+    # points are the exact orbit's
+    build, ref = JUMP_MODELS[name], JUMP_MODELS[name]()
+    E, cases = ref.E, list(whole_steps_onto_bounds(ref, ref.towers()))
+    used = []
+    climb, combine = Towers.climb, Span.combine
+    monkeypatch.setattr(Towers, "climb", lambda towers, x: used.append(x) or climb(towers, x))
+    monkeypatch.setattr(Span, "combine", lambda span, *a: used.append(a) or combine(span, *a))
     walks = 0
-    for x, r, L, k, f in whole_steps_onto_bounds(model, towers):
+    for x, r, L, k, f in cases:
         x = x + TINY
-        assert len(list(itertools.islice(integer_steps(model, towers, x, k, L), L))) == L
-        climbs.clear()
-        end, counts, _ = model.psi_orbit(model.point_of(x), k)
-        # the exact climb resumes past the L tiles and the atom j of the
-        # whole step, from the tile maps of the placed items
-        assert climbs == [(r + f.inverse() * TINY, L, L + 1)]
+        p = ref.point_of(x)
+        model = build()
+        steps = model.towers().integer_climb(p, k, L)
+        precisions = [model.field.precision for _ in itertools.islice(steps, L + 2)]
+        assert precisions[: L + 1] == [64] * (L + 1) and precisions[L + 1] > 64, (x, L)
+        model = build()
+        model.towers()
+        used.clear()  # the points that building the model forms
+        end, counts, _ = model.psi_orbit(p, k)
+        assert not used, (x, L)
+        assert model.field.precision > 64
         word, y = apply_steps(E, x, k)
         assert counts == [word.count(i) for i in range(1, E.N + 1)]
         assert model.value_of(end) == y
@@ -1159,24 +1261,24 @@ def test_rescale_holds_at_the_corners_of_the_enclosure(X, err, a, b):
 def test_integer_climb_encloses_the_exact_climb(name):
     # |q y - X| <= err at every step that the integer climb places, L
     # levels and then whole steps of the top map, also those that go on
-    # from a corner's top atom, for the items of the exact climb and the
-    # scale q of each step's stage; the signs come last, as they refine
-    # the sign table that later enclosures would use
+    # from a corner's top atom or past a restart, for the items and points
+    # y of the climb that locates every level and the scale q of each
+    # step's stage as the step is yielded; the signs come last, as they
+    # refine the sign table that later enclosures would use
     model = JUMP_MODELS[name]()
     towers = model.towers()
     claims, tops, resumed = [], 0, 0
     for x in walk_starts(model):
         for k, L in ((2, 1), (2**15, 8), (2**40, 40)):
-            levels = list(itertools.islice(jump_steps(model, towers, x, k, L), L + 20))
-            stages = itertools.chain([0], itertools.repeat(1, L - 1), itertools.repeat(2))
-            scales = [(d << P) for P, d, *_ in (cells._table() for cells in towers.stages)]
-            for t, (step, (nu, y), s) in enumerate(zip(levels, towers.climb(x, L), stages)):
+            levels = list(scaled_steps(towers, itertools.islice(jump_steps(model, towers, x, k, L), L + 20), L))
+            for t, ((step, s, q), (nu, y)) in enumerate(zip(levels, located_climb(towers, x, L))):
                 assert step[0] == nu
                 if len(step) == 3:
-                    claims.append((scales[s] * y, step[1] - step[2], step[1] + step[2]))
+                    claims.append((q * y, step[1] - step[2], step[1] + step[2]))
                     tops += s == 2
-                    resumed += len(levels[0]) == 1 and t >= L
+                    resumed += len(levels[0][0]) == 1 and t >= L
     assert len(claims) > 500 and tops > 200 and resumed > 20
+    assert model.field.precision > 64  # the starts within 2^-200 restarted
     for qy, lo, hi in claims:
         assert (qy - lo).sign() >= 0 >= (qy - hi).sign()
 
@@ -1198,26 +1300,22 @@ def level_of(towers, k):
 
 @pytest.mark.parametrize("name", sorted(JUMP_MODELS))
 def test_climbs_match_the_located_climb(name):
-    # the steps of a jump, integer or exact, name the items of the climb
-    # that locates every level, and the exact ones its points too; and
-    # the unbounded climb of Vershik coding matches it from 0 and from
-    # every atom left end, which climb along corners
+    # the steps of a jump, on integers or along corners, name the items
+    # of the climb that locates every level, also past a restart, and no
+    # step is exact, (item, y); and the unbounded climb of Vershik coding
+    # matches it from 0 and from every atom left end, which climb along
+    # corners
     model = JUMP_MODELS[name]()
     towers = model.towers()
-    exact = 0
     for x in walk_starts(model):
         for k in (2, 2**15, 2**21):
             L = level_of(towers, k)
             if L == 0:
                 continue
-            want = list(itertools.islice(located_climb(towers, x, L), L + 3))
             got = list(itertools.islice(jump_steps(model, towers, x, k, L), L + 3))
+            want = list(itertools.islice(located_climb(towers, x, L), L + 3))
             assert [step[0] for step in got] == [item for item, _ in want], (x, k)
-            for step, point in zip(got, want):
-                if len(step) == 2:  # (item, y) of the exact climb
-                    assert step == point, (x, k)
-                    exact += 1
-    assert exact > 0
+            assert all(len(step) in (1, 3) for step in got), (x, k)
     depth = 3 * level_of(towers, 2**21)
     for x in model.E.lefts:
         got = list(itertools.islice(towers.climb(x), depth))

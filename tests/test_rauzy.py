@@ -18,6 +18,7 @@ from ietlab.numberfield import NumberField
 from ietlab.polynomials import IntPoly, is_irreducible
 from ietlab.rauzy import (
     RauzyCycle,
+    census_rows,
     class_of,
     enumerate_cycles,
     rauzy_step,
@@ -349,8 +350,11 @@ def test_cli_census_report(capsys):
         {"base": list(c.base), "labels": list(c.edge_labels), "charpoly": list(c.charpoly().coeffs)}
         for c in hits
     ]
-    with pytest.raises(SystemExit):
+    assert out["rows"] == {str(L): list(row) for L, row in census_rows(hits, 10).items()}
+    # L below 1 is a usage error: argparse exits with status 2
+    with pytest.raises(SystemExit) as exit_info:
         main(["report", "census", "0"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_census_is_one_pass(monkeypatch):

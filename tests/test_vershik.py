@@ -291,6 +291,24 @@ def test_encode_refuses_a_depth_below_one(quartic_model):
     assert code.t + code.T == 1
 
 
+def test_depths_and_periods_must_be_integers(quartic_model):
+    # the rule of psi_orbit's step counts (`iet.step_count`): a float
+    # depth or period is refused by name, and True counts as 1
+    _, _, model = quartic_model
+    point = model.total / 3
+    calls = {
+        "depth": [lambda: vershik_encode(model, point, depth=2.5), lambda: enumerate_tiles(model, 2.5)],
+        "T": [lambda: d_T(model, 2.0)],
+    }
+    for name, fs in calls.items():
+        for f in fs:
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, not float$"):
+                f()
+    assert d_T(model, True) == d_T(model, 1)
+    assert enumerate_tiles(model, True) == enumerate_tiles(model, 1)
+    assert vershik_encode(model, point, depth=True).transient == vershik_encode(model, point, depth=1).transient
+
+
 @pytest.mark.parametrize("build, depths", TILE_DEPTHS, ids=["quartic", "e2star"])
 def test_tiles_match_the_per_node_recursion(build, depths):
     # same chains in the same order, same exact lefts and lengths
